@@ -146,7 +146,9 @@ def solve(
     for constraint in constraints:
         value = sum(Fraction(c) * witness[v] for v, c in constraint.coefficients.items())
         ok = value < constraint.bound if constraint.strict else value <= constraint.bound
-        assert ok, "witness fails an input row, solver bug"
+        if not ok:
+            raise AssertionError("witness fails an input row, solver bug")
     for var in ordering:
-        assert 0 <= witness[var] < 1, "witness escapes the unit box, solver bug"
+        if not 0 <= witness[var] < 1:
+            raise AssertionError("witness escapes the unit box, solver bug")
     return FeasibilityResult(True, witness)

@@ -8,14 +8,16 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .axiom_check import check_axiom, verify_branch_countermodel
+from .axiom_check import AxiomVerdict, check_axiom, verify_branch_countermodel
 from .calculus import rhbl_premises, rwbl_premises
 from .formula import Formula, ParseError, complexity, parse, render
-from .hypersequent import RelationalHypersequent, is_irreducible
+from .hypersequent import RelationalHypersequent
+from .hypersequent import is_irreducible  # noqa: F401  a perfbench trace target
 from .reduction import (
     Certificate,
-    ReductionDepthError,
+    Expand,
     build_rwbl_tree,
+    fold_tree,
     follow_certificate,
     render_tree_dot,
     render_tree_lines,
@@ -47,41 +49,22 @@ class VerifyOutcome:
     countermodel: Valuation | None = None
 
 
-def _default_rhbl_depth(formula: Formula) -> int:
-    # Single-occurrence steps shrink the total connective weight of a label by
-    # at least one, and label weights stay within the cubic branch envelope,
-    # so a generous linear-in-complexity allowance never triggers spuriously.
-    return 50 * (complexity(formula) + 1)
+def _calculus(mode: str, formula: Formula) -> tuple[Expand, int]:
+    """The premise function of a calculus and its default depth limit."""
+    if mode == "rwbl":
+        return rwbl_premises, complexity(formula)
+    if mode == "rhbl":
+        # Single-occurrence steps shrink the total connective weight of a label by at least
+        # one, and label weights stay within the cubic branch envelope, so a generous
+        # linear-in-complexity allowance never triggers spuriously.
+        return rhbl_premises, 50 * (complexity(formula) + 1)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
-def _search(label, expand, depth_left, moves, labels, proven):
-    # A label fully determines its subtree, and a countermodel found at any
-    # leaf refutes every label below it by rule invertibility, so subtrees
-    # known to be all-axiom can be skipped wholesale on repeat labels without
-    # disturbing which refutation is found first.
-    if label in proven:
-        return None
-    if is_irreducible(label):
-        verdict = check_axiom(label)
-        if verdict.is_axiom:
-            proven.add(label)
-            return None
-        return verdict, tuple(moves), tuple(labels)
-    if depth_left == 0:
-        raise ReductionDepthError("reducible node at the depth limit")
-    for premise in expand(label):
-        hit = _search(
-            premise.label,
-            expand,
-            depth_left - 1,
-            moves + [premise.index],
-            labels + [premise.label],
-            proven,
-        )
-        if hit is not None:
-            return hit
-    proven.add(label)
-    return None
+def _refutation(leaf: RelationalHypersequent) -> AxiomVerdict | None:
+    # Axiom verdicts are dropped, so the walker's memo keeps no cluster data.
+    verdict = check_axiom(leaf)
+    return None if verdict.is_axiom else verdict
 
 
 def check_tautology(
@@ -90,27 +73,26 @@ def check_tautology(
     """Decide provability by exhaustive reduction and leaf classification.
 
     Premises are explored in ascending index, so the reported refutation is
-    the first invalid leaf in that deterministic order.  The certificate is
-    the list of premise indices along its branch, padded with zeros to the
+    the first invalid leaf in that deterministic order.  A repeated label is
+    classified once: a countermodel at any leaf ends the search, so every
+    label seen before is known to be provable.  The certificate is the list
+    of premise indices along the refuted branch, padded with zeros to the
     connective count; single-occurrence mode has no certificate format.
     """
-    if mode == "rwbl":
-        expand = rwbl_premises
-        limit = complexity(formula) if depth_limit is None else depth_limit
-    elif mode == "rhbl":
-        expand = rhbl_premises
-        limit = _default_rhbl_depth(formula) if depth_limit is None else depth_limit
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    root = root_label(formula)
-    hit = _search(root, expand, limit, [], [root], set())
-    if hit is None:
+    expand, limit = _calculus(mode, formula)
+    if depth_limit is not None:
+        limit = depth_limit
+    verdict, path = fold_tree(
+        root_label(formula), expand, limit, _refutation, lambda *_: None, lambda v: v is not None
+    )
+    if path is None:
         return ProveResult(True)
-    verdict, moves, branch = hit
+    moves, branch = path
     certificate = None
     if mode == "rwbl":
         certificate = Certificate(moves + (0,) * (complexity(formula) - len(moves)))
-    assert verdict.countermodel is not None
+    if verdict.countermodel is None:
+        raise AssertionError("refuted leaf came without a countermodel")
     if not verify_branch_countermodel(verdict.countermodel, branch, formula):
         raise AssertionError("countermodel failed to refute the full branch")
     return ProveResult(False, certificate, verdict.countermodel, branch)
@@ -125,12 +107,14 @@ def check_no_tautology(formula: Formula, certificate: Certificate) -> VerifyOutc
     followed = follow_certificate(formula, certificate)
     if not followed.accepted:
         return VerifyOutcome(False, followed.error or "certificate replay failed")
-    assert followed.branch is not None
+    if followed.branch is None:
+        raise AssertionError("accepted certificate replay came without a branch")
     leaf = followed.branch[-1]
     verdict = check_axiom(leaf)
     if verdict.is_axiom:
         return VerifyOutcome(False, "certified leaf is an axiom")
-    assert verdict.countermodel is not None
+    if verdict.countermodel is None:
+        raise AssertionError("refuted leaf came without a countermodel")
     if not verify_branch_countermodel(verdict.countermodel, followed.branch, formula):
         raise AssertionError("countermodel failed to refute the certified branch")
     return VerifyOutcome(True, "leaf refuted", verdict.countermodel)

@@ -2,11 +2,13 @@
 
 A reduction tree starts from the goal hypersequent ``top <= A`` and expands
 every node with the premises of the selected calculus until all leaves are
-irreducible.  For the whole-hypersequent rewriting calculus the height never
-exceeds the connective count of A, because each step removes the pivot from
-the set of compound formulas of the label and introduces only proper
-subformulas; the builders enforce this with a depth guard that doubles as a
-bug detector.
+irreducible.  One memoised walker, ``fold_tree``, does every expansion: tree
+building, statistics and the provability search fold over it, and
+``iter_rwbl_leaves`` streams leaves through its step.  One depth guard, in
+that step, bounds the height: for the whole-hypersequent rewriting calculus
+it never exceeds the connective count of A, because each step removes the
+pivot from the set of compound formulas of the label and introduces only
+proper subformulas, so the guard at that limit doubles as a bug detector.
 
 A certificate compresses one branch into the sequence of premise indices
 taken at each level, padded with zeros once a leaf is reached; its length is
@@ -17,27 +19,23 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .calculus import Premise, rhbl_premises, rwbl_premises
-from .formula import (
-    Conj,
-    Formula,
-    TOP,
-    complexity,
-    is_atomic,
-    parse,
-    render,
-)
+from .formula import TOP, Conj, Formula, complexity, parse, render
 from .hypersequent import (
     RelationalHypersequent,
     check_generated_shape,
     hseq,
     is_irreducible,
-    most_complex,
     preceq,
     seq,
 )
+
+V = TypeVar("V")
+Expand = Callable[[RelationalHypersequent], tuple[Premise, ...]]
+# Premise indices from the root, and the labels from the root to the leaf.
+LeafPath = tuple[tuple[int, ...], tuple[RelationalHypersequent, ...]]
 
 
 class ReductionDepthError(RuntimeError):
@@ -49,7 +47,8 @@ class ReductionNode:
     """A tree node: its label, how it was reached and its expansions.
 
     premise_index and premise_tag describe the edge from the parent (None at
-    the root).  Leaves have no children.
+    the root).  Leaves have no children.  Nodes with equal labels share one
+    children tuple.
     """
 
     label: RelationalHypersequent
@@ -82,31 +81,81 @@ def root_label(formula: Formula) -> RelationalHypersequent:
     return hseq(seq((TOP,), preceq(), (formula,)))
 
 
-def _premise_fn(mode: str) -> Callable[[RelationalHypersequent], tuple[Premise, ...]]:
-    if mode == "rwbl":
-        return rwbl_premises
-    if mode == "rhbl":
-        return lambda g: rhbl_premises(g)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _build(
-    label: RelationalHypersequent,
-    premise_index: int | None,
-    premise_tag: str | None,
-    depth_left: int,
-    expand: Callable[[RelationalHypersequent], tuple[Premise, ...]],
-) -> ReductionNode:
+def _step(
+    label: RelationalHypersequent, depth: int, limit: int, expand: Expand
+) -> tuple[Premise, ...] | None:
+    """The premises of a label at the given depth, or None when it is a leaf."""
     check_generated_shape(label)
     if is_irreducible(label):
-        return ReductionNode(label, premise_index, premise_tag, ())
-    if depth_left == 0:
+        return None
+    if depth >= limit:
         raise ReductionDepthError("reducible node at the depth limit")
-    children = tuple(
-        _build(p.label, p.index, p.tag, depth_left - 1, expand)
-        for p in expand(label)
-    )
-    return ReductionNode(label, premise_index, premise_tag, children)
+    return expand(label)
+
+
+def fold_tree(
+    root: RelationalHypersequent,
+    expand: Expand,
+    limit: int,
+    leaf: Callable[[RelationalHypersequent], V],
+    inner: Callable[[RelationalHypersequent, tuple[Premise, ...], Sequence[V]], V],
+    stop: Callable[[V], bool] | None = None,
+) -> tuple[V, LeafPath | None]:
+    """Fold the tree below root bottom-up, depth first in premise order.
+
+    leaf(label) values a leaf; inner(label, premises, values) values an inner
+    node from its premises' values.  Each distinct label is expanded and
+    valued once; a reuse keeps the first value and height, and raises
+    ReductionDepthError when its new depth plus that height exceeds the limit.
+    Returns (root value, None), or, as soon as stop holds for a leaf's value,
+    that value and its path.
+    """
+    memo: dict[RelationalHypersequent, tuple[V, int]] = {}
+    # One frame per inner node on the current branch: its label, premises,
+    # and the values and heights of the premises folded so far.
+    frames: list[tuple[RelationalHypersequent, tuple[Premise, ...], list[V], list[int]]] = []
+    label = root
+    while True:
+        depth = len(frames)
+        done = memo.get(label)
+        if done is None:
+            premises = _step(label, depth, limit, expand)
+            if premises is not None:
+                frames.append((label, premises, [], []))
+                label = premises[0].label
+                continue
+            value = leaf(label)
+            if stop is not None and stop(value):
+                moves = tuple(ps[len(vs)].index for _, ps, vs, _ in frames)
+                return value, (moves, tuple(f[0] for f in frames) + (label,))
+            done = memo[label] = (value, 0)
+        elif depth + done[1] > limit:
+            raise ReductionDepthError("reducible node at the depth limit")
+        while frames:
+            parent, premises, values, heights = frames[-1]
+            values.append(done[0])
+            heights.append(done[1])
+            if len(values) < len(premises):
+                label = premises[len(values)].label
+                break
+            frames.pop()
+            done = memo[parent] = (inner(parent, premises, values), 1 + max(heights))
+        else:
+            return done[0], None
+
+
+def _children(
+    label: RelationalHypersequent,
+    premises: tuple[Premise, ...],
+    subtrees: Sequence[tuple[ReductionNode, ...]],
+) -> tuple[ReductionNode, ...]:
+    return tuple(ReductionNode(p.label, p.index, p.tag, sub) for p, sub in zip(premises, subtrees))
+
+
+def _tree(formula: Formula, mode: str, expand: Expand, limit: int) -> ReductionTree:
+    root = root_label(formula)
+    children, _ = fold_tree(root, expand, limit, lambda label: (), _children)
+    return ReductionTree(formula, mode, ReductionNode(root, None, None, children))
 
 
 def build_rwbl_tree(formula: Formula, depth_limit: int | None = None) -> ReductionTree:
@@ -116,8 +165,7 @@ def build_rwbl_tree(formula: Formula, depth_limit: int | None = None) -> Reducti
     a proven bound on the height; exceeding it raises ReductionDepthError.
     """
     limit = complexity(formula) if depth_limit is None else depth_limit
-    root = _build(root_label(formula), None, None, limit, rwbl_premises)
-    return ReductionTree(formula, "rwbl", root)
+    return _tree(formula, "rwbl", rwbl_premises, limit)
 
 
 def build_rhbl_tree(formula: Formula, depth_limit: int) -> ReductionTree:
@@ -127,8 +175,7 @@ def build_rhbl_tree(formula: Formula, depth_limit: int) -> ReductionTree:
     occurrence costs a step), so the caller must supply an explicit depth
     limit.
     """
-    root = _build(root_label(formula), None, None, depth_limit, _premise_fn("rhbl"))
-    return ReductionTree(formula, "rhbl", root)
+    return _tree(formula, "rhbl", rhbl_premises, depth_limit)
 
 
 def label_weight(g: RelationalHypersequent) -> int:
@@ -169,81 +216,45 @@ def tree_stats(tree: ReductionTree) -> TreeStats:
     return TreeStats(height, nodes, leaves, max_weight)
 
 
-def stream_rwbl_stats(formula: Formula) -> TreeStats:
-    """Same statistics as tree_stats, computed without materializing the tree."""
-    limit = complexity(formula)
-    height = 0
-    nodes = 0
-    leaves = 0
-    max_weight = 0
-    stack: list[tuple[RelationalHypersequent, int, int]] = [(root_label(formula), 0, 0)]
-    while stack:
-        label, depth, weight_above = stack.pop()
-        check_generated_shape(label)
-        nodes += 1
-        weight = weight_above + label_weight(label)
-        if is_irreducible(label):
-            leaves += 1
-            height = max(height, depth)
-            max_weight = max(max_weight, weight)
-        else:
-            if depth >= limit:
-                raise ReductionDepthError("reducible node at the depth limit")
-            for p in rwbl_premises(label):
-                stack.append((p.label, depth + 1, weight))
-    return TreeStats(height, nodes, leaves, max_weight)
+def _leaf_stats(label: RelationalHypersequent) -> TreeStats:
+    return TreeStats(0, 1, 1, label_weight(label))
+
+
+def _inner_stats(
+    label: RelationalHypersequent, premises: tuple[Premise, ...], subs: Sequence[TreeStats]
+) -> TreeStats:
+    return TreeStats(
+        1 + max(s.height for s in subs),
+        1 + sum(s.node_count for s in subs),
+        sum(s.leaf_count for s in subs),
+        label_weight(label) + max(s.max_branch_weight for s in subs),
+    )
 
 
 def summarize_rwbl_stats(formula: Formula) -> TreeStats:
-    """Same statistics as stream_rwbl_stats, but sharing repeated subtrees.
+    """Same statistics as tree_stats, without materializing the tree.
 
-    Identical labels expand to identical subtrees, so each distinct label is
-    expanded once and its summary is reused wherever the label recurs.  The
-    reported counts still describe the full tree, not the shared graph, which
-    keeps large trees (tens of thousands of branches) affordable to measure.
+    The counts describe the full tree, although each distinct label is
+    expanded once, which keeps large trees (tens of thousands of branches)
+    affordable to measure.
     """
-    limit = complexity(formula)
-    memo: dict[RelationalHypersequent, tuple[int, int, int, int]] = {}
-
-    def visit(label: RelationalHypersequent, depth: int) -> tuple[int, int, int, int]:
-        cached = memo.get(label)
-        if cached is not None:
-            return cached
-        check_generated_shape(label)
-        own = label_weight(label)
-        if is_irreducible(label):
-            summary = (0, 1, 1, own)
-        else:
-            if depth >= limit:
-                raise ReductionDepthError("reducible node at the depth limit")
-            height = nodes = leaves = heaviest = 0
-            for p in rwbl_premises(label):
-                sub_height, sub_nodes, sub_leaves, sub_weight = visit(p.label, depth + 1)
-                height = max(height, sub_height + 1)
-                nodes += sub_nodes
-                leaves += sub_leaves
-                heaviest = max(heaviest, sub_weight)
-            summary = (height, nodes + 1, leaves, own + heaviest)
-        memo[label] = summary
-        return summary
-
-    height, nodes, leaves, max_weight = visit(root_label(formula), 0)
-    return TreeStats(height, nodes, leaves, max_weight)
+    stats, _ = fold_tree(
+        root_label(formula), rwbl_premises, complexity(formula), _leaf_stats, _inner_stats
+    )
+    return stats
 
 
 def iter_rwbl_leaves(formula: Formula) -> Iterator[RelationalHypersequent]:
-    """All leaf labels of the rewriting tree, depth first, without materializing."""
+    """Every leaf occurrence of the rewriting tree, depth first, lazily."""
     limit = complexity(formula)
     stack: list[tuple[RelationalHypersequent, int]] = [(root_label(formula), 0)]
     while stack:
         label, depth = stack.pop()
-        if is_irreducible(label):
+        premises = _step(label, depth, limit, rwbl_premises)
+        if premises is None:
             yield label
-            continue
-        if depth >= limit:
-            raise ReductionDepthError("reducible node at the depth limit")
-        for p in reversed(rwbl_premises(label)):
-            stack.append((p.label, depth + 1))
+        else:
+            stack.extend((p.label, depth + 1) for p in reversed(premises))
 
 
 def branch_estimate(formula: Formula) -> int:
@@ -315,13 +326,13 @@ def follow_certificate(formula: Formula, certificate: Certificate) -> FollowResu
                     error=f"nonzero move {move} at position {position} after the leaf",
                 )
             continue
-        fanout = 5 if isinstance(most_complex(label), Conj) else 3
-        if not 1 <= move <= fanout:
+        premises = rwbl_premises(label)
+        if not 1 <= move <= len(premises):
             return FollowResult(
                 False,
-                error=f"move {move} at position {position} outside 1..{fanout}",
+                error=f"move {move} at position {position} outside 1..{len(premises)}",
             )
-        label = rwbl_premises(label)[move - 1].label
+        label = premises[move - 1].label
         branch.append(label)
     if not is_irreducible(label):
         return FollowResult(False, error="certificate ends before a leaf")

@@ -1,10 +1,16 @@
 """End-to-end provability decisions and the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import blprover
 from blprover import (
     Certificate,
     check_no_tautology,
@@ -86,6 +92,38 @@ def test_depth_limit_cuts_the_search():
     with pytest.raises(ReductionDepthError):
         check_tautology(parse(IDENTITY), depth_limit=0)
     assert check_tautology(parse(IDENTITY), depth_limit=1).provable
+
+
+def test_soundness_checks_survive_optimised_mode():
+    # Under -O assert statements vanish, so a refutation that comes without a
+    # countermodel must still be stopped by an explicit raise.
+    script = textwrap.dedent(
+        """
+        import sys
+        import blprover.prover as prover
+        from blprover import AxiomVerdict, Certificate, parse
+
+        if __debug__:
+            sys.exit("assertions are still enabled")
+        prover.check_axiom = lambda leaf: AxiomVerdict(False, None, (), None)
+        formula = parse("p1 -> p2")
+        for decide in (
+            lambda: prover.check_tautology(formula),
+            lambda: prover.check_no_tautology(formula, Certificate((1,))),
+        ):
+            try:
+                decide()
+            except AssertionError:
+                continue
+            sys.exit("a refutation without a countermodel was accepted")
+        """
+    )
+    src = str(Path(blprover.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_decisions_are_deterministic():

@@ -1,5 +1,6 @@
 """Reduction trees, their statistics, certificates and renderers."""
 
+import hashlib
 import json
 import random
 
@@ -18,19 +19,20 @@ from blprover import (
     seq,
     tree_stats,
 )
+from blprover.calculus import Premise
 from blprover.formula import complexity
 from blprover.hypersequent import is_irreducible
 from blprover.oracle import random_formula
 from blprover.reduction import (
     ReductionDepthError,
     branch_estimate,
+    fold_tree,
     follow_certificate,
     iter_rwbl_leaves,
     label_weight,
     render_tree_dot,
     render_tree_lines,
     root_label,
-    stream_rwbl_stats,
     summarize_rwbl_stats,
     tree_to_json,
     weight_bound,
@@ -78,7 +80,6 @@ def test_stats_variants_agree():
     for _ in range(25):
         formula = random_formula(rng, rng.randint(1, 4), 3)
         from_tree = tree_stats(build_rwbl_tree(formula))
-        assert stream_rwbl_stats(formula) == from_tree
         assert summarize_rwbl_stats(formula) == from_tree
 
 
@@ -92,7 +93,7 @@ def test_height_never_exceeds_connective_count():
 def test_iter_leaves_matches_stats():
     formula = parse("(p1 * p2) -> p1")
     leaves = list(iter_rwbl_leaves(formula))
-    assert len(leaves) == stream_rwbl_stats(formula).leaf_count
+    assert len(leaves) == tree_stats(build_rwbl_tree(formula)).leaf_count
     assert all(is_irreducible(leaf) for leaf in leaves)
 
 
@@ -111,7 +112,7 @@ def test_branch_estimate_bounds_leaf_count():
     rng = random.Random(25)
     for _ in range(20):
         formula = random_formula(rng, rng.randint(1, 4), 2)
-        assert stream_rwbl_stats(formula).leaf_count <= branch_estimate(formula)
+        assert tree_stats(build_rwbl_tree(formula)).leaf_count <= branch_estimate(formula)
 
 
 def test_weight_bound_values():
@@ -130,6 +131,40 @@ def test_rhbl_tree_and_depth_limit():
         build_rhbl_tree(parse("p1 * p2"), depth_limit=0)
     with pytest.raises(ReductionDepthError):
         build_rwbl_tree(parse("p1 * p2"), depth_limit=0)
+
+
+def test_depth_limit_is_the_tree_height():
+    rng = random.Random(26)
+    checked = 0
+    while checked < 25:
+        formula = random_formula(rng, rng.randint(1, 4), 3)
+        height = tree_stats(build_rwbl_tree(formula)).height
+        if height == 0:
+            continue
+        with pytest.raises(ReductionDepthError):
+            build_rwbl_tree(formula, depth_limit=height - 1)
+        assert tree_stats(build_rwbl_tree(formula, depth_limit=height)).height == height
+        checked += 1
+
+
+def test_reused_label_still_trips_the_depth_guard():
+    # "again" is expanded first at depth 1, then reused at depth 2 under
+    # "above", which makes the tree three levels tall.
+    root, again, above, leaf = (
+        root_label(parse(text)) for text in ("p1 -> p2", "p1 -> p1", "p2 -> p2", "p1")
+    )
+    premises = {
+        root: (Premise("x", 1, again), Premise("y", 2, above)),
+        above: (Premise("x", 1, again),),
+        again: (Premise("x", 1, leaf),),
+    }
+
+    def count_leaves(limit):
+        return fold_tree(root, premises.__getitem__, limit, lambda _: 1, lambda *node: sum(node[2]))
+
+    assert count_leaves(3) == (2, None)
+    with pytest.raises(ReductionDepthError):
+        count_leaves(2)
 
 
 def test_certificate_round_trip():
@@ -159,6 +194,9 @@ def test_follow_certificate_rejections():
     assert "length" in wrong_length.error
     out_of_range = follow_certificate(formula, Certificate((9, 1)))
     assert not out_of_range.accepted
+    assert out_of_range.error == "move 9 at position 0 outside 1..3"
+    past_conjunction = follow_certificate(parse("p1 * p1"), Certificate((6,)))
+    assert past_conjunction.error == "move 6 at position 0 outside 1..5"
     # moves must be zero once the branch has bottomed out
     atom = parse("p1 -> p1")  # reaches a leaf after one move
     late_move = follow_certificate(atom, Certificate((3,)))
@@ -188,3 +226,38 @@ def test_renderers():
     payload = json.loads(tree_to_json(tree))
     assert payload["mode"] == "rwbl"
     assert len(payload["root"]["children"]) == 3
+
+
+# SHA-256 digests of the renderings, captured from the unshared recursive
+# builder; both trees repeat a label, the second a whole inner subtree.
+RENDER_DIGESTS = {
+    "p1 * p1": (
+        6,
+        5,
+        "7cc631edabf6611d06ba14cf1ca76927f952039aa7d8f5b658a85a884581a0af",
+        "ef7e72118ecea6094b7b3be495517b0dce0e5ee933d9341c5717ad6f2da75d75",
+        "8af48ae7cd49103a84a8400977bbd7be480dea4be32272412db1435bd8bcc47c",
+    ),
+    "(p1 -> p2) * (p1 -> p2)": (
+        21,
+        14,
+        "7a4ae277f459cf52e5df588e7b49cf30aa7d6b9e460c46b523ab1998f5cab463",
+        "84beb76d5a32925c9dfea6a755810cf069dba898c956bd46998cdc34494b0b8f",
+        "62cef61c004d95ac48c1ae262c1576481b9625184190a28f3f3dee775667f520",
+    ),
+}
+
+
+@pytest.mark.parametrize("text", sorted(RENDER_DIGESTS))
+def test_renderings_of_trees_with_repeated_labels_are_pinned(text):
+    nodes, distinct, *digests = RENDER_DIGESTS[text]
+    tree = build_rwbl_tree(parse(text))
+    labels = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        labels.append(node.label)
+        stack.extend(node.children)
+    assert (len(labels), len(set(labels))) == (nodes, distinct)
+    renderings = (render_tree_lines(tree), render_tree_dot(tree), tree_to_json(tree))
+    assert [hashlib.sha256(r.encode()).hexdigest() for r in renderings] == digests
