@@ -20,11 +20,10 @@ of its sequents admits no valuation.  The decision has three stages:
    infeasible system rules the current floor assignment out.
 
 Floors alone do not determine the whole search space: a countermodel may
-also park any upward-closed family of clusters at infinity alongside top.
-check_axiom therefore retries the fractional stage once per candidate escape
-family, smallest first, and declares the leaf an axiom only when every
-candidate is infeasible.  Escapes that break a negated sequent are harmless
-to try: the corresponding row system is unsatisfiable by construction.
+also park an upward-closed set of clusters at infinity alongside top.  Every
+constraint on that escape set is a Horn clause, so the upward closure of the
+clusters forced to escape is the least escape set, feasible whenever any is;
+check_axiom computes it (_least_escape) and makes one more solve for the witness.
 """
 
 from __future__ import annotations
@@ -32,8 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .formula import BOT, Bottom, Formula, TOP, Var, is_atomic
 from .hypersequent import RelationalHypersequent, variables
@@ -232,6 +230,21 @@ def _topo_order(clusters: Sequence[frozenset], edges: set[tuple[int, int]], key)
     return order
 
 
+def _reach(starts: Iterable[int], edges: Iterable[tuple[int, int]]) -> set[int]:
+    """The positions reachable from starts along edges (tail to head), starts included."""
+    successors: dict[int, list[int]] = {}
+    for tail, head in edges:
+        successors.setdefault(tail, []).append(head)
+    seen = set(starts)
+    frontier = list(seen)
+    while frontier:
+        for nxt in successors.get(frontier.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
 def _merge_constant_closures(
     clusters: tuple[frozenset[Formula], ...], edges: frozenset[tuple[int, int]]
 ) -> tuple[tuple[frozenset[Formula], ...], frozenset[tuple[int, int]], bool]:
@@ -243,44 +256,22 @@ def _merge_constant_closures(
     flag set when the two merged groups collide, which refutes the negated
     leaf outright.
     """
-    n = len(clusters)
-    succ: list[set[int]] = [set() for _ in range(n)]
-    pred: list[set[int]] = [set() for _ in range(n)]
-    for t, h in edges:
-        succ[t].add(h)
-        pred[h].add(t)
     bot_at = next((i for i, c in enumerate(clusters) if BOT in c), None)
     top_at = next(i for i, c in enumerate(clusters) if TOP in c)
-
-    def closure(start: int, step: list[set[int]]) -> set[int]:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            current = frontier.pop()
-            for nxt in step[current]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return seen
-
-    low = closure(bot_at, pred) if bot_at is not None else set()
-    high = closure(top_at, succ)
+    low = _reach([bot_at], {(h, t) for t, h in edges}) if bot_at is not None else set()
+    high = _reach([top_at], edges)
     if low & high:
         return clusters, edges, True
-    group_of: dict[int, int] = {}
+    group_of = dict.fromkeys(low, 0)
     groups: list[frozenset[Formula]] = []
     if low:
-        for i in low:
-            group_of[i] = 0
         groups.append(frozenset().union(*(clusters[i] for i in sorted(low))))
-    for i in range(n):
+    for i in range(len(clusters)):
         if i in group_of or i in high:
             continue
         group_of[i] = len(groups)
         groups.append(clusters[i])
-    high_id = len(groups)
-    for i in high:
-        group_of[i] = high_id
+    group_of.update(dict.fromkeys(high, len(groups)))
     groups.append(frozenset().union(*(clusters[i] for i in sorted(high))))
     gedges = {
         (group_of[t], group_of[h]) for t, h in edges if group_of[t] != group_of[h]
@@ -316,10 +307,7 @@ def build_lp(
     the constant 0 and contributes to the multiset sizes but not to the
     coefficients.
     """
-    cluster_of: dict[Formula, int] = {}
-    for i, cluster in enumerate(clusters):
-        for atom in cluster:
-            cluster_of[atom] = i
+    cluster_of = {atom: i for i, cluster in enumerate(clusters) for atom in cluster}
     rows: list[LinConstraint] = []
     for neg in negs:
         if isinstance(neg, NegLl):
@@ -338,12 +326,8 @@ def build_lp(
             _add_frac(coeffs, neg.left, -1)
             rows.append(LinConstraint(coeffs, 0, strict=isinstance(neg, NegPrecEq)))
             continue
-        atoms = set(neg.lefts) | set(neg.rights)
-        spots = {cluster_of[a] for a in atoms}
-        if len(spots) != 1:
-            continue
-        spot = spots.pop()
-        if TOP in clusters[spot]:
+        spots = {cluster_of[a] for a in neg.lefts + neg.rights}
+        if len(spots) != 1 or TOP in clusters[spots.pop()]:
             continue
         coeffs = {}
         for atom in neg.rights:
@@ -360,26 +344,41 @@ def build_lp(
     return rows
 
 
-def _escape_families(
-    clusters: tuple[frozenset[Formula], ...], edges: frozenset[tuple[int, int]]
-) -> Iterator[frozenset[int]]:
-    """Candidate sets of finite clusters whose members may move to infinity.
+def _least_escape(
+    negs: Sequence[NegatedSequent],
+    clusters: tuple[frozenset[Formula], ...],
+    edges: frozenset[tuple[int, int]],
+) -> frozenset[int] | None:
+    """The least feasible set of finite clusters sent to infinity; None when none is.
 
-    A cluster dragged to infinity drags every cluster above it in the floor
-    order along, so only upward-closed sets are worth trying; top's cluster
-    counts as already infinite and falsum's cluster can never move.  Families
-    come out smallest first, so the all-finite attempt runs before any other
-    and countermodels stay finite whenever possible.
+    A cluster whose own rows are infeasible must escape.  Falsum's cluster, and
+    the finite clusters of each negated unit ``<=``, may not all escape; such a
+    ``<=`` inside top's cluster makes the leaf an axiom outright.
     """
-    top_at = next(i for i, c in enumerate(clusters) if TOP in c)
-    movable = [
-        i for i, c in enumerate(clusters) if TOP not in c and BOT not in c
-    ]
-    for size in range(len(movable) + 1):
-        for combo in combinations(movable, size):
-            chosen = set(combo)
-            if all(h in chosen or h == top_at for t, h in edges if t in chosen):
-                yield frozenset(chosen)
+    cluster_of = {atom: i for i, cluster in enumerate(clusters) for atom in cluster}
+    top_at = cluster_of[TOP]
+    kept = [{cluster_of[BOT]}] if BOT in cluster_of else []
+    owned: dict[int, list[NegatedSequent]] = {}
+    for neg in negs:
+        if isinstance(neg, NegLl):
+            continue
+        unit = isinstance(neg, (NegPrec, NegPrecEq))
+        spots = {cluster_of[a] for a in ((neg.left, neg.right) if unit else neg.lefts + neg.rights)}
+        if isinstance(neg, NegPrecEq):
+            if spots == {top_at}:
+                return None
+            kept.append(spots - {top_at})
+        if len(spots) == 1 and top_at not in spots:
+            owned.setdefault(next(iter(spots)), []).append(neg)
+    forced = []
+    for i, rows in owned.items():
+        var_ids = sorted(f.index for f in clusters[i] if isinstance(f, Var))
+        if not solve(build_lp(rows, clusters), var_ids).feasible:
+            forced.append(i)
+    escape = _reach(forced, edges) - {top_at}
+    if any(group <= escape for group in kept):
+        return None
+    return frozenset(escape)
 
 
 def _merge_escape(
@@ -422,29 +421,29 @@ def check_axiom(h: RelationalHypersequent) -> AxiomVerdict:
 
     Returns an Axiom verdict when the negated leaf is unsatisfiable, else a
     NotAxiom verdict carrying a countermodel, which is always re-checked
-    against the leaf before being returned.  Every admissible way of sending
-    clusters to infinity is tried before concluding Axiom.
+    against the leaf before being returned.  Its infinite clusters form the
+    least escape set, which every countermodel over these floors escapes too.
     """
     negs = negate_leaf(h)
-    graph = build_graph(negs, leaf_atoms(h))
-    clusters0, edges0 = contract_and_sort(graph)
+    clusters0, edges0 = contract_and_sort(build_graph(negs, leaf_atoms(h)))
     clusters, edges, clash = _merge_constant_closures(clusters0, edges0)
     if clash:
         return AxiomVerdict(True, None, clusters0, None)
+    escape = _least_escape(negs, clusters, edges)
+    if escape is None:
+        return AxiomVerdict(True, None, clusters, None)
+    trial = _merge_escape(clusters, escape) if escape else clusters
     var_ids = sorted({f.index for c in clusters for f in c if isinstance(f, Var)})
-    for escape in _escape_families(clusters, edges):
-        trial = _merge_escape(clusters, escape) if escape else clusters
-        outcome = solve(build_lp(negs, trial), var_ids)
-        if not outcome.feasible:
-            continue
-        model = build_countermodel(h, trial, outcome.witness)
-        if satisfies(model, h):
-            raise AssertionError(
-                "countermodel construction failed its runtime check; "
-                "the leaf violates the supported structural invariants"
-            )
-        return AxiomVerdict(False, model, trial, dict(outcome.witness))
-    return AxiomVerdict(True, None, clusters, None)
+    outcome = solve(build_lp(negs, trial), var_ids)
+    if not outcome.feasible:
+        raise AssertionError("the least escape set failed its final solve, bug")
+    model = build_countermodel(h, trial, outcome.witness)
+    if satisfies(model, h):
+        raise AssertionError(
+            "countermodel construction failed its runtime check; "
+            "the leaf violates the supported structural invariants"
+        )
+    return AxiomVerdict(False, model, trial, dict(outcome.witness))
 
 
 def verify_branch_countermodel(

@@ -195,6 +195,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# The deepest formula (in connectives) and the deepest parser nesting (in
+# brackets, ``~`` and right operands) that parse accepts.  The formula helpers,
+# render and the prover recurse once per level, and so stay far below the
+# default recursion limit.
+MAX_NESTING = 100
+
+# A parsed subformula with its height in connectives.
+_Parsed = tuple[Formula, int]
+
+
 class _Parser:
     """Recursive descent over the token stream.
 
@@ -205,6 +215,16 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]]) -> None:
         self.tokens = tokens
         self.pos = 0
+
+    def too_deep(self, position: int) -> ParseError:
+        return ParseError(f"formula nested deeper than {MAX_NESTING} levels", position)
+
+    def node(self, cls, left: _Parsed, right: _Parsed) -> _Parsed:
+        """Build a connective, refusing formulas taller than the limit."""
+        height = (left[1] if left[1] > right[1] else right[1]) + 1
+        if height > MAX_NESTING:
+            raise self.too_deep(self.tokens[self.pos - 1][2])
+        return cls(left[0], right[0]), height
 
     def peek(self) -> str:
         return self.tokens[self.pos][0]
@@ -220,44 +240,48 @@ class _Parser:
             raise ParseError(f"expected {kind}, found {token[1] or 'end of input'}", token[2])
         return token
 
-    def parse_equiv(self) -> Formula:
-        left = self.parse_impl()
+    # Each method takes its nesting depth; every recursion reaches parse_unary
+    # one level deeper before it can recurse again, so the check lives there.
+    def parse_equiv(self, depth: int) -> _Parsed:
+        left = self.parse_impl(depth)
         if self.peek() == "iff":
             self.next()
-            right = self.parse_equiv()
-            return Conj(Impl(left, right), Impl(right, left))
+            right = self.parse_equiv(depth + 1)
+            return self.node(Conj, self.node(Impl, left, right), self.node(Impl, right, left))
         return left
 
-    def parse_impl(self) -> Formula:
-        left = self.parse_conj()
+    def parse_impl(self, depth: int) -> _Parsed:
+        left = self.parse_conj(depth)
         if self.peek() == "arrow":
             self.next()
-            return Impl(left, self.parse_impl())
+            return self.node(Impl, left, self.parse_impl(depth + 1))
         return left
 
-    def parse_conj(self) -> Formula:
-        result = self.parse_unary()
+    def parse_conj(self, depth: int) -> _Parsed:
+        result = self.parse_unary(depth)
         while self.peek() == "star":
             self.next()
-            result = Conj(result, self.parse_unary())
+            result = self.node(Conj, result, self.parse_unary(depth))
         return result
 
-    def parse_unary(self) -> Formula:
+    def parse_unary(self, depth: int) -> _Parsed:
+        if depth > MAX_NESTING:
+            raise self.too_deep(self.tokens[self.pos][2])
         if self.peek() == "tilde":
             self.next()
-            return Impl(self.parse_unary(), BOT)
-        return self.parse_atom()
+            return self.node(Impl, self.parse_unary(depth + 1), (BOT, 0))
+        return self.parse_atom(depth)
 
-    def parse_atom(self) -> Formula:
+    def parse_atom(self, depth: int) -> _Parsed:
         kind, text, pos = self.next()
         if kind == "bot":
-            return BOT
+            return BOT, 0
         if kind == "top":
-            return TOP
+            return TOP, 1
         if kind == "var":
-            return Var(int(text[1:]))
+            return Var(int(text[1:])), 0
         if kind == "lparen":
-            inner = self.parse_equiv()
+            inner = self.parse_equiv(depth + 1)
             self.expect("rparen")
             return inner
         raise ParseError(f"expected a formula, found {text or 'end of input'}", pos)
@@ -266,10 +290,11 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse the concrete syntax into a formula.
 
-    Raises ParseError on malformed input.
+    Raises ParseError on malformed input and on input nested deeper than
+    MAX_NESTING levels.
     """
     parser = _Parser(_tokenize(text))
-    result = parser.parse_equiv()
+    result, _ = parser.parse_equiv(0)
     parser.expect("eof")
     return result
 

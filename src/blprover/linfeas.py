@@ -72,6 +72,9 @@ def solve(
     strictly inside its residual interval (midpoint rule), so reruns are
     deterministic.
     """
+    # The rows are read twice (elimination, then the witness re-check), so an
+    # iterator input must not be used up by the first pass.
+    constraints = list(constraints)
     ordering = sorted(set(variables), key=repr)
     known = set(ordering)
     rows: list[_Row] = []
@@ -136,12 +139,9 @@ def solve(
             else:
                 if limit > lo or (limit == lo and strict):
                     lo, lo_strict = limit, strict
-        if lo == hi:
-            assert not lo_strict and not hi_strict, "elimination left an empty interval"
-            witness[var] = lo
-        else:
-            assert lo < hi, "elimination left an inverted interval"
-            witness[var] = (lo + hi) / 2
+        if lo > hi or (lo == hi and (lo_strict or hi_strict)):
+            raise AssertionError("elimination left an empty interval, solver bug")
+        witness[var] = (lo + hi) / 2
 
     for constraint in constraints:
         value = sum(Fraction(c) * witness[v] for v, c in constraint.coefficients.items())

@@ -21,6 +21,7 @@ from blprover import (
     seq,
     verify_branch_countermodel,
 )
+from blprover import axiom_check
 from blprover.axiom_check import (
     ClusterGraph,
     NegLl,
@@ -203,6 +204,59 @@ class TestVerdicts:
         verdict = check_axiom(always)
         assert verdict.is_axiom
         _agree(always, verdict)
+
+
+class TestEscapeClosure:
+    def test_wide_leaf_needs_few_solves(self, monkeypatch):
+        # 40 singleton clusters: enumerating escape sets would try all 2^40 of
+        # them, the closure solves each cluster that owns rows once, plus one.
+        leaf = hseq(
+            seq((P1,), preceq(), (P1,)),
+            *(seq((Var(i),), LL, (Var(i),)) for i in range(2, 41)),
+        )
+        calls = []
+        solve = axiom_check.solve
+        monkeypatch.setattr(
+            axiom_check, "solve", lambda rows, var_ids: calls.append(1) or solve(rows, var_ids)
+        )
+        verdict = check_axiom(leaf)
+        assert verdict.is_axiom
+        assert len(verdict.clusters) == 41
+        assert 1 <= len(calls) <= len(verdict.clusters) + 1
+
+    def test_partial_escape(self):
+        # p1's own rows need a fraction above 1, so p1 alone goes to infinity
+        leaf = hseq(
+            seq((P1,), LL, (P1,)),
+            seq((P1, P1), preceq(1), ()),
+            seq((P2,), prec(), (P2,)),
+        )
+        verdict = check_axiom(leaf)
+        assert not verdict.is_axiom
+        assert verdict.countermodel.value_of(1) == INF
+        assert not verdict.countermodel.value_of(2).is_infinite
+        assert not satisfies(verdict.countermodel, leaf)
+        _agree(leaf, verdict)
+
+    @pytest.mark.parametrize(
+        "extra, is_axiom",
+        [
+            ((), False),
+            # p1 must escape and drags p2 up its floor edge: an axiom once p2
+            # must stay finite or may not escape together with p1
+            ((seq((P2,), preceq(), (TOP,)),), True),
+            ((seq((P1,), preceq(), (P2,)),), True),
+            ((seq((P2,), preceq(), (P3,)),), False),
+        ],
+    )
+    def test_escape_climbs_floor_edges(self, extra, is_axiom):
+        leaf = hseq(seq((P2,), LL, (P1,)), seq((P1, P1), preceq(1), ()), *extra)
+        verdict = check_axiom(leaf)
+        assert verdict.is_axiom == is_axiom
+        if not is_axiom:
+            assert verdict.countermodel.value_of(1) == INF
+            assert verdict.countermodel.value_of(2) == INF
+        _agree(leaf, verdict)
 
 
 class TestBranchVerification:

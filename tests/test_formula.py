@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from blprover import BOT, TOP, Bottom, Conj, Impl, ParseError, Var, complexity, parse, render
 from blprover.formula import (
+    MAX_NESTING,
     cmp_complexity,
     complexity_key,
     compound_subformulas,
@@ -133,6 +134,25 @@ def test_parse_error_carries_position():
         parse("p1 -> $")
     assert info.value.position == 6
     assert "position" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "nest",
+    [
+        lambda n: "~" * n + "p1",
+        lambda n: "(" * n + "p1" + ")" * n,
+        lambda n: " * ".join(["p1"] * (n + 1)),
+        lambda n: " -> ".join(["p1"] * (n + 1)),
+        lambda n: "(" * (n // 2) + "~" * (n - n // 2) + "p1" + ")" * (n // 2),
+    ],
+    ids=["negation", "brackets", "conjunction", "implication", "mixed"],
+)
+def test_parse_nesting_limit(nest):
+    formula = parse(nest(MAX_NESTING))
+    assert complexity(formula) <= MAX_NESTING
+    assert parse(render(formula)) == formula
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse(nest(MAX_NESTING + 1))
 
 
 def _formulas(max_depth=4):

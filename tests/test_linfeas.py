@@ -1,10 +1,17 @@
 """Exact feasibility solving over the open unit box."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import unittest
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
+from unittest import mock
 
+from blprover import linfeas
 from blprover.linfeas import FeasibilityResult, LinConstraint, solve
 
 
@@ -84,6 +91,59 @@ class TestLinearFeasibility(unittest.TestCase):
             LinConstraint({1: -2, 2: -2}, -3, strict=True),
         ]
         self._assert_witness(solve(constraints, [1, 2]), constraints)
+
+    def test_iterator_input_is_rechecked(self):
+        rows = [LinConstraint({1: -2}, -1, strict=True), LinConstraint({1: 4}, 3)]
+        self.assertEqual(solve(iter(rows), [1]), solve(rows, [1]))
+        # Simulate an elimination bug that loses the row x1 > 1/2: the final
+        # re-check must still see that row when it came from a one-shot iterator.
+        normalized = linfeas._normalized
+
+        def lose_row(coeffs, bound, strict):
+            return None if strict and coeffs == {1: -2} else normalized(coeffs, bound, strict)
+
+        with mock.patch.object(linfeas, "_normalized", lose_row):
+            with self.assertRaisesRegex(AssertionError, "witness fails an input row"):
+                solve(iter(rows[:1]), [1])
+
+    def test_interval_check_survives_optimised_mode(self):
+        # Under -O assert statements vanish; a solver bug that lets the
+        # infeasible pair 1/2 <= x1 <= 1/4 through must still stop at the
+        # back-substitution interval check.
+        script = textwrap.dedent(
+            """
+            import sys
+            from blprover import linfeas
+
+            if __debug__:
+                sys.exit("assertions are still enabled")
+            normalized = linfeas._normalized
+
+            def keep_going(coeffs, bound, strict):
+                try:
+                    return normalized(coeffs, bound, strict)
+                except linfeas._InfeasibleRow:
+                    return None
+
+            linfeas._normalized = keep_going
+            rows = [linfeas.LinConstraint({1: -2}, -1), linfeas.LinConstraint({1: 4}, 1)]
+            try:
+                linfeas.solve(rows, [1])
+            except AssertionError as exc:
+                sys.exit(0 if "empty interval" in str(exc) else f"wrong check fired: {exc}")
+            sys.exit("an infeasible system came back feasible")
+            """
+        )
+        src = str(Path(linfeas.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        self.assertEqual(done.returncode, 0, done.stdout + done.stderr)
 
     def test_agrees_with_grid_enumeration(self):
         rng = random.Random(8)

@@ -162,6 +162,13 @@ class TestCliProve:
         assert cli_main(["prove", "p1 ->"]) == 2
         assert capsys.readouterr().err.startswith("parse error:")
 
+    @pytest.mark.parametrize(
+        "text", ["~" * 3000 + "p1", "(" * 600 + "p1" + ")" * 600], ids=["negations", "brackets"]
+    )
+    def test_deep_nesting_is_a_parse_error(self, capsys, text):
+        assert cli_main(["prove", text]) == 2
+        assert capsys.readouterr().err.startswith("parse error:")
+
     def test_no_certificates_in_single_occurrence_mode(self, capsys):
         code = cli_main(["prove", "p1", "--mode", "rhbl", "--certificate"])
         assert code == 2
