@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import Conj, Formula, Impl, TOP, cmp_complexity, is_atomic
+from .formula import Conj, Formula, Impl, TOP, cmp_complexity
 from .hypersequent import (
     EMPTY,
     LL,
@@ -33,6 +33,7 @@ from .hypersequent import (
     subst_balanced_conj,
     subst_impl,
     subst_pair,
+    union,
 )
 
 
@@ -96,43 +97,31 @@ def rwbl_premises(g: RelationalHypersequent) -> tuple[Premise, ...]:
     everywhere, the middle premises substitute child pairs into the
     fractional sequents, and the final premise substitutes bare top, under
     which fractional sequents that are not one-formula-each-side at index
-    zero become unsatisfiable and are omitted.
+    zero become unsatisfiable and are omitted.  Each label is canonicalized
+    once, from its antecedent and the rewritten parts.
     """
     pivot = most_complex(g)
     a, b = pivot.left, pivot.right
     c = smaller_child(a, b)
     free, g_ll, g_ord, g_unit = decompose(g, pivot)
+    ll_floor = subst_all(g_ll, pivot, c)
+    top_parts = (subst_all(g_ll, pivot, TOP), subst_all(g_unit, pivot, TOP), free)
     if isinstance(pivot, Conj):
         antecedents = _conj_antecedents(a, b)
         labels = [
-            antecedents[0] | subst_all(g, pivot, a),
-            antecedents[1] | subst_all(g, pivot, b),
-            antecedents[2]
-            | subst_all(g_ll, pivot, c)
-            | subst_pair(g_ord, pivot, a, b)
-            | free,
-            antecedents[3]
-            | subst_all(g_ll, pivot, c)
-            | subst_balanced_conj(g_ord, pivot, a, b)
-            | free,
-            antecedents[4]
-            | subst_all(g_ll, pivot, TOP)
-            | subst_all(g_unit, pivot, TOP)
-            | free,
+            union(antecedents[0], subst_all(g, pivot, a)),
+            union(antecedents[1], subst_all(g, pivot, b)),
+            union(antecedents[2], ll_floor, subst_pair(g_ord, pivot, a, b), free),
+            union(antecedents[3], ll_floor, subst_balanced_conj(g_ord, pivot, a, b), free),
+            union(antecedents[4], *top_parts),
         ]
         return _premises("conj", labels)
     assert isinstance(pivot, Impl)
     antecedents = _impl_antecedents(a, b)
     labels = [
-        antecedents[0] | subst_all(g, pivot, b),
-        antecedents[1]
-        | subst_all(g_ll, pivot, c)
-        | subst_impl(g_ord, pivot, a, b)
-        | free,
-        antecedents[2]
-        | subst_all(g_ll, pivot, TOP)
-        | subst_all(g_unit, pivot, TOP)
-        | free,
+        union(antecedents[0], subst_all(g, pivot, b)),
+        union(antecedents[1], ll_floor, subst_impl(g_ord, pivot, a, b), free),
+        union(antecedents[2], *top_parts),
     ]
     return _premises("impl", labels)
 
@@ -241,7 +230,7 @@ def rhbl_premises(
             ]
 
     labels = [
-        antecedent | rest | replacement
+        union(antecedent, rest, replacement)
         for antecedent, replacement in zip(antecedents, replacements)
     ]
     return _premises("conj" if is_conj else "impl", labels)

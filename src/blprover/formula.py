@@ -201,8 +201,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # default recursion limit.
 MAX_NESTING = 100
 
-# A parsed subformula with its height in connectives.
-_Parsed = tuple[Formula, int]
+# The most connectives a parsed formula may have.  ``A <-> B`` copies both
+# operands, so short input can stand for a huge tree; render and
+# serialize_key take time linear in the tree, about 10-20 ms at this size.
+MAX_CONNECTIVES = 10_000
+
+# A parsed subformula with its height and its size, both in connectives.
+_Parsed = tuple[Formula, int, int]
 
 
 class _Parser:
@@ -220,11 +225,17 @@ class _Parser:
         return ParseError(f"formula nested deeper than {MAX_NESTING} levels", position)
 
     def node(self, cls, left: _Parsed, right: _Parsed) -> _Parsed:
-        """Build a connective, refusing formulas taller than the limit."""
+        """Build a connective, refusing formulas taller or larger than the limits."""
         height = (left[1] if left[1] > right[1] else right[1]) + 1
         if height > MAX_NESTING:
             raise self.too_deep(self.tokens[self.pos - 1][2])
-        return cls(left[0], right[0]), height
+        size = left[2] + right[2] + 1
+        if size > MAX_CONNECTIVES:
+            raise ParseError(
+                f"formula has more than {MAX_CONNECTIVES} connectives",
+                self.tokens[self.pos - 1][2],
+            )
+        return cls(left[0], right[0]), height, size
 
     def peek(self) -> str:
         return self.tokens[self.pos][0]
@@ -269,17 +280,17 @@ class _Parser:
             raise self.too_deep(self.tokens[self.pos][2])
         if self.peek() == "tilde":
             self.next()
-            return self.node(Impl, self.parse_unary(depth + 1), (BOT, 0))
+            return self.node(Impl, self.parse_unary(depth + 1), (BOT, 0, 0))
         return self.parse_atom(depth)
 
     def parse_atom(self, depth: int) -> _Parsed:
         kind, text, pos = self.next()
         if kind == "bot":
-            return BOT, 0
+            return BOT, 0, 0
         if kind == "top":
-            return TOP, 1
+            return TOP, 1, 1
         if kind == "var":
-            return Var(int(text[1:])), 0
+            return Var(int(text[1:])), 0, 0
         if kind == "lparen":
             inner = self.parse_equiv(depth + 1)
             self.expect("rparen")
@@ -290,11 +301,12 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse the concrete syntax into a formula.
 
-    Raises ParseError on malformed input and on input nested deeper than
-    MAX_NESTING levels.
+    Raises ParseError on malformed input, on input nested deeper than
+    MAX_NESTING levels and on formulas with more than MAX_CONNECTIVES
+    connectives.
     """
     parser = _Parser(_tokenize(text))
-    result, _ = parser.parse_equiv(0)
+    result, _, _ = parser.parse_equiv(0)
     parser.expect("eof")
     return result
 

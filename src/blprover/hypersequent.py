@@ -6,6 +6,11 @@ relation symbols: ``<<`` (integer-part comparison), ``<=_z`` and ``<_z``
 relational hypersequent is a finite set of such sequents, read disjunctively.
 Both layers are kept in a canonical sorted form so that structural equality,
 hashing and iteration order are deterministic.
+
+Sequents are immutable and cache their hash, sort key, weight and
+atomicity, so labels share them: a substitution returns every sequent that
+does not contain its target as the same object, and ``union`` joins the
+parts of a new label with a single canonicalization.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from typing import Iterable, Iterator
 from .formula import (
     Formula,
     TOP,
+    complexity,
     complexity_key,
     is_atomic,
     render as render_formula,
@@ -84,8 +90,11 @@ class RelationalSequent:
     right: tuple[Formula, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "left", tuple(sorted(self.left, key=complexity_key)))
-        object.__setattr__(self, "right", tuple(sorted(self.right, key=complexity_key)))
+        # A side of one formula is already sorted; most sides have one.
+        if len(self.left) > 1:
+            object.__setattr__(self, "left", tuple(sorted(self.left, key=complexity_key)))
+        if len(self.right) > 1:
+            object.__setattr__(self, "right", tuple(sorted(self.right, key=complexity_key)))
         if self.kind.is_ll and (len(self.left) > 1 or len(self.right) > 1):
             raise ValueError("a << sequent takes at most one formula per side")
 
@@ -106,6 +115,27 @@ class RelationalSequent:
         if cached is None:
             cached = hash((self.left, self.kind, self.right))
             object.__setattr__(self, "_hash", cached)
+        return cached
+
+    @property
+    def all_atomic(self) -> bool:
+        """True when every formula is falsum, a variable or bare top."""
+        cached = self.__dict__.get("_all_atomic")
+        if cached is None:
+            cached = all(is_atomic(f) for f in self.formulas())
+            object.__setattr__(self, "_all_atomic", cached)
+        return cached
+
+    def weight(self) -> int:
+        """One for the relation, one per bare top, 2c + 1 per other formula.
+
+        c is the formula's connective count, so a compound formula counts its
+        connectives and its literal leaves.
+        """
+        cached = self.__dict__.get("_weight")
+        if cached is None:
+            cached = 1 + sum(1 if f == TOP else 2 * complexity(f) + 1 for f in self.formulas())
+            object.__setattr__(self, "_weight", cached)
         return cached
 
     def formulas(self) -> Iterator[Formula]:
@@ -163,7 +193,7 @@ class RelationalHypersequent:
         return sequent in self.sequents
 
     def __or__(self, other: RelationalHypersequent) -> RelationalHypersequent:
-        return RelationalHypersequent(self.sequents + other.sequents)
+        return union(self, other)
 
     def without(self, sequent: RelationalSequent) -> RelationalHypersequent:
         return RelationalHypersequent(tuple(s for s in self.sequents if s != sequent))
@@ -180,6 +210,15 @@ def hseq(*sequents: RelationalSequent) -> RelationalHypersequent:
     return RelationalHypersequent(tuple(sequents))
 
 
+def union(*parts: RelationalHypersequent) -> RelationalHypersequent:
+    """Every sequent of the parts, canonicalized once.
+
+    The canonical form is a set sorted by an injective key, so the result
+    does not depend on how the parts are grouped or ordered.
+    """
+    return RelationalHypersequent(tuple(s for part in parts for s in part.sequents))
+
+
 EMPTY = RelationalHypersequent()
 
 
@@ -194,7 +233,7 @@ def variables(g: RelationalHypersequent) -> frozenset[int]:
 
 def is_irreducible(g: RelationalHypersequent) -> bool:
     """True when every formula occurrence is falsum, a variable or bare top."""
-    return all(is_atomic(f) for sequent in g for f in sequent.formulas())
+    return all(sequent.all_atomic for sequent in g)
 
 
 def most_complex(g: RelationalHypersequent) -> Formula:
@@ -202,7 +241,9 @@ def most_complex(g: RelationalHypersequent) -> Formula:
 
     Raises ValueError on irreducible hypersequents.
     """
-    candidates = {f for sequent in g for f in sequent.formulas() if not is_atomic(f)}
+    candidates = {
+        f for s in g if not s.all_atomic for f in s.formulas() if not is_atomic(f)
+    }
     if not candidates:
         raise ValueError("hypersequent is irreducible, no reduction pivot exists")
     return max(candidates, key=complexity_key)
@@ -220,6 +261,18 @@ def _subst_side(
     return tuple(out)
 
 
+def _subst_sequent(
+    s: RelationalSequent, target: Formula, replacement: tuple[Formula, ...]
+) -> RelationalSequent:
+    if not s.contains(target):
+        return s
+    return seq(
+        _subst_side(s.left, target, replacement),
+        s.kind,
+        _subst_side(s.right, target, replacement),
+    )
+
+
 def subst_all(
     g: RelationalHypersequent, target: Formula, replacement: Formula
 ) -> RelationalHypersequent:
@@ -227,18 +280,9 @@ def subst_all(
 
     Occurrences are sequent-side elements; targets nested inside a larger
     formula are not touched (the callers only substitute maximal formulas,
-    which cannot occur nested).
+    which cannot occur nested).  Sequents without the target are unchanged.
     """
-    return RelationalHypersequent(
-        tuple(
-            seq(
-                _subst_side(s.left, target, (replacement,)),
-                s.kind,
-                _subst_side(s.right, target, (replacement,)),
-            )
-            for s in g
-        )
-    )
+    return RelationalHypersequent(tuple(_subst_sequent(s, target, (replacement,)) for s in g))
 
 
 def subst_pair(
@@ -247,21 +291,13 @@ def subst_pair(
     """Replace every occurrence of target by the two formulas a, b.
 
     Only meaningful for the fractional relations; raises ValueError if the
-    target occurs in a ``<<`` sequent.
+    target occurs in a ``<<`` sequent.  Sequents without the target are
+    unchanged.
     """
     for s in g:
         if s.kind.is_ll and s.contains(target):
             raise ValueError("pair substitution cannot target a << sequent")
-    return RelationalHypersequent(
-        tuple(
-            seq(
-                _subst_side(s.left, target, (a, b)),
-                s.kind,
-                _subst_side(s.right, target, (a, b)),
-            )
-            for s in g
-        )
-    )
+    return RelationalHypersequent(tuple(_subst_sequent(s, target, (a, b)) for s in g))
 
 
 def subst_balanced_conj(

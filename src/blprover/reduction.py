@@ -182,38 +182,11 @@ def label_weight(g: RelationalHypersequent) -> int:
     """Size of a canonical label: connectives plus atoms plus relations.
 
     A bare top element counts as a single atom; compound elements count
-    their connectives and their literal leaves.
+    their connectives and their literal leaves.  Each sequent caches its own
+    share (``RelationalSequent.weight``), so a sequent shared by many labels
+    is weighed once.
     """
-    total = 0
-    for s in g:
-        total += 1
-        for f in s.formulas():
-            if f == TOP:
-                total += 1
-            else:
-                total += 2 * complexity(f) + 1
-    return total
-
-
-def tree_stats(tree: ReductionTree) -> TreeStats:
-    """Height, node and leaf counts, and the heaviest branch weight."""
-    height = 0
-    nodes = 0
-    leaves = 0
-    max_weight = 0
-    stack: list[tuple[ReductionNode, int, int]] = [(tree.root, 0, 0)]
-    while stack:
-        node, depth, weight_above = stack.pop()
-        nodes += 1
-        weight = weight_above + label_weight(node.label)
-        if node.is_leaf:
-            leaves += 1
-            height = max(height, depth)
-            max_weight = max(max_weight, weight)
-        else:
-            for child in node.children:
-                stack.append((child, depth + 1, weight))
-    return TreeStats(height, nodes, leaves, max_weight)
+    return sum(s.weight() for s in g)
 
 
 def _leaf_stats(label: RelationalHypersequent) -> TreeStats:
@@ -221,7 +194,7 @@ def _leaf_stats(label: RelationalHypersequent) -> TreeStats:
 
 
 def _inner_stats(
-    label: RelationalHypersequent, premises: tuple[Premise, ...], subs: Sequence[TreeStats]
+    label: RelationalHypersequent, premises: Sequence[object], subs: Sequence[TreeStats]
 ) -> TreeStats:
     return TreeStats(
         1 + max(s.height for s in subs),
@@ -229,6 +202,33 @@ def _inner_stats(
         sum(s.leaf_count for s in subs),
         label_weight(label) + max(s.max_branch_weight for s in subs),
     )
+
+
+def tree_stats(tree: ReductionTree) -> TreeStats:
+    """Height, node and leaf counts, and the heaviest branch weight.
+
+    The counts describe every node occurrence, but each distinct label is
+    valued once: nodes with equal labels share one children tuple, so they
+    root equal subtrees.
+    """
+    memo: dict[RelationalHypersequent, TreeStats] = {}
+    stack = [tree.root]
+    while stack:
+        node = stack[-1]
+        if node.label in memo:
+            stack.pop()
+            continue
+        pending = [child for child in node.children if child.label not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        if node.is_leaf:
+            memo[node.label] = _leaf_stats(node.label)
+        else:
+            subs = [memo[child.label] for child in node.children]
+            memo[node.label] = _inner_stats(node.label, node.children, subs)
+    return memo[tree.root.label]
 
 
 def summarize_rwbl_stats(formula: Formula) -> TreeStats:

@@ -5,10 +5,28 @@ import random
 import pytest
 
 from blprover import Conj, Impl, LL, TOP, Var, hseq, prec, preceq, rhbl_premises, rwbl_premises, satisfies, seq
-from blprover.calculus import Occurrence, choose_occurrence, smaller_child
-from blprover.hypersequent import expand_abbreviation, is_irreducible, variables
+from blprover.calculus import (
+    Occurrence,
+    _conj_antecedents,
+    _impl_antecedents,
+    choose_occurrence,
+    smaller_child,
+)
+from blprover.hypersequent import (
+    EMPTY,
+    RelationalHypersequent,
+    decompose,
+    expand_abbreviation,
+    is_irreducible,
+    most_complex,
+    subst_all,
+    subst_balanced_conj,
+    subst_impl,
+    subst_pair,
+    variables,
+)
 from blprover.oracle import random_formula, random_valuation
-from blprover.reduction import root_label
+from blprover.reduction import build_rwbl_tree, root_label
 
 A, B, C = Var(1), Var(2), Var(3)
 
@@ -154,3 +172,148 @@ def test_rules_preserve_satisfaction_pointwise():
             premises = expand(label)
             assert satisfies(v, label) == all(satisfies(v, p.label) for p in premises)
         checked += 1
+
+
+def _rebuild(g, target, replacement):
+    """Substitution as it was before sequents were shared: every sequent rebuilt."""
+
+    def side(formulas):
+        out = []
+        for f in formulas:
+            out.extend(replacement if f == target else (f,))
+        return out
+
+    return RelationalHypersequent(tuple(seq(side(s.left), s.kind, side(s.right)) for s in g))
+
+
+def _chained_rwbl_labels(g):
+    """Reference: the rewriting premises joined by chained ``|``, one sort per join."""
+    pivot = most_complex(g)
+    a, b = pivot.left, pivot.right
+    c = smaller_child(a, b)
+    free, g_ll, g_ord, g_unit = decompose(g, pivot)
+    top_part = _rebuild(g_ll, pivot, (TOP,)) | _rebuild(g_unit, pivot, (TOP,)) | free
+    if isinstance(pivot, Conj):
+        antecedents = _conj_antecedents(a, b)
+        return [
+            antecedents[0] | _rebuild(g, pivot, (a,)),
+            antecedents[1] | _rebuild(g, pivot, (b,)),
+            antecedents[2] | _rebuild(g_ll, pivot, (c,)) | _rebuild(g_ord, pivot, (a, b)) | free,
+            antecedents[3]
+            | _rebuild(g_ll, pivot, (c,))
+            | subst_balanced_conj(g_ord, pivot, a, b)
+            | free,
+            antecedents[4] | top_part,
+        ]
+    antecedents = _impl_antecedents(a, b)
+    return [
+        antecedents[0] | _rebuild(g, pivot, (b,)),
+        antecedents[1] | _rebuild(g_ll, pivot, (c,)) | subst_impl(g_ord, pivot, a, b) | free,
+        antecedents[2] | top_part,
+    ]
+
+
+def _occurrences(g):
+    pivot = most_complex(g)
+    for s in g:
+        for side in ("left", "right"):
+            if pivot in getattr(s, side):
+                yield Occurrence(s, side)
+
+
+def _reducible_labels(seed, count):
+    """Inner-node labels of rwbl trees and of random rhbl walks from seeded formulas."""
+    rng = random.Random(seed)
+    labels = set()
+    for _ in range(count):
+        formula = random_formula(rng, rng.randint(1, 4), 3)
+        stack = [build_rwbl_tree(formula).root]
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                labels.add(node.label)
+                stack.extend(node.children)
+        label = root_label(formula)
+        for _ in range(8):
+            if is_irreducible(label):
+                break
+            labels.add(label)
+            label = rng.choice(rhbl_premises(label)).label
+    return sorted(labels, key=lambda g: g.render())
+
+
+def _chained_rhbl_labels(g, occurrence):
+    """Reference: the single-occurrence premises joined by chained ``|``."""
+    pivot = most_complex(g)
+    s, on_left = occurrence.sequent, occurrence.side == "left"
+    a, b = pivot.left, pivot.right
+    is_conj = isinstance(pivot, Conj)
+    antecedents = _conj_antecedents(a, b) if is_conj else _impl_antecedents(a, b)
+    if s.kind.is_ll:
+        other = (s.right if on_left else s.left)[0]
+
+        def ll(x):
+            return hseq(seq((x,), LL, (other,)) if on_left else seq((other,), LL, (x,)))
+
+        last = EMPTY if on_left else ll(TOP)
+        if is_conj:
+            replacements = [ll(a), ll(b), ll(a), ll(a), last]
+        else:
+            replacements = [ll(b), ll(a), last]
+    else:
+        own = list(s.left if on_left else s.right)
+        own.remove(pivot)
+        gamma = tuple(own)
+        delta = s.right if on_left else s.left
+
+        def frac(mine, kind, theirs):
+            return hseq(seq(mine, kind, theirs) if on_left else seq(theirs, kind, mine))
+
+        unit = s.kind == preceq() and not gamma and len(delta) == 1
+        residual = hseq(seq((TOP,), preceq(), delta)) if unit else EMPTY
+        if is_conj:
+            shifted = s.kind.shifted(1 if on_left else -1)
+            replacements = [
+                frac(gamma + (a,), s.kind, delta),
+                frac(gamma + (b,), s.kind, delta),
+                frac(gamma + (a, b), s.kind, delta),
+                frac(gamma + (a, b), shifted, (a, b) + delta),
+                residual,
+            ]
+        else:
+            replacements = [
+                frac(gamma + (b,), s.kind, delta),
+                frac(gamma + (b,), s.kind, (a,) + delta),
+                residual,
+            ]
+    rest = g.without(s)
+    return [ante | rest | repl for ante, repl in zip(antecedents, replacements)]
+
+
+def test_premises_match_the_chained_composition():
+    labels = _reducible_labels(31, 20)
+    assert len(labels) > 500
+    for g in labels:
+        kind = "conj" if isinstance(most_complex(g), Conj) else "impl"
+        expected = _chained_rwbl_labels(g)
+        tags = [f"{kind}{i}" for i in range(1, len(expected) + 1)]
+        indices = list(range(1, len(expected) + 1))
+        premises = rwbl_premises(g)
+        assert [p.label for p in premises] == expected
+        assert [p.tag for p in premises] == tags
+        assert [p.index for p in premises] == indices
+        for occurrence in _occurrences(g):
+            premises = rhbl_premises(g, occurrence)
+            assert [p.label for p in premises] == _chained_rhbl_labels(g, occurrence)
+            assert [p.tag for p in premises] == tags
+            assert [p.index for p in premises] == indices
+
+
+def test_substitutions_share_untouched_sequents():
+    pivot = Conj(A, B)
+    untouched = [seq((A,), preceq(), (B,)), seq((C,), LL, (A,)), seq((A, C), prec(1), ())]
+    g = hseq(seq((TOP,), preceq(), (pivot, C)), *untouched)
+    for result in (subst_all(g, pivot, A), subst_pair(g, pivot, A, B)):
+        assert len(result) == len(g)
+        for s in untouched:
+            assert any(r is s for r in result)

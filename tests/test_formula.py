@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from blprover import BOT, TOP, Bottom, Conj, Impl, ParseError, Var, complexity, parse, render
 from blprover.formula import (
+    MAX_CONNECTIVES,
     MAX_NESTING,
     cmp_complexity,
     complexity_key,
@@ -153,6 +154,22 @@ def test_parse_nesting_limit(nest):
     assert parse(render(formula)) == formula
     with pytest.raises(ParseError, match="nested deeper"):
         parse(nest(MAX_NESTING + 1))
+
+
+def _balanced(n):
+    """A conjunction tree of n connectives, about log2(n) levels tall."""
+    if n == 0:
+        return P1
+    half = (n - 1) // 2
+    return Conj(_balanced(half), _balanced(n - 1 - half))
+
+
+def test_parse_connective_limit():
+    at_limit = _balanced(MAX_CONNECTIVES)
+    assert parse(render(at_limit)) == at_limit
+    assert complexity(at_limit) == MAX_CONNECTIVES
+    with pytest.raises(ParseError, match=f"more than {MAX_CONNECTIVES} connectives"):
+        parse(render(_balanced(MAX_CONNECTIVES + 1)))
 
 
 def _formulas(max_depth=4):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -167,6 +168,14 @@ class TestCliProve:
     )
     def test_deep_nesting_is_a_parse_error(self, capsys, text):
         assert cli_main(["prove", text]) == 2
+        assert capsys.readouterr().err.startswith("parse error:")
+
+    def test_equivalence_chain_blow_up_is_a_parse_error(self, capsys):
+        # Each <-> copies both operands: 30 operands would make 3 * (2**29 - 1)
+        # connectives.
+        start = time.perf_counter()
+        assert cli_main(["prove", " <-> ".join(["p1"] * 30)]) == 2
+        assert time.perf_counter() - start < 5
         assert capsys.readouterr().err.startswith("parse error:")
 
     def test_no_certificates_in_single_occurrence_mode(self, capsys):

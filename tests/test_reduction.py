@@ -8,6 +8,8 @@ import pytest
 
 from blprover import (
     Certificate,
+    Conj,
+    Impl,
     TOP,
     Var,
     build_rhbl_tree,
@@ -25,6 +27,7 @@ from blprover.hypersequent import is_irreducible
 from blprover.oracle import random_formula
 from blprover.reduction import (
     ReductionDepthError,
+    TreeStats,
     branch_estimate,
     fold_tree,
     follow_certificate,
@@ -75,12 +78,60 @@ def test_label_weight():
     assert label_weight(hseq(seq((TOP,), preceq(), (TOP,)))) == 3
 
 
+def _walk_stats(tree):
+    """Reference: visit every node occurrence, weighing each label from scratch."""
+    height = nodes = leaves = max_weight = 0
+    stack = [(tree.root, 0, 0)]
+    while stack:
+        node, depth, weight_above = stack.pop()
+        nodes += 1
+        weight = weight_above + _recount_weight(node.label)
+        if node.is_leaf:
+            leaves += 1
+            height = max(height, depth)
+            max_weight = max(max_weight, weight)
+        else:
+            stack.extend((child, depth + 1, weight) for child in node.children)
+    return TreeStats(height, nodes, leaves, max_weight)
+
+
+def _node_count(formula):
+    if isinstance(formula, (Conj, Impl)):
+        return 1 + _node_count(formula.left) + _node_count(formula.right)
+    return 1
+
+
+def _recount_weight(label):
+    """One per sequent, one per bare top, every formula node otherwise."""
+    return sum(
+        1 + sum(1 if f == TOP else _node_count(f) for f in s.formulas()) for s in label
+    )
+
+
+REPEATED_LABELS = ["p1 * p1", "(p1 -> p2) * (p1 -> p2)", "(p1 * p1) -> (p1 * p1)"]
+
+
 def test_stats_variants_agree():
     rng = random.Random(23)
-    for _ in range(25):
-        formula = random_formula(rng, rng.randint(1, 4), 3)
-        from_tree = tree_stats(build_rwbl_tree(formula))
-        assert summarize_rwbl_stats(formula) == from_tree
+    formulas = [parse(text) for text in REPEATED_LABELS]
+    formulas += [random_formula(rng, rng.randint(1, 4), 3) for _ in range(25)]
+    repeated = 0
+    for formula in formulas:
+        tree = build_rwbl_tree(formula)
+        expected = _walk_stats(tree)
+        assert tree_stats(tree) == expected
+        assert summarize_rwbl_stats(formula) == expected
+        labels = []
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            assert label_weight(node.label) == _recount_weight(node.label)
+            labels.append(node.label)
+            stack.extend(node.children)
+        repeated += len(set(labels)) < len(labels)
+    assert repeated >= len(REPEATED_LABELS)
+    rhbl = build_rhbl_tree(parse("p1 * p1"), depth_limit=60)
+    assert tree_stats(rhbl) == _walk_stats(rhbl)
 
 
 def test_height_never_exceeds_connective_count():
