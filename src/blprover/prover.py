@@ -9,9 +9,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .axiom_check import AxiomVerdict, check_axiom, verify_branch_countermodel
-from .calculus import rhbl_premises, rwbl_premises
-from .formula import Formula, ParseError, complexity, parse, render
-from .hypersequent import RelationalHypersequent
+from .calculus import Premise, rhbl_premises, rwbl_premises
+from .formula import Formula, ParseError, complexity, parse, render, variables_in
+from .hypersequent import RelationalHypersequent, RelationalSequent
 from .hypersequent import is_irreducible  # noqa: F401  a perfbench trace target
 from .reduction import (
     Certificate,
@@ -25,7 +25,7 @@ from .reduction import (
     tree_stats,
     tree_to_json,
 )
-from .semantics import Valuation, eval_formula, render_value
+from .semantics import ZERO, Valuation, eval_formula, render_value
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,6 @@ def _calculus(mode: str, formula: Formula) -> tuple[Expand, int]:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _refutation(leaf: RelationalHypersequent) -> AxiomVerdict | None:
-    # Axiom verdicts are dropped, so the walker's memo keeps no cluster data.
-    verdict = check_axiom(leaf)
-    return None if verdict.is_axiom else verdict
-
-
 def check_tautology(
     formula: Formula, mode: str = "rwbl", depth_limit: int | None = None
 ) -> ProveResult:
@@ -78,12 +72,36 @@ def check_tautology(
     label seen before is known to be provable.  The certificate is the list
     of premise indices along the refuted branch, padded with zeros to the
     connective count; single-occurrence mode has no certificate format.
+
+    A label whose settled part (its all-atomic sequents, which both calculi
+    carry into every premise) is an axiom is not expanded: every leaf below
+    contains that valid part, so the first invalid leaf and its path do not
+    change.  As pruned subtrees are never generated, a depth_limit below the
+    tree height may succeed where the full tree raises ReductionDepthError.
+    Formula variables that the refuted leaf lacks (an rhbl premise can drop
+    the pivot's sequent) are set to zero, which keeps the branch refuted.
     """
     expand, limit = _calculus(mode, formula)
     if depth_limit is not None:
         limit = depth_limit
+    # Settled part -> None for an axiom, else its verdict (so the memo keeps no
+    # cluster data for axioms).  A leaf is its own settled part.
+    refutations: dict[tuple[RelationalSequent, ...], AxiomVerdict | None] = {}
+
+    def refutation(label: RelationalHypersequent) -> AxiomVerdict | None:
+        settled = tuple(s for s in label if s.all_atomic)
+        if settled not in refutations:
+            verdict = check_axiom(RelationalHypersequent(settled))
+            refutations[settled] = None if verdict.is_axiom else verdict
+        return refutations[settled]
+
+    def premises(label: RelationalHypersequent) -> tuple[Premise, ...]:
+        if any(s.all_atomic for s in label) and refutation(label) is None:
+            return ()
+        return expand(label)
+
     verdict, path = fold_tree(
-        root_label(formula), expand, limit, _refutation, lambda *_: None, lambda v: v is not None
+        root_label(formula), premises, limit, refutation, lambda *_: None, lambda v: v is not None
     )
     if path is None:
         return ProveResult(True)
@@ -93,9 +111,12 @@ def check_tautology(
         certificate = Certificate(moves + (0,) * (complexity(formula) - len(moves)))
     if verdict.countermodel is None:
         raise AssertionError("refuted leaf came without a countermodel")
-    if not verify_branch_countermodel(verdict.countermodel, branch, formula):
+    countermodel = Valuation(
+        {**{i: ZERO for i in variables_in(formula)}, **dict(verdict.countermodel.items())}
+    )
+    if not verify_branch_countermodel(countermodel, branch, formula):
         raise AssertionError("countermodel failed to refute the full branch")
-    return ProveResult(False, certificate, verdict.countermodel, branch)
+    return ProveResult(False, certificate, countermodel, branch)
 
 
 def check_no_tautology(formula: Formula, certificate: Certificate) -> VerifyOutcome:

@@ -9,6 +9,8 @@ that step, bounds the height: for the whole-hypersequent rewriting calculus
 it never exceeds the connective count of A, because each step removes the
 pivot from the set of compound formulas of the label and introduces only
 proper subformulas, so the guard at that limit doubles as a bug detector.
+An expansion may also return no premises, which makes the label a leaf: the
+provability search does so for labels it already knows to be valid.
 
 A certificate compresses one branch into the sequence of premise indices
 taken at each level, padded with zeros once a leaf is reached; its length is
@@ -103,8 +105,9 @@ def fold_tree(
 ) -> tuple[V, LeafPath | None]:
     """Fold the tree below root bottom-up, depth first in premise order.
 
-    leaf(label) values a leaf; inner(label, premises, values) values an inner
-    node from its premises' values.  Each distinct label is expanded and
+    leaf(label) values a leaf, an irreducible label or one whose expansion
+    gave no premises; inner(label, premises, values) values an inner node
+    from its premises' values.  Each distinct label is expanded and
     valued once; a reuse keeps the first value and height, and raises
     ReductionDepthError when its new depth plus that height exceeds the limit.
     Returns (root value, None), or, as soon as stop holds for a leaf's value,
@@ -120,7 +123,7 @@ def fold_tree(
         done = memo.get(label)
         if done is None:
             premises = _step(label, depth, limit, expand)
-            if premises is not None:
+            if premises:
                 frames.append((label, premises, [], []))
                 label = premises[0].label
                 continue

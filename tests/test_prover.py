@@ -2,6 +2,8 @@
 
 import json
 import os
+import random
+import signal
 import subprocess
 import sys
 import textwrap
@@ -10,8 +12,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import blprover
+import blprover.prover as prover
 from blprover import (
     Certificate,
     check_no_tautology,
@@ -21,9 +25,12 @@ from blprover import (
     parse,
     verify_branch_countermodel,
 )
-from blprover.hypersequent import is_irreducible
-from blprover.reduction import ReductionDepthError, root_label
-from blprover.semantics import Finite, Valuation
+from blprover.axiom_check import check_axiom
+from blprover.formula import BOT, Conj, Impl, Var, variables_in
+from blprover.hypersequent import RelationalHypersequent, is_irreducible, variables
+from blprover.oracle import oracle_leaf_satisfiable, random_formula
+from blprover.reduction import ReductionDepthError, branch_estimate, fold_tree, root_label
+from blprover.semantics import INF, ZERO, Finite, Valuation, eval_formula
 
 WEAKENING = "(p1 * p2) -> p1"
 EX_FALSO = "0 -> p1"
@@ -133,6 +140,154 @@ def test_decisions_are_deterministic():
     second = check_tautology(formula)
     assert first.certificate == second.certificate
     assert first.countermodel == second.countermodel
+
+
+@pytest.fixture()
+def alarm():
+    """Run a callable under a SIGALRM limit in seconds; None when it ran out."""
+
+    def expire(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+
+    def run(seconds, call):
+        signal.alarm(seconds)
+        try:
+            return call()
+        except TimeoutError:
+            return None
+        finally:
+            signal.alarm(0)
+
+    yield run
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _reference_search(formula, mode):
+    """The search without the prune: every label expanded, every leaf classified."""
+    expand, limit = prover._calculus(mode, formula)
+
+    def leaf(label):
+        verdict = check_axiom(label)
+        return None if verdict.is_axiom else verdict
+
+    return fold_tree(
+        root_label(formula), expand, limit, leaf, lambda *_: None, lambda v: v is not None
+    )
+
+
+def _assert_matches_reference(formula, mode, result, reference):
+    verdict, path = reference
+    assert result.provable == (path is None)
+    if path is None:
+        return
+    moves, branch = path
+    assert result.branch == branch
+    countermodel = verdict.countermodel.to_json()
+    if mode == "rwbl":
+        padded = moves + (0,) * (complexity(formula) - len(moves))
+        assert result.certificate == Certificate(padded)
+    else:
+        assert result.certificate is None
+        # Variables the leaf lacks are set to zero; see the test below.
+        for index in variables_in(formula):
+            countermodel["assignment"].setdefault(f"p{index}", "0+0/1")
+    assert result.countermodel.to_json() == countermodel
+
+
+def test_pruned_search_matches_the_full_search(alarm):
+    rng = random.Random(2026)
+    rwbl = 0
+    while rwbl < 120:
+        formula = random_formula(rng, rng.randint(1, 7), 3)
+        if branch_estimate(formula) > 3000:
+            continue
+        rwbl += 1
+        result = check_tautology(formula)
+        _assert_matches_reference(formula, "rwbl", result, _reference_search(formula, "rwbl"))
+    compared = 0
+    for _ in range(25):
+        formula = random_formula(rng, rng.randint(1, 3), 3)
+        reference = alarm(1, lambda: _reference_search(formula, "rhbl"))
+        if reference is not None:
+            result = check_tautology(formula, mode="rhbl")
+            _assert_matches_reference(formula, "rhbl", result, reference)
+            compared += 1
+    assert compared >= 15
+
+
+def test_pruned_settled_parts_are_valid_by_the_oracle(monkeypatch):
+    pruned = set()
+
+    def spying_fold(root, expand, *rest):
+        def recording(label):
+            premises = expand(label)
+            if not premises:
+                pruned.add(RelationalHypersequent(tuple(s for s in label if s.all_atomic)))
+            return premises
+
+        return fold_tree(root, recording, *rest)
+
+    monkeypatch.setattr(prover, "fold_tree", spying_fold)
+    rng = random.Random(31)
+    for _ in range(100):
+        formula = random_formula(rng, rng.randint(2, 6), rng.randint(1, 4))
+        if branch_estimate(formula) <= 3000:
+            check_tautology(formula)
+    assert len(pruned) >= 300
+    for part in pruned:
+        assert is_irreducible(part)
+        assert oracle_leaf_satisfiable(part) is None, part.render()
+
+
+_GRID = [INF] + [Finite(k, Fraction(n, 3)) for k in (0, 1) for n in range(3)]
+_ATOMS = st.one_of(st.just(BOT), st.integers(min_value=1, max_value=3).map(Var))
+_FORMULAS = st.recursive(
+    _ATOMS, lambda sub: st.builds(Conj, sub, sub) | st.builds(Impl, sub, sub), max_leaves=7
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_FORMULAS)
+def test_decisions_agree_with_a_grid_of_ordinal_sums(formula):
+    result = check_tautology(formula)
+    if result.countermodel is not None:
+        assert not eval_formula(result.countermodel, formula).is_infinite
+    indices = sorted(variables_in(formula))
+    for point in range(len(_GRID) ** len(indices)):
+        values = {}
+        for index in indices:
+            point, digit = divmod(point, len(_GRID))
+            values[index] = _GRID[digit]
+        if not eval_formula(Valuation(values), formula).is_infinite:
+            assert not result.provable, f"{values} refutes a formula reported provable"
+            break
+
+
+def test_single_occurrence_countermodel_binds_dropped_variables(capsys):
+    # An rhbl premise can drop the sequent that hosts the pivot, and with it
+    # every occurrence of p2; the countermodel must still bind p2.
+    text = "(p2 -> p3 -> p3) * p3"
+    formula = parse(text)
+    result = check_tautology(formula, mode="rhbl")
+    assert not result.provable
+    assert variables(result.branch[-1]) == {3}
+    assert {i for i, _ in result.countermodel.items()} == {2, 3}
+    assert result.countermodel.value_of(2) == ZERO
+    assert verify_branch_countermodel(result.countermodel, result.branch, formula)
+    assert cli_main(["prove", text, "--mode", "rhbl", "--countermodel"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "not provable"
+    assert set(json.loads(lines[1])["assignment"]) == {"p2", "p3"}
+
+
+def test_single_occurrence_search_finishes_on_a_small_formula(alarm):
+    formula = parse("0 * (p3 * 0 * p2)")
+    result = alarm(60, lambda: check_tautology(formula, mode="rhbl"))
+    assert result is not None, "the rhbl search ran past 60 s"
+    assert not result.provable
+    assert verify_branch_countermodel(result.countermodel, result.branch, formula)
 
 
 class TestCliProve:
