@@ -4,12 +4,13 @@ An irreducible label is valid exactly when the conjunction of the negations
 of its sequents admits no valuation.  The decision has three stages:
 
 1. Integer parts.  Each negated ``<<`` sequent asserts one floor inequality;
-   these become edges of a graph over the atoms.  Strongly connected
-   components force equal floors, and a topological order of the condensation
-   realizes all remaining floor constraints with distinct integers.  Clusters
-   that reach falsum's cluster are pinned to floor 0 and clusters reachable
-   from top's cluster are pinned to infinity; a clash between the two pins
-   already refutes the negation.
+   these become edges of a graph over the atoms, and one reachability
+   closure of that graph settles every floor constraint.  If top's floor
+   reaches falsum's, the two pins clash and the negation is refuted.
+   Otherwise vertices that reach falsum share its floor 0, vertices top
+   reaches share its infinite floor, and the remaining strongly connected
+   components each get their own floor; a topological order of these groups
+   realizes all remaining floor constraints with distinct integers.
 2. Fractional parts.  Negated fractional sequents whose atoms share a
    (finite) cluster contribute linear rows over the fractional variables;
    sequents whose atoms are spread over distinct clusters are vacuously
@@ -135,7 +136,8 @@ def _atom_key(atom: Formula) -> tuple:
         return (0, -1)
     if isinstance(atom, Var):
         return (0, atom.index)
-    assert atom == TOP
+    if atom != TOP:
+        raise AssertionError(f"floor graph vertex {atom!r} is not an atom")
     return (1, 0)
 
 
@@ -163,49 +165,60 @@ def build_graph(negs: Iterable[NegatedSequent], atoms: Iterable[Formula]) -> Clu
 
 def contract_and_sort(
     graph: ClusterGraph,
-) -> tuple[tuple[frozenset[Formula], ...], frozenset[tuple[int, int]]]:
-    """Condense the floor graph and order the clusters topologically.
+) -> tuple[tuple[frozenset[Formula], ...], frozenset[tuple[int, int]], bool]:
+    """Group the floor graph's vertices and order the groups topologically.
 
-    Mutually reachable vertices share a cluster (their floors are squeezed
-    equal).  The condensation is sorted so every edge points forward; ties
-    are broken by the smallest member atom, falsum first, variables by index,
-    top last.  Returns the ordered clusters and the edge set over positions.
+    One reachability closure decides everything.  The clash flag is set when
+    top's floor reaches falsum's, which refutes the negated leaf outright;
+    the groups are then the strongly connected components (mutually reachable
+    vertices, whose floors are squeezed equal).  Otherwise every vertex that
+    reaches falsum joins falsum's group (floor pinned to 0), every vertex top
+    reaches joins top's group (floor pinned to infinity), and each remaining
+    vertex joins its component.  The groups are sorted so every edge points
+    forward; ties are broken by the smallest member atom, falsum first,
+    variables by index, top last.  Returns the ordered groups, the edge set
+    over their positions and the clash flag.
     """
     verts = sorted(graph.vertices, key=_atom_key)
     position = {v: i for i, v in enumerate(verts)}
     n = len(verts)
-    reach = [[False] * n for _ in range(n)]
-    for i in range(n):
-        reach[i][i] = True
+    # Bit j of reach[i] is set when floor(verts[i]) <= floor(verts[j]) is forced.
+    reach = [1 << i for i in range(n)]
     for tail, head in graph.edges:
-        reach[position[tail]][position[head]] = True
+        reach[position[tail]] |= 1 << position[head]
     for k in range(n):
-        row_k = reach[k]
         for i in range(n):
-            if reach[i][k]:
-                row_i = reach[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    cluster_of: dict[int, int] = {}
-    raw: list[frozenset[Formula]] = []
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    falsum = 1 << position[BOT] if BOT in position else 0
+    top_reach = reach[position[TOP]]
+    clash = bool(top_reach & falsum)
+    if clash:
+        # An axiom: no pins, and the verdict reports the plain components.
+        falsum = top_reach = 0
+    group_of: dict[int, int] = {}
+    groups: list[frozenset[Formula]] = []
     for i in range(n):
-        if i in cluster_of:
+        if i in group_of:
             continue
-        members = [j for j in range(n) if reach[i][j] and reach[j][i]]
-        for j in members:
-            cluster_of[j] = len(raw)
-        raw.append(frozenset(verts[j] for j in members))
-    cedges = {
-        (cluster_of[position[t]], cluster_of[position[h]])
+        if reach[i] & falsum:
+            same = [j for j in range(n) if reach[j] & falsum]
+        elif top_reach >> i & 1:
+            same = [j for j in range(n) if top_reach >> j & 1]
+        else:
+            same = [j for j in range(n) if reach[i] >> j & 1 and reach[j] >> i & 1]
+        for j in same:
+            group_of[j] = len(groups)
+        groups.append(frozenset(verts[j] for j in same))
+    gedges = {
+        (group_of[position[t]], group_of[position[h]])
         for t, h in graph.edges
-        if cluster_of[position[t]] != cluster_of[position[h]]
+        if group_of[position[t]] != group_of[position[h]]
     }
-    order = _topo_order(raw, cedges, lambda c: min(_atom_key(f) for f in c))
+    order = _topo_order(groups, gedges, lambda c: min(_atom_key(f) for f in c))
     rank = {old: new for new, old in enumerate(order)}
-    clusters = tuple(raw[old] for old in order)
-    edges = frozenset((rank[t], rank[h]) for t, h in cedges)
-    return clusters, edges
+    clusters = tuple(groups[old] for old in order)
+    return clusters, frozenset((rank[t], rank[h]) for t, h in gedges), clash
 
 
 def _topo_order(clusters: Sequence[frozenset], edges: set[tuple[int, int]], key) -> list[int]:
@@ -226,7 +239,8 @@ def _topo_order(clusters: Sequence[frozenset], edges: set[tuple[int, int]], key)
             indegree[j] -= 1
             if indegree[j] == 0:
                 heappush(heap, (key(clusters[j]), j))
-    assert len(order) == len(clusters), "cycle in a condensation, bug"
+    if len(order) != len(clusters):
+        raise AssertionError("cycle in a condensation, bug")
     return order
 
 
@@ -245,52 +259,11 @@ def _reach(starts: Iterable[int], edges: Iterable[tuple[int, int]]) -> set[int]:
     return seen
 
 
-def _merge_constant_closures(
-    clusters: tuple[frozenset[Formula], ...], edges: frozenset[tuple[int, int]]
-) -> tuple[tuple[frozenset[Formula], ...], frozenset[tuple[int, int]], bool]:
-    """Pin falsum-connected clusters to floor 0 and top-connected ones to infinity.
-
-    Everything that reaches falsum's cluster is merged into it (floor forced
-    to 0) and everything reachable from top's cluster is merged into that
-    (floor forced infinite).  Returns the reordered clusters and edges plus a
-    flag set when the two merged groups collide, which refutes the negated
-    leaf outright.
-    """
-    bot_at = next((i for i, c in enumerate(clusters) if BOT in c), None)
-    top_at = next(i for i, c in enumerate(clusters) if TOP in c)
-    low = _reach([bot_at], {(h, t) for t, h in edges}) if bot_at is not None else set()
-    high = _reach([top_at], edges)
-    if low & high:
-        return clusters, edges, True
-    group_of = dict.fromkeys(low, 0)
-    groups: list[frozenset[Formula]] = []
-    if low:
-        groups.append(frozenset().union(*(clusters[i] for i in sorted(low))))
-    for i in range(len(clusters)):
-        if i in group_of or i in high:
-            continue
-        group_of[i] = len(groups)
-        groups.append(clusters[i])
-    group_of.update(dict.fromkeys(high, len(groups)))
-    groups.append(frozenset().union(*(clusters[i] for i in sorted(high))))
-    gedges = {
-        (group_of[t], group_of[h]) for t, h in edges if group_of[t] != group_of[h]
-    }
-
-    def group_key(c: frozenset) -> tuple:
-        return (0,) if BOT in c else (1,) + min(_atom_key(f) for f in c)
-
-    order = _topo_order(groups, gedges, group_key)
-    rank = {old: new for new, old in enumerate(order)}
-    merged = tuple(groups[old] for old in order)
-    return merged, frozenset((rank[t], rank[h]) for t, h in gedges), False
-
-
 def _add_frac(coeffs: dict[int, int], atom: Formula, sign: int) -> None:
     if isinstance(atom, Var):
         coeffs[atom.index] = coeffs.get(atom.index, 0) + sign
-    else:
-        assert isinstance(atom, Bottom), "top cannot reach the fractional rows"
+    elif not isinstance(atom, Bottom):
+        raise AssertionError("top cannot reach the fractional rows")
 
 
 def build_lp(
@@ -419,16 +392,18 @@ def build_countermodel(
 def check_axiom(h: RelationalHypersequent) -> AxiomVerdict:
     """Classify an irreducible hypersequent.
 
-    Returns an Axiom verdict when the negated leaf is unsatisfiable, else a
-    NotAxiom verdict carrying a countermodel, which is always re-checked
-    against the leaf before being returned.  Its infinite clusters form the
-    least escape set, which every countermodel over these floors escapes too.
+    The floor graph is grouped and sorted once (contract_and_sort); a clash of
+    the falsum and top pins is an axiom with the plain components as its
+    clusters.  Otherwise returns an Axiom verdict when the negated leaf is
+    unsatisfiable, else a NotAxiom verdict carrying a countermodel, which is
+    always re-checked against the leaf before being returned.  Its infinite
+    clusters form the least escape set, which every countermodel over these
+    floors escapes too.
     """
     negs = negate_leaf(h)
-    clusters0, edges0 = contract_and_sort(build_graph(negs, leaf_atoms(h)))
-    clusters, edges, clash = _merge_constant_closures(clusters0, edges0)
+    clusters, edges, clash = contract_and_sort(build_graph(negs, leaf_atoms(h)))
     if clash:
-        return AxiomVerdict(True, None, clusters0, None)
+        return AxiomVerdict(True, None, clusters, None)
     escape = _least_escape(negs, clusters, edges)
     if escape is None:
         return AxiomVerdict(True, None, clusters, None)

@@ -206,8 +206,31 @@ MAX_NESTING = 100
 # serialize_key take time linear in the tree, about 10-20 ms at this size.
 MAX_CONNECTIVES = 10_000
 
-# A parsed subformula with its height and its size, both in connectives.
-_Parsed = tuple[Formula, int, int]
+
+def check_limits(formula: Formula) -> None:
+    """Raise ValueError on a formula taller than MAX_NESTING connectives or
+    with more than MAX_CONNECTIVES of them.
+
+    The walk is iterative and measures each shared node once, keyed by
+    identity because hashing and equality recurse: a formula built through
+    the API fails here, not with RecursionError in a recursive helper.
+    """
+    measured: dict[int, tuple[int, int]] = {}
+    stack = [(formula, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            left = measured.get(id(node.left), (0, 0))
+            right = measured.get(id(node.right), (0, 0))
+            height, size = max(left[0], right[0]) + 1, left[1] + right[1] + 1
+            if height > MAX_NESTING:
+                raise ValueError(f"formula nested deeper than {MAX_NESTING} levels")
+            if size > MAX_CONNECTIVES:
+                raise ValueError(f"formula has more than {MAX_CONNECTIVES} connectives")
+            measured[id(node)] = (height, size)
+        elif isinstance(node, (Conj, Impl)) and id(node) not in measured:
+            # The node is measured once both children are, which happens first.
+            stack += ((node, True), (node.left, False), (node.right, False))
 
 
 class _Parser:
@@ -220,22 +243,6 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]]) -> None:
         self.tokens = tokens
         self.pos = 0
-
-    def too_deep(self, position: int) -> ParseError:
-        return ParseError(f"formula nested deeper than {MAX_NESTING} levels", position)
-
-    def node(self, cls, left: _Parsed, right: _Parsed) -> _Parsed:
-        """Build a connective, refusing formulas taller or larger than the limits."""
-        height = (left[1] if left[1] > right[1] else right[1]) + 1
-        if height > MAX_NESTING:
-            raise self.too_deep(self.tokens[self.pos - 1][2])
-        size = left[2] + right[2] + 1
-        if size > MAX_CONNECTIVES:
-            raise ParseError(
-                f"formula has more than {MAX_CONNECTIVES} connectives",
-                self.tokens[self.pos - 1][2],
-            )
-        return cls(left[0], right[0]), height, size
 
     def peek(self) -> str:
         return self.tokens[self.pos][0]
@@ -253,44 +260,46 @@ class _Parser:
 
     # Each method takes its nesting depth; every recursion reaches parse_unary
     # one level deeper before it can recurse again, so the check lives there.
-    def parse_equiv(self, depth: int) -> _Parsed:
+    def parse_equiv(self, depth: int) -> Formula:
         left = self.parse_impl(depth)
         if self.peek() == "iff":
             self.next()
             right = self.parse_equiv(depth + 1)
-            return self.node(Conj, self.node(Impl, left, right), self.node(Impl, right, left))
+            return Conj(Impl(left, right), Impl(right, left))
         return left
 
-    def parse_impl(self, depth: int) -> _Parsed:
+    def parse_impl(self, depth: int) -> Formula:
         left = self.parse_conj(depth)
         if self.peek() == "arrow":
             self.next()
-            return self.node(Impl, left, self.parse_impl(depth + 1))
+            return Impl(left, self.parse_impl(depth + 1))
         return left
 
-    def parse_conj(self, depth: int) -> _Parsed:
+    def parse_conj(self, depth: int) -> Formula:
         result = self.parse_unary(depth)
         while self.peek() == "star":
             self.next()
-            result = self.node(Conj, result, self.parse_unary(depth))
+            result = Conj(result, self.parse_unary(depth))
         return result
 
-    def parse_unary(self, depth: int) -> _Parsed:
+    def parse_unary(self, depth: int) -> Formula:
         if depth > MAX_NESTING:
-            raise self.too_deep(self.tokens[self.pos][2])
+            raise ParseError(
+                f"formula nested deeper than {MAX_NESTING} levels", self.tokens[self.pos][2]
+            )
         if self.peek() == "tilde":
             self.next()
-            return self.node(Impl, self.parse_unary(depth + 1), (BOT, 0, 0))
+            return Impl(self.parse_unary(depth + 1), BOT)
         return self.parse_atom(depth)
 
-    def parse_atom(self, depth: int) -> _Parsed:
+    def parse_atom(self, depth: int) -> Formula:
         kind, text, pos = self.next()
         if kind == "bot":
-            return BOT, 0, 0
+            return BOT
         if kind == "top":
-            return TOP, 1, 1
+            return TOP
         if kind == "var":
-            return Var(int(text[1:])), 0, 0
+            return Var(int(text[1:]))
         if kind == "lparen":
             inner = self.parse_equiv(depth + 1)
             self.expect("rparen")
@@ -303,11 +312,16 @@ def parse(text: str) -> Formula:
 
     Raises ParseError on malformed input, on input nested deeper than
     MAX_NESTING levels and on formulas with more than MAX_CONNECTIVES
-    connectives.
+    connectives.  Height and size are measured after parsing (check_limits),
+    so those errors point at the end of the input.
     """
     parser = _Parser(_tokenize(text))
-    result, _, _ = parser.parse_equiv(0)
+    result = parser.parse_equiv(0)
     parser.expect("eof")
+    try:
+        check_limits(result)
+    except ValueError as err:
+        raise ParseError(str(err), len(text)) from None
     return result
 
 

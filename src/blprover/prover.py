@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .axiom_check import AxiomVerdict, check_axiom, verify_branch_countermodel
 from .calculus import Premise, rhbl_premises, rwbl_premises
-from .formula import Formula, ParseError, complexity, parse, render, variables_in
+from .formula import Formula, ParseError, check_limits, complexity, parse, render, variables_in
 from .hypersequent import RelationalHypersequent, RelationalSequent
 from .hypersequent import is_irreducible  # noqa: F401  a perfbench trace target
 from .reduction import (
@@ -80,7 +80,9 @@ def check_tautology(
     tree height may succeed where the full tree raises ReductionDepthError.
     Formula variables that the refuted leaf lacks (an rhbl premise can drop
     the pivot's sequent) are set to zero, which keeps the branch refuted.
+    Raises ValueError on formulas beyond the parser's size limits.
     """
+    check_limits(formula)
     expand, limit = _calculus(mode, formula)
     if depth_limit is not None:
         limit = depth_limit
@@ -124,7 +126,9 @@ def check_no_tautology(formula: Formula, certificate: Certificate) -> VerifyOutc
 
     Only the certified branch is rebuilt and only its leaf is classified, so
     acceptance takes time polynomial in the formula size, with no search.
+    Raises ValueError on formulas beyond the parser's size limits.
     """
+    check_limits(formula)
     followed = follow_certificate(formula, certificate)
     if not followed.accepted:
         return VerifyOutcome(False, followed.error or "certificate replay failed")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .calculus import Premise, rhbl_premises, rwbl_premises
-from .formula import TOP, Conj, Formula, complexity, parse, render
+from .formula import TOP, Conj, Formula, check_limits, complexity, parse, render
 from .hypersequent import (
     RelationalHypersequent,
     check_generated_shape,
@@ -166,7 +166,9 @@ def build_rwbl_tree(formula: Formula, depth_limit: int | None = None) -> Reducti
 
     The depth limit defaults to the connective count of the formula, which is
     a proven bound on the height; exceeding it raises ReductionDepthError.
+    Formulas beyond the parser's size limits raise ValueError.
     """
+    check_limits(formula)
     limit = complexity(formula) if depth_limit is None else depth_limit
     return _tree(formula, "rwbl", rwbl_premises, limit)
 
@@ -176,8 +178,9 @@ def build_rhbl_tree(formula: Formula, depth_limit: int) -> ReductionTree:
 
     Branches may be longer than the connective count here (each pivot
     occurrence costs a step), so the caller must supply an explicit depth
-    limit.
+    limit.  Formulas beyond the parser's size limits raise ValueError.
     """
+    check_limits(formula)
     return _tree(formula, "rhbl", rhbl_premises, depth_limit)
 
 

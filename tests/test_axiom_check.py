@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blprover import (
     BOT,
@@ -94,15 +95,56 @@ class TestFloorGraph:
         graph = ClusterGraph(
             frozenset({P1, P2, TOP}), frozenset({(P1, P2), (P2, P1)})
         )
-        clusters, edges = contract_and_sort(graph)
+        clusters, edges, _ = contract_and_sort(graph)
         assert clusters == (frozenset({P1, P2}), frozenset({TOP}))
         assert edges == frozenset()
 
     def test_topological_order_respects_edges(self):
         graph = ClusterGraph(frozenset({BOT, P1, TOP}), frozenset({(BOT, P1)}))
-        clusters, edges = contract_and_sort(graph)
+        clusters, edges, _ = contract_and_sort(graph)
         assert clusters == (frozenset({BOT}), frozenset({P1}), frozenset({TOP}))
         assert edges == frozenset({(0, 1)})
+
+
+@st.composite
+def _floor_graphs(draw):
+    """Up to 6 variables, falsum optional, top always; any edges, self-loops too."""
+    vertices = [Var(i) for i in range(1, draw(st.integers(0, 6)) + 1)] + [TOP]
+    if draw(st.booleans()):
+        vertices.append(BOT)
+    edges = draw(st.sets(st.sampled_from([(t, h) for t in vertices for h in vertices])))
+    return ClusterGraph(frozenset(vertices), frozenset(edges))
+
+
+def _reachable(graph, start):
+    seen, frontier = {start}, [start]
+    while frontier:
+        tail = frontier.pop()
+        for t, h in graph.edges:
+            if t == tail and h not in seen:
+                seen.add(h)
+                frontier.append(h)
+    return frozenset(seen)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_floor_graphs())
+def test_contract_and_sort_agrees_with_a_plain_closure(graph):
+    clusters, edges, clash = contract_and_sort(graph)
+    reach = {v: _reachable(graph, v) for v in graph.vertices}
+    position = {v: i for i, cluster in enumerate(clusters) for v in cluster}
+    assert sum(map(len, clusters)) == len(position) and position.keys() == graph.vertices
+    assert clash == (BOT in reach[TOP])
+    low = frozenset(v for v in graph.vertices if BOT in reach[v] and not clash)
+    high = frozenset() if clash else reach[TOP]
+    for v in graph.vertices:
+        component = frozenset(u for u in reach[v] if v in reach[u])
+        expected = low if v in low else high if v in high else component
+        assert clusters[position[v]] == expected
+    assert edges == {
+        (position[t], position[h]) for t, h in graph.edges if position[t] != position[h]
+    }
+    assert all(t < h for t, h in edges)
 
 
 class TestVerdicts:

@@ -7,6 +7,7 @@ from blprover import BOT, TOP, Bottom, Conj, Impl, ParseError, Var, complexity, 
 from blprover.formula import (
     MAX_CONNECTIVES,
     MAX_NESTING,
+    check_limits,
     cmp_complexity,
     complexity_key,
     compound_subformulas,
@@ -170,6 +171,16 @@ def test_parse_connective_limit():
     assert complexity(at_limit) == MAX_CONNECTIVES
     with pytest.raises(ParseError, match=f"more than {MAX_CONNECTIVES} connectives"):
         parse(render(_balanced(MAX_CONNECTIVES + 1)))
+
+
+def test_check_limits_counts_shared_subformulas_in_full():
+    shared = P1
+    for _ in range(13):
+        shared = Conj(shared, shared)
+    check_limits(shared)
+    assert complexity(shared) == 2**13 - 1 < MAX_CONNECTIVES
+    with pytest.raises(ValueError, match=f"more than {MAX_CONNECTIVES} connectives"):
+        check_limits(Conj(shared, shared))
 
 
 def _formulas(max_depth=4):

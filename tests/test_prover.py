@@ -29,7 +29,14 @@ from blprover.axiom_check import check_axiom
 from blprover.formula import BOT, Conj, Impl, Var, variables_in
 from blprover.hypersequent import RelationalHypersequent, is_irreducible, variables
 from blprover.oracle import oracle_leaf_satisfiable, random_formula
-from blprover.reduction import ReductionDepthError, branch_estimate, fold_tree, root_label
+from blprover.reduction import (
+    ReductionDepthError,
+    branch_estimate,
+    build_rhbl_tree,
+    build_rwbl_tree,
+    fold_tree,
+    root_label,
+)
 from blprover.semantics import INF, ZERO, Finite, Valuation, eval_formula
 
 WEAKENING = "(p1 * p2) -> p1"
@@ -102,9 +109,35 @@ def test_depth_limit_cuts_the_search():
     assert check_tautology(parse(IDENTITY), depth_limit=1).provable
 
 
+def _implication_chain(height):
+    formula = Var(1)
+    for _ in range(height):
+        formula = Impl(Var(1), formula)
+    return formula
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        check_tautology,
+        lambda formula: check_tautology(formula, mode="rhbl"),
+        lambda formula: check_no_tautology(formula, Certificate((1,))),
+        build_rwbl_tree,
+        lambda formula: build_rhbl_tree(formula, 10),
+    ],
+    ids=["rwbl", "rhbl", "verify", "rwbl_tree", "rhbl_tree"],
+)
+def test_formulas_built_past_the_parser_limits_are_refused(entry):
+    # The parser never sees API-built formulas; the recursive helpers would end
+    # in RecursionError on this chain, so the entry points must refuse it first.
+    with pytest.raises(ValueError, match="nested deeper than 100 levels"):
+        entry(_implication_chain(3000))
+
+
 def test_soundness_checks_survive_optimised_mode():
     # Under -O assert statements vanish, so a refutation that comes without a
-    # countermodel must still be stopped by an explicit raise.
+    # countermodel, and a broken leaf-check invariant, must still be stopped by
+    # an explicit raise.
     script = textwrap.dedent(
         """
         import sys
@@ -124,6 +157,18 @@ def test_soundness_checks_survive_optimised_mode():
             except AssertionError:
                 continue
             sys.exit("a refutation without a countermodel was accepted")
+        from blprover import TOP, Conj
+        from blprover.axiom_check import _add_frac, _atom_key, _topo_order
+        for broken in (
+            lambda: _topo_order([frozenset({1}), frozenset({2})], {(0, 1), (1, 0)}, min),
+            lambda: _add_frac({}, TOP, 1),
+            lambda: _atom_key(Conj(TOP, TOP)),
+        ):
+            try:
+                broken()
+            except AssertionError:
+                continue
+            sys.exit("a broken leaf-check invariant went unnoticed")
         """
     )
     src = str(Path(blprover.__file__).resolve().parents[1])
