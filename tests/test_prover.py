@@ -35,7 +35,10 @@ from blprover.reduction import (
     build_rhbl_tree,
     build_rwbl_tree,
     fold_tree,
+    follow_certificate,
     root_label,
+    summarize_rwbl_stats,
+    tree_stats,
 )
 from blprover.semantics import INF, ZERO, Finite, Valuation, eval_formula
 
@@ -124,8 +127,10 @@ def _implication_chain(height):
         lambda formula: check_no_tautology(formula, Certificate((1,))),
         build_rwbl_tree,
         lambda formula: build_rhbl_tree(formula, 10),
+        lambda formula: follow_certificate(formula, Certificate((1,))),
+        summarize_rwbl_stats,
     ],
-    ids=["rwbl", "rhbl", "verify", "rwbl_tree", "rhbl_tree"],
+    ids=["rwbl", "rhbl", "verify", "rwbl_tree", "rhbl_tree", "replay", "rwbl_stats"],
 )
 def test_formulas_built_past_the_parser_limits_are_refused(entry):
     # The parser never sees API-built formulas; the recursive helpers would end
@@ -191,19 +196,27 @@ def test_decisions_are_deterministic():
 def alarm():
     """Run a callable under a SIGALRM limit in seconds; None when it ran out."""
 
+    # The handler records the expiry before it raises: a TimeoutError raised
+    # inside a garbage-collector callback is only reported, never propagated,
+    # and the call then runs on to a result that must still count as expired.
+    fired = []
+
     def expire(signum, frame):
+        fired.append(signum)
         raise TimeoutError
 
     previous = signal.signal(signal.SIGALRM, expire)
 
     def run(seconds, call):
+        fired.clear()
         signal.alarm(seconds)
         try:
-            return call()
+            result = call()
         except TimeoutError:
             return None
         finally:
             signal.alarm(0)
+        return None if fired else result
 
     yield run
     signal.signal(signal.SIGALRM, previous)
@@ -436,6 +449,28 @@ class TestCliTree:
         assert cli_main(["tree", "p1", "--stats"]) == 0
         out = capsys.readouterr().out.strip()
         assert out == "height=0 nodes=1 leaves=1 max_branch_weight=3"
+
+    @pytest.mark.parametrize(
+        "text", [IDENTITY, "p1 * p1", "(p1 -> p2) * (p1 -> p2)", "(p1 * p2) -> (p2 -> p3)"]
+    )
+    def test_stats_alone_builds_no_tree(self, capsys, monkeypatch, text):
+        expected = tree_stats(build_rwbl_tree(parse(text)))
+
+        def refuse(formula, depth_limit=None):
+            raise AssertionError("tree --stats built the tree")
+
+        monkeypatch.setattr(prover, "build_rwbl_tree", refuse)
+        assert cli_main(["tree", text, "--stats"]) == 0
+        assert capsys.readouterr().out.strip() == (
+            f"height={expected.height} nodes={expected.node_count} "
+            f"leaves={expected.leaf_count} max_branch_weight={expected.max_branch_weight}"
+        )
+
+    def test_stats_follow_an_emitted_tree(self, capsys):
+        assert cli_main(["tree", IDENTITY, "--emit", "json", "--stats"]) == 0
+        payload, stats = capsys.readouterr().out.strip().splitlines()
+        assert json.loads(payload)["mode"] == "rwbl"
+        assert stats == "height=1 nodes=4 leaves=3 max_branch_weight=15"
 
     def test_line_dump(self, capsys):
         assert cli_main(["tree", IDENTITY]) == 0

@@ -21,12 +21,15 @@ from blprover import (
     seq,
     tree_stats,
 )
-from blprover.calculus import Premise
+import blprover.reduction as reduction
+from blprover.calculus import Premise, rhbl_premises, rwbl_premises
 from blprover.formula import complexity
 from blprover.hypersequent import is_irreducible
 from blprover.oracle import random_formula
 from blprover.reduction import (
     ReductionDepthError,
+    ReductionNode,
+    ReductionTree,
     TreeStats,
     branch_estimate,
     fold_tree,
@@ -132,6 +135,69 @@ def test_stats_variants_agree():
     assert repeated >= len(REPEATED_LABELS)
     rhbl = build_rhbl_tree(parse("p1 * p1"), depth_limit=60)
     assert tree_stats(rhbl) == _walk_stats(rhbl)
+
+
+def _reference_tree(formula, mode, expand, limit):
+    """The tree folded with the plain calculus: every distinct label expanded."""
+
+    def inner(label, premises, subtrees):
+        return tuple(ReductionNode(p.label, p.index, p.tag, t) for p, t in zip(premises, subtrees))
+
+    root = root_label(formula)
+    children, _ = fold_tree(root, expand, limit, lambda label: (), inner)
+    return ReductionTree(formula, mode, ReductionNode(root, None, None, children))
+
+
+def test_trees_expanded_by_open_part_match_the_plain_calculus():
+    rng = random.Random(27)
+    formulas = [parse(text) for text in REPEATED_LABELS]
+    formulas += [random_formula(rng, rng.randint(1, 4), 3) for _ in range(100)]
+    rhbl = 0
+    for formula in formulas:
+        reference = _reference_tree(formula, "rwbl", rwbl_premises, complexity(formula))
+        tree = build_rwbl_tree(formula)
+        # Dataclass equality compares every node's label, index, tag and children.
+        assert tree == reference
+        stats = tree_stats(reference)
+        assert tree_stats(tree) == stats
+        assert summarize_rwbl_stats(formula) == stats
+        # rhbl trees grow fast: two conjunctions already make half a million nodes.
+        if complexity(formula) <= 2 and branch_estimate(formula) < 15:
+            reference = _reference_tree(formula, "rhbl", rhbl_premises, 30)
+            assert build_rhbl_tree(formula, depth_limit=30) == reference
+            rhbl += 1
+    assert rhbl >= 20
+
+
+def test_each_open_part_is_expanded_once(monkeypatch):
+    calls = []
+
+    def counting(label):
+        calls.append(label)
+        return rwbl_premises(label)
+
+    monkeypatch.setattr(reduction, "rwbl_premises", counting)
+    rng = random.Random(28)
+    formulas = [parse(text) for text in REPEATED_LABELS]
+    formulas += [random_formula(rng, rng.randint(2, 5), 3) for _ in range(20)]
+    shared = 0
+    for formula in formulas:
+        calls.clear()
+        tree = build_rwbl_tree(formula)
+        built = len(calls)
+        calls.clear()
+        summarize_rwbl_stats(formula)
+        inner = set()
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                inner.add(node.label)
+                stack.extend(node.children)
+        open_parts = {tuple(s for s in label if not s.all_atomic) for label in inner}
+        assert built == len(calls) == len(open_parts)
+        shared += len(open_parts) < len(inner)
+    assert shared >= 10
 
 
 def test_height_never_exceeds_connective_count():
