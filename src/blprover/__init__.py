@@ -44,7 +44,6 @@ from .prover import (
 from .reduction import (
     Certificate,
     ReductionTree,
-    build_rhbl_tree,
     build_rwbl_tree,
     follow_certificate,
     tree_stats,
@@ -89,7 +88,6 @@ __all__ = [
     "Var",
     "VerifyOutcome",
     "ZERO",
-    "build_rhbl_tree",
     "build_rwbl_tree",
     "check_axiom",
     "check_no_tautology",

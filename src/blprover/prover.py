@@ -9,13 +9,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .axiom_check import AxiomVerdict, check_axiom, verify_branch_countermodel
-from .calculus import Premise, rhbl_premises, rwbl_premises
+from .calculus import Premise, rwbl_premises
 from .formula import Formula, ParseError, check_limits, complexity, parse, render, variables_in
 from .hypersequent import RelationalHypersequent, RelationalSequent
 from .hypersequent import is_irreducible  # noqa: F401  a perfbench trace target
 from .reduction import (
     Certificate,
-    Expand,
     build_rwbl_tree,
     fold_tree,
     follow_certificate,
@@ -34,7 +33,7 @@ class ProveResult:
     """Verdict of check_tautology.
 
     Unprovable formulas carry a countermodel, the refuted branch from root to
-    leaf, and (in rewriting mode) a replayable certificate.
+    leaf, and a replayable certificate.
     """
 
     provable: bool
@@ -50,43 +49,28 @@ class VerifyOutcome:
     countermodel: Valuation | None = None
 
 
-def _calculus(mode: str, formula: Formula) -> tuple[Expand, int]:
-    """The premise function of a calculus and its default depth limit."""
-    if mode == "rwbl":
-        return rwbl_premises, complexity(formula)
-    if mode == "rhbl":
-        # Single-occurrence steps shrink the total connective weight of a label by at least
-        # one, and label weights stay within the cubic branch envelope, so a generous
-        # linear-in-complexity allowance never triggers spuriously.
-        return rhbl_premises, 50 * (complexity(formula) + 1)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def check_tautology(
-    formula: Formula, mode: str = "rwbl", depth_limit: int | None = None
-) -> ProveResult:
+def check_tautology(formula: Formula) -> ProveResult:
     """Decide provability by exhaustive reduction and leaf classification.
 
-    Premises are explored in ascending index, so the reported refutation is
-    the first invalid leaf in that deterministic order.  A repeated label is
-    classified once: a countermodel at any leaf ends the search, so every
-    label seen before is known to be provable.  The certificate is the list
-    of premise indices along the refuted branch, padded with zeros to the
-    connective count; single-occurrence mode has no certificate format.
+    The search walks the rewriting tree, whose height is at most the
+    connective count.  Premises are explored in ascending index, so the
+    reported refutation is the first invalid leaf in that deterministic
+    order.  A repeated label is classified once: a countermodel at any leaf
+    ends the search, so every label seen before is known to be provable.
+    The certificate is the list of premise indices along the refuted branch,
+    padded with zeros to the connective count.
 
-    A label whose settled part (its all-atomic sequents, which both calculi
-    carry into every premise) is an axiom is not expanded: every leaf below
-    contains that valid part, so the first invalid leaf and its path do not
-    change.  As pruned subtrees are never generated, a depth_limit below the
-    tree height may succeed where the full tree raises ReductionDepthError.
-    Formula variables that the refuted leaf lacks (an rhbl premise can drop
-    the pivot's sequent) are set to zero, which keeps the branch refuted.
-    Raises ValueError on formulas beyond the parser's size limits.
+    A label whose settled part (its all-atomic sequents, which every premise
+    keeps) is an axiom is not expanded: every leaf below contains that valid
+    part, so the first invalid leaf and its path do not change.  Formula
+    variables that the refuted leaf lacks are set to zero, which keeps the
+    branch refuted: the last premise omits the non-unit fractional sequents
+    that contain the pivot, and only the tests, not a proof, say that no
+    variable is lost that way.  Raises ValueError on formulas beyond the
+    parser's size limits.
     """
     check_limits(formula)
-    expand, limit = _calculus(mode, formula)
-    if depth_limit is not None:
-        limit = depth_limit
+    n = complexity(formula)
     # Settled part -> None for an axiom, else its verdict (so the memo keeps no
     # cluster data for axioms).  A leaf is its own settled part.
     refutations: dict[tuple[RelationalSequent, ...], AxiomVerdict | None] = {}
@@ -101,17 +85,15 @@ def check_tautology(
     def premises(label: RelationalHypersequent) -> tuple[Premise, ...]:
         if any(s.all_atomic for s in label) and refutation(label) is None:
             return ()
-        return expand(label)
+        return rwbl_premises(label)
 
     verdict, path = fold_tree(
-        root_label(formula), premises, limit, refutation, lambda *_: None, lambda v: v is not None
+        root_label(formula), premises, n, refutation, lambda *_: None, lambda v: v is not None
     )
     if path is None:
         return ProveResult(True)
     moves, branch = path
-    certificate = None
-    if mode == "rwbl":
-        certificate = Certificate(moves + (0,) * (complexity(formula) - len(moves)))
+    certificate = Certificate(moves + (0,) * (n - len(moves)))
     if verdict.countermodel is None:
         raise AssertionError("refuted leaf came without a countermodel")
     countermodel = Valuation(
@@ -162,7 +144,6 @@ def _build_cli() -> argparse.ArgumentParser:
         action="store_true",
         help="print a replayable certificate when unprovable",
     )
-    prove.add_argument("--mode", choices=("rwbl", "rhbl"), default="rwbl")
     prove.add_argument(
         "--json", action="store_true", dest="as_json", help="machine-readable output"
     )
@@ -185,10 +166,7 @@ def _build_cli() -> argparse.ArgumentParser:
 
 
 def _cmd_prove(args, formula: Formula) -> int:
-    if args.mode == "rhbl" and args.certificate:
-        print("certificates exist only in rwbl mode", file=sys.stderr)
-        return 2
-    result = check_tautology(formula, mode=args.mode)
+    result = check_tautology(formula)
     if args.as_json:
         payload: dict = {"formula": render(formula), "provable": result.provable}
         if args.countermodel and result.countermodel is not None:

@@ -1,23 +1,23 @@
 """Reduction trees, branch certificates and size statistics.
 
 A reduction tree starts from the goal hypersequent ``top <= A`` and expands
-every node with the premises of the selected calculus until all leaves are
-irreducible.  One memoised walker, ``fold_tree``, does every expansion: tree
-building, statistics and the provability search fold over it, and
-``iter_rwbl_leaves`` streams leaves through its step.  One depth guard, in
-that step, bounds the height: for the whole-hypersequent rewriting calculus
-it never exceeds the connective count of A, because each step removes the
-pivot from the set of compound formulas of the label and introduces only
-proper subformulas, so the guard at that limit doubles as a bug detector.
-An expansion may also return no premises, which makes the label a leaf: the
-provability search does so for labels it already knows to be valid.
+every node with the premises of the whole-hypersequent rewriting calculus
+until all leaves are irreducible.  One memoised walker, ``fold_tree``, does
+every expansion: tree building, statistics and the provability search fold
+over it, and ``iter_rwbl_leaves`` streams leaves through its step.  One
+depth guard, in that step, bounds the height: it never exceeds the
+connective count of A, because each step removes the pivot from the set of
+compound formulas of the label and introduces only proper subformulas, so
+the guard at that limit doubles as a bug detector.  An expansion may also
+return no premises, which makes the label a leaf: the provability search
+does so for labels it already knows to be valid.
 
-The all-atomic sequents of a label, its settled part S, never pivot, and both
-calculi carry them unchanged into every premise; the pivot and the rewritten
-occurrences lie in the rest, the open part U.  So the premises of S ∪ U are S
-joined to each premise of U, with the same tags and indices.  The tree
-builders and ``summarize_rwbl_stats`` rely on this identity to expand each
-distinct open part once per call.
+The all-atomic sequents of a label, its settled part S, never pivot, and the
+calculus carries them unchanged into every premise; the pivot and the
+rewritten occurrences lie in the rest, the open part U.  So the premises of
+S ∪ U are S joined to each premise of U, with the same tags and indices.
+``build_rwbl_tree`` and ``summarize_rwbl_stats`` rely on this identity to
+expand each distinct open part once per call.
 
 A certificate compresses one branch into the sequence of premise indices
 taken at each level, padded with zeros once a leaf is reached; its length is
@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, TypeVar
 
-from .calculus import Premise, rhbl_premises, rwbl_premises
+from .calculus import Premise, rwbl_premises
 from .formula import TOP, Conj, Formula, check_limits, complexity, parse, render
 from .hypersequent import (
     RelationalHypersequent,
@@ -74,7 +74,6 @@ class ReductionNode:
 @dataclass(frozen=True)
 class ReductionTree:
     formula: Formula
-    mode: str
     root: ReductionNode
 
 
@@ -189,12 +188,6 @@ def _children(
     return tuple(ReductionNode(p.label, p.index, p.tag, sub) for p, sub in zip(premises, subtrees))
 
 
-def _tree(formula: Formula, mode: str, expand: Expand, limit: int) -> ReductionTree:
-    root = root_label(formula)
-    children, _ = fold_tree(root, _by_open_part(expand), limit, lambda label: (), _children)
-    return ReductionTree(formula, mode, ReductionNode(root, None, None, children))
-
-
 def build_rwbl_tree(formula: Formula, depth_limit: int | None = None) -> ReductionTree:
     """Full reduction tree in the whole-hypersequent rewriting calculus.
 
@@ -206,18 +199,9 @@ def build_rwbl_tree(formula: Formula, depth_limit: int | None = None) -> Reducti
     """
     check_limits(formula)
     limit = complexity(formula) if depth_limit is None else depth_limit
-    return _tree(formula, "rwbl", rwbl_premises, limit)
-
-
-def build_rhbl_tree(formula: Formula, depth_limit: int) -> ReductionTree:
-    """Full reduction tree in the one-occurrence-at-a-time calculus.
-
-    Branches may be longer than the connective count here (each pivot
-    occurrence costs a step), so the caller must supply an explicit depth
-    limit.  Formulas beyond the parser's size limits raise ValueError.
-    """
-    check_limits(formula)
-    return _tree(formula, "rhbl", rhbl_premises, depth_limit)
+    root = root_label(formula)
+    children, _ = fold_tree(root, _by_open_part(rwbl_premises), limit, lambda label: (), _children)
+    return ReductionTree(formula, ReductionNode(root, None, None, children))
 
 
 def label_weight(g: RelationalHypersequent) -> int:
@@ -340,7 +324,8 @@ class Certificate:
     def from_json(cls, text: str) -> tuple[Formula, Certificate]:
         data = json.loads(text)
         moves = data["moves"]
-        if not isinstance(moves, list) or not all(isinstance(m, int) for m in moves):
+        # type() and not isinstance(): JSON true and false are bool, a subclass of int.
+        if not isinstance(moves, list) or not all(type(m) is int for m in moves):
             raise ValueError("certificate moves must be a list of integers")
         return parse(data["formula"]), cls(tuple(moves))
 
@@ -443,5 +428,5 @@ def tree_to_json(tree: ReductionTree) -> str:
         return obj
 
     return json.dumps(
-        {"formula": render(tree.formula), "mode": tree.mode, "root": node_obj(tree.root)}
+        {"formula": render(tree.formula), "mode": "rwbl", "root": node_obj(tree.root)}
     )

@@ -89,6 +89,8 @@ def parse_value(text: str) -> OmegaValue:
     match = _VALUE_RE.match(text)
     if match is None:
         raise ValueError(f"malformed value {text!r}, expected 'inf' or 'k+num/den'")
+    if int(match.group(3)) == 0:
+        raise ValueError(f"malformed value {text!r}, zero denominator")
     return Finite(int(match.group(1)), Fraction(int(match.group(2)), int(match.group(3))))
 
 
@@ -123,6 +125,8 @@ class Valuation:
 
     @classmethod
     def from_json(cls, data: dict) -> Valuation:
+        if not isinstance(data["assignment"], dict):
+            raise ValueError("valuation assignment must be an object")
         assignment = {}
         for name, text in data["assignment"].items():
             if not re.fullmatch(r"p\d+", name):

@@ -3,7 +3,6 @@
 import json
 import os
 import random
-import signal
 import subprocess
 import sys
 import textwrap
@@ -26,13 +25,12 @@ from blprover import (
     verify_branch_countermodel,
 )
 from blprover.axiom_check import check_axiom
+from blprover.calculus import rwbl_premises
 from blprover.formula import BOT, Conj, Impl, Var, variables_in
-from blprover.hypersequent import RelationalHypersequent, is_irreducible, variables
+from blprover.hypersequent import RelationalHypersequent, is_irreducible
 from blprover.oracle import oracle_leaf_satisfiable, random_formula
 from blprover.reduction import (
-    ReductionDepthError,
     branch_estimate,
-    build_rhbl_tree,
     build_rwbl_tree,
     fold_tree,
     follow_certificate,
@@ -40,7 +38,7 @@ from blprover.reduction import (
     summarize_rwbl_stats,
     tree_stats,
 )
-from blprover.semantics import INF, ZERO, Finite, Valuation, eval_formula
+from blprover.semantics import INF, Finite, Valuation, eval_formula
 
 WEAKENING = "(p1 * p2) -> p1"
 EX_FALSO = "0 -> p1"
@@ -86,30 +84,10 @@ def test_certificate_for_a_provable_formula_is_rejected():
     assert outcome.reason == "certified leaf is an axiom"
 
 
-@pytest.mark.parametrize("text", [WEAKENING, IDENTITY, "p1", "p1 -> p2", "p1 -> p1 * p1"])
-def test_single_occurrence_mode_agrees(text):
-    formula = parse(text)
-    rewriting = check_tautology(formula)
-    one_at_a_time = check_tautology(formula, mode="rhbl")
-    assert rewriting.provable == one_at_a_time.provable
-    assert one_at_a_time.certificate is None
-
-
-def test_unknown_mode_is_rejected():
-    with pytest.raises(ValueError):
-        check_tautology(parse("p1"), mode="classical")
-
-
 def test_double_negation_is_not_eliminable_but_its_closure_holds():
     assert not check_tautology(parse("~~p1 -> p1")).provable
     assert check_tautology(parse("~~(~~p1 -> p1)")).provable
     assert check_tautology(parse("~~(p1 -> p1)")).provable
-
-
-def test_depth_limit_cuts_the_search():
-    with pytest.raises(ReductionDepthError):
-        check_tautology(parse(IDENTITY), depth_limit=0)
-    assert check_tautology(parse(IDENTITY), depth_limit=1).provable
 
 
 def _implication_chain(height):
@@ -123,14 +101,12 @@ def _implication_chain(height):
     "entry",
     [
         check_tautology,
-        lambda formula: check_tautology(formula, mode="rhbl"),
         lambda formula: check_no_tautology(formula, Certificate((1,))),
         build_rwbl_tree,
-        lambda formula: build_rhbl_tree(formula, 10),
         lambda formula: follow_certificate(formula, Certificate((1,))),
         summarize_rwbl_stats,
     ],
-    ids=["rwbl", "rhbl", "verify", "rwbl_tree", "rhbl_tree", "replay", "rwbl_stats"],
+    ids=["rwbl", "verify", "rwbl_tree", "replay", "rwbl_stats"],
 )
 def test_formulas_built_past_the_parser_limits_are_refused(entry):
     # The parser never sees API-built formulas; the recursive helpers would end
@@ -192,69 +168,36 @@ def test_decisions_are_deterministic():
     assert first.countermodel == second.countermodel
 
 
-@pytest.fixture()
-def alarm():
-    """Run a callable under a SIGALRM limit in seconds; None when it ran out."""
-
-    # The handler records the expiry before it raises: a TimeoutError raised
-    # inside a garbage-collector callback is only reported, never propagated,
-    # and the call then runs on to a result that must still count as expired.
-    fired = []
-
-    def expire(signum, frame):
-        fired.append(signum)
-        raise TimeoutError
-
-    previous = signal.signal(signal.SIGALRM, expire)
-
-    def run(seconds, call):
-        fired.clear()
-        signal.alarm(seconds)
-        try:
-            result = call()
-        except TimeoutError:
-            return None
-        finally:
-            signal.alarm(0)
-        return None if fired else result
-
-    yield run
-    signal.signal(signal.SIGALRM, previous)
-
-
-def _reference_search(formula, mode):
+def _reference_search(formula):
     """The search without the prune: every label expanded, every leaf classified."""
-    expand, limit = prover._calculus(mode, formula)
 
     def leaf(label):
         verdict = check_axiom(label)
         return None if verdict.is_axiom else verdict
 
     return fold_tree(
-        root_label(formula), expand, limit, leaf, lambda *_: None, lambda v: v is not None
+        root_label(formula),
+        rwbl_premises,
+        complexity(formula),
+        leaf,
+        lambda *_: None,
+        lambda v: v is not None,
     )
 
 
-def _assert_matches_reference(formula, mode, result, reference):
+def _assert_matches_reference(formula, result, reference):
     verdict, path = reference
     assert result.provable == (path is None)
     if path is None:
         return
     moves, branch = path
     assert result.branch == branch
-    countermodel = verdict.countermodel.to_json()
-    if mode == "rwbl":
-        padded = moves + (0,) * (complexity(formula) - len(moves))
-        assert result.certificate == Certificate(padded)
-    else:
-        assert result.certificate is None
-        # Variables the leaf lacks are set to zero; see the test below.
-        for index in variables_in(formula):
-            countermodel["assignment"].setdefault(f"p{index}", "0+0/1")
-    assert result.countermodel.to_json() == countermodel
+    padded = moves + (0,) * (complexity(formula) - len(moves))
+    assert result.certificate == Certificate(padded)
+    assert result.countermodel.to_json() == verdict.countermodel.to_json()
 
 
-def test_pruned_search_matches_the_full_search(alarm):
+def test_pruned_search_matches_the_full_search():
     rng = random.Random(2026)
     rwbl = 0
     while rwbl < 120:
@@ -263,16 +206,7 @@ def test_pruned_search_matches_the_full_search(alarm):
             continue
         rwbl += 1
         result = check_tautology(formula)
-        _assert_matches_reference(formula, "rwbl", result, _reference_search(formula, "rwbl"))
-    compared = 0
-    for _ in range(25):
-        formula = random_formula(rng, rng.randint(1, 3), 3)
-        reference = alarm(1, lambda: _reference_search(formula, "rhbl"))
-        if reference is not None:
-            result = check_tautology(formula, mode="rhbl")
-            _assert_matches_reference(formula, "rhbl", result, reference)
-            compared += 1
-    assert compared >= 15
+        _assert_matches_reference(formula, result, _reference_search(formula))
 
 
 def test_pruned_settled_parts_are_valid_by_the_oracle(monkeypatch):
@@ -323,31 +257,6 @@ def test_decisions_agree_with_a_grid_of_ordinal_sums(formula):
             break
 
 
-def test_single_occurrence_countermodel_binds_dropped_variables(capsys):
-    # An rhbl premise can drop the sequent that hosts the pivot, and with it
-    # every occurrence of p2; the countermodel must still bind p2.
-    text = "(p2 -> p3 -> p3) * p3"
-    formula = parse(text)
-    result = check_tautology(formula, mode="rhbl")
-    assert not result.provable
-    assert variables(result.branch[-1]) == {3}
-    assert {i for i, _ in result.countermodel.items()} == {2, 3}
-    assert result.countermodel.value_of(2) == ZERO
-    assert verify_branch_countermodel(result.countermodel, result.branch, formula)
-    assert cli_main(["prove", text, "--mode", "rhbl", "--countermodel"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "not provable"
-    assert set(json.loads(lines[1])["assignment"]) == {"p2", "p3"}
-
-
-def test_single_occurrence_search_finishes_on_a_small_formula(alarm):
-    formula = parse("0 * (p3 * 0 * p2)")
-    result = alarm(60, lambda: check_tautology(formula, mode="rhbl"))
-    assert result is not None, "the rhbl search ran past 60 s"
-    assert not result.provable
-    assert verify_branch_countermodel(result.countermodel, result.branch, formula)
-
-
 class TestCliProve:
     def test_provable_exit_zero(self, capsys):
         assert cli_main(["prove", WEAKENING]) == 0
@@ -391,10 +300,9 @@ class TestCliProve:
         assert time.perf_counter() - start < 5
         assert capsys.readouterr().err.startswith("parse error:")
 
-    def test_no_certificates_in_single_occurrence_mode(self, capsys):
-        code = cli_main(["prove", "p1", "--mode", "rhbl", "--certificate"])
-        assert code == 2
-        assert "certificates exist only in rwbl mode" in capsys.readouterr().err
+    def test_mode_option_is_a_usage_error(self, capsys):
+        assert cli_main(["prove", "p1", "--mode", "rhbl"]) == 2
+        assert "unrecognized arguments: --mode rhbl" in capsys.readouterr().err
 
     def test_missing_command_exits_two(self, capsys):
         assert cli_main([]) == 2
@@ -510,3 +418,14 @@ class TestCliEval:
         code = cli_main(["eval", "p1", "--valuation", str(tmp_path / "nope.json")])
         assert code == 2
         assert capsys.readouterr().err.startswith("cannot read valuation file:")
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"assignment": "x"}, {"assignment": None}, {"assignment": {"p1": "0+1/0"}}],
+        ids=["string", "null", "zero_denominator"],
+    )
+    def test_malformed_valuation_file(self, tmp_path, capsys, data):
+        path = tmp_path / "valuation.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert cli_main(["eval", "p1", "--valuation", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("malformed valuation file:")
