@@ -21,8 +21,6 @@ from .reduction import (
     render_tree_dot,
     render_tree_lines,
     root_label,
-    summarize_rwbl_stats,
-    tree_stats,
     tree_to_json,
 )
 from .semantics import ZERO, Valuation, eval_formula, render_value
@@ -209,19 +207,15 @@ def _cmd_verify(args, formula: Formula) -> int:
 
 
 def _cmd_tree(args, formula: Formula) -> int:
-    if args.emit is None and args.stats:
-        # Statistics alone need no materialised tree.
-        stats = summarize_rwbl_stats(formula)
-    else:
-        tree = build_rwbl_tree(formula)
-        if args.emit == "dot":
-            print(render_tree_dot(tree))
-        elif args.emit == "json":
-            print(tree_to_json(tree))
-        else:
-            print(render_tree_lines(tree))
-        stats = tree_stats(tree) if args.stats else None
-    if stats is not None:
+    tree = build_rwbl_tree(formula)
+    if args.emit == "dot":
+        print(render_tree_dot(tree))
+    elif args.emit == "json":
+        print(tree_to_json(tree))
+    elif not args.stats:
+        print(render_tree_lines(tree))
+    if args.stats:
+        stats = tree.stats
         print(
             f"height={stats.height} nodes={stats.node_count} "
             f"leaves={stats.leaf_count} max_branch_weight={stats.max_branch_weight}"

@@ -3,21 +3,21 @@
 A reduction tree starts from the goal hypersequent ``top <= A`` and expands
 every node with the premises of the whole-hypersequent rewriting calculus
 until all leaves are irreducible.  One memoised walker, ``fold_tree``, does
-every expansion: tree building, statistics and the provability search fold
-over it, and ``iter_rwbl_leaves`` streams leaves through its step.  One
-depth guard, in that step, bounds the height: it never exceeds the
-connective count of A, because each step removes the pivot from the set of
-compound formulas of the label and introduces only proper subformulas, so
-the guard at that limit doubles as a bug detector.  An expansion may also
-return no premises, which makes the label a leaf: the provability search
-does so for labels it already knows to be valid.
+every expansion: ``build_rwbl_tree`` folds the nodes and their statistics in
+one pass, and the provability search folds its verdicts.  One depth guard,
+in that walker's step, bounds the height: it never exceeds the connective
+count of A, because each step removes the pivot from the set of compound
+formulas of the label and introduces only proper subformulas, so the guard
+at that limit doubles as a bug detector.  An expansion may also return no
+premises, which makes the label a leaf: the provability search does so for
+labels it already knows to be valid.
 
 The all-atomic sequents of a label, its settled part S, never pivot, and the
 calculus carries them unchanged into every premise; the pivot and the
 rewritten occurrences lie in the rest, the open part U.  So the premises of
 S ∪ U are S joined to each premise of U, with the same tags and indices.
-``build_rwbl_tree`` and ``summarize_rwbl_stats`` rely on this identity to
-expand each distinct open part once per call.
+``build_rwbl_tree`` relies on this identity to expand each distinct open
+part once per call.
 
 A certificate compresses one branch into the sequence of premise indices
 taken at each level, padded with zeros once a leaf is reached; its length is
@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from .calculus import Premise, rwbl_premises
-from .formula import TOP, Conj, Formula, check_limits, complexity, parse, render
+from .formula import TOP, Formula, check_limits, complexity, parse, render
 from .hypersequent import (
     RelationalHypersequent,
     RelationalSequent,
@@ -72,17 +72,26 @@ class ReductionNode:
 
 
 @dataclass(frozen=True)
-class ReductionTree:
-    formula: Formula
-    root: ReductionNode
-
-
-@dataclass(frozen=True)
 class TreeStats:
+    """Height, node and leaf counts, and the heaviest branch weight.
+
+    The counts describe every node occurrence.  A branch weighs the sum of
+    label_weight over its labels, from the root to its leaf.
+    """
+
     height: int
     node_count: int
     leaf_count: int
     max_branch_weight: int
+
+
+@dataclass(frozen=True)
+class ReductionTree:
+    """The reduction tree of a formula, with the statistics of all its nodes."""
+
+    formula: Formula
+    root: ReductionNode
+    stats: TreeStats
 
 
 def root_label(formula: Formula) -> RelationalHypersequent:
@@ -180,30 +189,6 @@ def _by_open_part(expand: Expand) -> Expand:
     return by_open_part
 
 
-def _children(
-    label: RelationalHypersequent,
-    premises: tuple[Premise, ...],
-    subtrees: Sequence[tuple[ReductionNode, ...]],
-) -> tuple[ReductionNode, ...]:
-    return tuple(ReductionNode(p.label, p.index, p.tag, sub) for p, sub in zip(premises, subtrees))
-
-
-def build_rwbl_tree(formula: Formula, depth_limit: int | None = None) -> ReductionTree:
-    """Full reduction tree in the whole-hypersequent rewriting calculus.
-
-    The depth limit defaults to the connective count of the formula, which is
-    a proven bound on the height; exceeding it raises ReductionDepthError.
-    Formulas beyond the parser's size limits raise ValueError.  Premises of a
-    label S ∪ U with settled part S are S ∪ premises(U), so each distinct
-    open part U is expanded once.
-    """
-    check_limits(formula)
-    limit = complexity(formula) if depth_limit is None else depth_limit
-    root = root_label(formula)
-    children, _ = fold_tree(root, _by_open_part(rwbl_premises), limit, lambda label: (), _children)
-    return ReductionTree(formula, ReductionNode(root, None, None, children))
-
-
 def label_weight(g: RelationalHypersequent) -> int:
     """Size of a canonical label: connectives plus atoms plus relations.
 
@@ -215,14 +200,22 @@ def label_weight(g: RelationalHypersequent) -> int:
     return sum(s.weight() for s in g)
 
 
-def _leaf_stats(label: RelationalHypersequent) -> TreeStats:
-    return TreeStats(0, 1, 1, label_weight(label))
+# A subtree as build_rwbl_tree folds it: its root's children and its statistics.
+Folded = tuple[tuple[ReductionNode, ...], TreeStats]
 
 
-def _inner_stats(
-    label: RelationalHypersequent, premises: Sequence[object], subs: Sequence[TreeStats]
-) -> TreeStats:
-    return TreeStats(
+def _fold_leaf(label: RelationalHypersequent) -> Folded:
+    return (), TreeStats(0, 1, 1, label_weight(label))
+
+
+def _fold_inner(
+    label: RelationalHypersequent, premises: tuple[Premise, ...], subtrees: Sequence[Folded]
+) -> Folded:
+    children = tuple(
+        ReductionNode(p.label, p.index, p.tag, sub) for p, (sub, _) in zip(premises, subtrees)
+    )
+    subs = [stats for _, stats in subtrees]
+    return children, TreeStats(
         1 + max(s.height for s in subs),
         1 + sum(s.node_count for s in subs),
         sum(s.leaf_count for s in subs),
@@ -230,85 +223,28 @@ def _inner_stats(
     )
 
 
-def tree_stats(tree: ReductionTree) -> TreeStats:
-    """Height, node and leaf counts, and the heaviest branch weight.
+def build_rwbl_tree(formula: Formula, depth_limit: int | None = None) -> ReductionTree:
+    """Full reduction tree in the whole-hypersequent rewriting calculus.
 
-    The counts describe every node occurrence, but each distinct label is
-    valued once: nodes with equal labels share one children tuple, so they
-    root equal subtrees.
-    """
-    memo: dict[RelationalHypersequent, TreeStats] = {}
-    stack = [tree.root]
-    while stack:
-        node = stack[-1]
-        if node.label in memo:
-            stack.pop()
-            continue
-        pending = [child for child in node.children if child.label not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        if node.is_leaf:
-            memo[node.label] = _leaf_stats(node.label)
-        else:
-            subs = [memo[child.label] for child in node.children]
-            memo[node.label] = _inner_stats(node.label, node.children, subs)
-    return memo[tree.root.label]
-
-
-def summarize_rwbl_stats(formula: Formula) -> TreeStats:
-    """Same statistics as tree_stats, without materializing the tree.
-
-    The counts describe the full tree, although each distinct label is
-    valued once and, since the premises of S ∪ U are S ∪ premises(U) for the
-    settled part S, each distinct open part U is expanded once.  That keeps
-    large trees (tens of thousands of branches) affordable to measure.
-    Formulas beyond the parser's size limits raise ValueError.
+    The depth limit defaults to the connective count of the formula, which is
+    a proven bound on the height; exceeding it raises ReductionDepthError.
+    Formulas beyond the parser's size limits raise ValueError.  Premises of a
+    label S ∪ U with settled part S are S ∪ premises(U), so each distinct
+    open part U is expanded once.  The pass that builds the nodes also
+    computes the tree's statistics, valuing each distinct label once.
     """
     check_limits(formula)
-    stats, _ = fold_tree(
-        root_label(formula),
-        _by_open_part(rwbl_premises),
-        complexity(formula),
-        _leaf_stats,
-        _inner_stats,
+    limit = complexity(formula) if depth_limit is None else depth_limit
+    root = root_label(formula)
+    (children, stats), _ = fold_tree(
+        root, _by_open_part(rwbl_premises), limit, _fold_leaf, _fold_inner
     )
-    return stats
+    return ReductionTree(formula, ReductionNode(root, None, None, children), stats)
 
 
-def iter_rwbl_leaves(formula: Formula) -> Iterator[RelationalHypersequent]:
-    """Every leaf occurrence of the rewriting tree, depth first, lazily."""
-    limit = complexity(formula)
-    stack: list[tuple[RelationalHypersequent, int]] = [(root_label(formula), 0)]
-    while stack:
-        label, depth = stack.pop()
-        premises = _step(label, depth, limit, rwbl_premises)
-        if premises is None:
-            yield label
-        else:
-            stack.extend((p.label, depth + 1) for p in reversed(premises))
-
-
-def branch_estimate(formula: Formula) -> int:
-    """Upper bound on the number of branches of the rewriting tree.
-
-    Each distinct compound subformula is pivoted at most once per branch and
-    contributes its premise fan-out as a factor.
-    """
-    from .formula import compound_subformulas
-
-    estimate = 1
-    for f in compound_subformulas(formula):
-        if f == TOP:
-            continue
-        estimate *= 5 if isinstance(f, Conj) else 3
-    return estimate
-
-
-def weight_bound(n: int) -> int:
-    """Cubic envelope for branch weights at connective count n."""
-    return 24 * n**3 + 61 * n**2 + 50 * n + 13
+def tree_stats(tree: ReductionTree) -> TreeStats:
+    """The statistics build_rwbl_tree computed while building the tree."""
+    return tree.stats
 
 
 @dataclass(frozen=True)

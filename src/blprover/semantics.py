@@ -129,7 +129,8 @@ class Valuation:
             raise ValueError("valuation assignment must be an object")
         assignment = {}
         for name, text in data["assignment"].items():
-            if not re.fullmatch(r"p\d+", name):
+            # Only the names to_json writes, so no two names bind one variable.
+            if not re.fullmatch(r"p(?:0|[1-9][0-9]*)", name):
                 raise ValueError(f"bad variable name {name!r}")
             assignment[int(name[1:])] = parse_value(text)
         return cls(assignment)

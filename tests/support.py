@@ -1,9 +1,11 @@
-"""Brute-force semantic checkers backing the test suite.
+"""Brute-force semantic checkers, random inputs and tree measures for the tests.
 
 Nothing here is part of the decision procedure.  The leaf oracle decides
 satisfiability of a negated irreducible hypersequent by enumerating integer
 parts outright, so it shares no reasoning with the clustering pipeline, and
-the fuzzer replays the reduction rules against random valuations.
+the fuzzer replays the reduction rules against random valuations.  The tree
+measures bound the size of rewriting trees, ``walk_stats`` recomputes a
+tree's statistics node by node, and ``rwbl_leaves`` lists its leaves.
 """
 
 from __future__ import annotations
@@ -12,11 +14,22 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .calculus import Premise, rhbl_premises, rwbl_premises, smaller_child
-from .formula import BOT, Bottom, Conj, Formula, Impl, TOP, Var, complexity, is_atomic
-from .hypersequent import (
+from blprover.calculus import Premise, rhbl_premises, rwbl_premises, smaller_child
+from blprover.formula import (
+    BOT,
+    Bottom,
+    Conj,
+    Formula,
+    Impl,
+    TOP,
+    Var,
+    complexity,
+    compound_subformulas,
+    is_atomic,
+)
+from blprover.hypersequent import (
     RelationalHypersequent,
     decompose,
     expand_abbreviation,
@@ -26,9 +39,9 @@ from .hypersequent import (
     subst_all,
     variables,
 )
-from .linfeas import LinConstraint, solve
-from .reduction import root_label
-from .semantics import Finite, INF, OmegaValue, Valuation, satisfies
+from blprover.linfeas import LinConstraint, solve
+from blprover.reduction import ReductionNode, TreeStats, build_rwbl_tree, root_label
+from blprover.semantics import Finite, INF, OmegaValue, Valuation, satisfies
 
 
 class OracleBudgetError(RuntimeError):
@@ -317,3 +330,63 @@ def fuzz_rules(
         if stop_after is not None and len(report.violations) >= stop_after:
             break
     return report
+
+
+def branch_estimate(formula: Formula) -> int:
+    """Upper bound on the number of branches of the rewriting tree.
+
+    Each distinct compound subformula is pivoted at most once per branch and
+    contributes its premise fan-out as a factor.
+    """
+    estimate = 1
+    for f in compound_subformulas(formula):
+        if f == TOP:
+            continue
+        estimate *= 5 if isinstance(f, Conj) else 3
+    return estimate
+
+
+def weight_bound(n: int) -> int:
+    """Cubic envelope for branch weights at connective count n."""
+    return 24 * n**3 + 61 * n**2 + 50 * n + 13
+
+
+def rwbl_leaves(formula: Formula) -> Iterator[RelationalHypersequent]:
+    """Every leaf occurrence of the rewriting tree, depth first in premise order."""
+    stack = [build_rwbl_tree(formula).root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            yield node.label
+        else:
+            stack.extend(reversed(node.children))
+
+
+def _node_count(formula: Formula) -> int:
+    if isinstance(formula, (Conj, Impl)):
+        return 1 + _node_count(formula.left) + _node_count(formula.right)
+    return 1
+
+
+def recount_weight(label: RelationalHypersequent) -> int:
+    """One per sequent, one per bare top, every formula node otherwise."""
+    return sum(
+        1 + sum(1 if f == TOP else _node_count(f) for f in s.formulas()) for s in label
+    )
+
+
+def walk_stats(root: ReductionNode) -> TreeStats:
+    """Reference: visit every node occurrence, weighing each label from scratch."""
+    height = nodes = leaves = max_weight = 0
+    stack = [(root, 0, 0)]
+    while stack:
+        node, depth, weight_above = stack.pop()
+        nodes += 1
+        weight = weight_above + recount_weight(node.label)
+        if node.is_leaf:
+            leaves += 1
+            height = max(height, depth)
+            max_weight = max(max_weight, weight)
+        else:
+            stack.extend((child, depth + 1, weight) for child in node.children)
+    return TreeStats(height, nodes, leaves, max_weight)

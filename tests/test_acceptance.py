@@ -26,11 +26,13 @@ from blprover import (
 from blprover.axiom_check import check_axiom
 from blprover.formula import variables_in
 from blprover.hypersequent import LL, hseq, preceq, prec, seq, variables
-from blprover.oracle import fuzz_rules, oracle_leaf_satisfiable, random_formula
-from blprover.reduction import (
+from blprover.reduction import build_rwbl_tree
+from support import (
     branch_estimate,
-    iter_rwbl_leaves,
-    summarize_rwbl_stats,
+    fuzz_rules,
+    oracle_leaf_satisfiable,
+    random_formula,
+    rwbl_leaves,
     weight_bound,
 )
 
@@ -75,7 +77,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def corpus_stats(corpus):
-    return {f: summarize_rwbl_stats(f) for f in corpus}
+    return {f: build_rwbl_tree(f).stats for f in corpus}
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +180,7 @@ def test_criterion_08_every_leaf_keeps_the_formula_variables(leaf_corpus):
     leaves = 0
     for f in leaf_corpus:
         expected = set(variables_in(f))
-        for leaf in iter_rwbl_leaves(f):
+        for leaf in rwbl_leaves(f):
             assert variables(leaf) == expected
             leaves += 1
     print(f"criterion 8: variable preservation holds on {leaves} leaves")
@@ -191,7 +193,7 @@ def test_criterion_08_every_leaf_keeps_the_formula_variables(leaf_corpus):
 )
 def test_criterion_08_every_leaf_variable_carries_top_comparisons(leaf_corpus):
     for f in leaf_corpus:
-        for leaf in iter_rwbl_leaves(f):
+        for leaf in rwbl_leaves(f):
             present = set(leaf)
             indices = sorted(variables(leaf))
             for i in indices:
@@ -212,7 +214,7 @@ def test_criterion_08_introduced_pairs_carry_their_comparisons(leaf_corpus):
     the full apparatus for every such pair it contains."""
     leaves = pairs = 0
     for f in leaf_corpus:
-        for leaf in iter_rwbl_leaves(f):
+        for leaf in rwbl_leaves(f):
             leaves += 1
             present = set(leaf)
             for s in leaf:
@@ -244,7 +246,7 @@ def test_criterion_09_leaf_classifier_agrees_with_the_oracle(corpus):
     for f in corpus:
         if complexity(f) > 6:
             continue
-        for leaf in islice(iter_rwbl_leaves(f), 5):
+        for leaf in islice(rwbl_leaves(f), 5):
             verdict = check_axiom(leaf)
             countermodel = oracle_leaf_satisfiable(leaf)
             assert (countermodel is None) == verdict.is_axiom

@@ -34,9 +34,8 @@ from blprover.axiom_check import (
     contract_and_sort,
     negate_leaf,
 )
-from blprover.oracle import oracle_leaf_satisfiable, random_formula
-from blprover.reduction import iter_rwbl_leaves
 from blprover.semantics import Valuation
+from support import oracle_leaf_satisfiable, random_formula, rwbl_leaves
 
 P1, P2, P3 = Var(1), Var(2), Var(3)
 
@@ -319,7 +318,7 @@ def test_pipeline_agrees_with_enumeration_on_random_leaves():
     checked = 0
     while checked < 60:
         formula = random_formula(rng, rng.randint(1, 4), 2)
-        for leaf in iter_rwbl_leaves(formula):
+        for leaf in rwbl_leaves(formula):
             _agree(leaf, check_axiom(leaf))
             checked += 1
             if checked >= 60:

@@ -25,8 +25,8 @@ from blprover.hypersequent import (
     subst_pair,
     variables,
 )
-from blprover.oracle import random_formula, random_valuation
 from blprover.reduction import build_rwbl_tree, root_label
+from support import random_formula, random_valuation
 
 A, B, C = Var(1), Var(2), Var(3)
 

@@ -8,7 +8,8 @@ import pytest
 from blprover import Conj, INF, TOP, Var, complexity, hseq, prec, preceq, render, satisfies, seq
 from blprover.formula import variables_in
 from blprover.hypersequent import LL
-from blprover.oracle import (
+from blprover.semantics import Finite, Valuation
+from support import (
     FuzzReport,
     OracleBudgetError,
     fuzz_rules,
@@ -16,7 +17,6 @@ from blprover.oracle import (
     random_formula,
     random_valuation,
 )
-from blprover.semantics import Finite, Valuation
 
 P1, P2 = Var(1), Var(2)
 

