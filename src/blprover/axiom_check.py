@@ -1,10 +1,13 @@
 """Deciding irreducible hypersequents: axiom or explicit countermodel.
 
 An irreducible label is valid exactly when the conjunction of the negations
-of its sequents admits no valuation.  The decision has three stages:
+of its sequents admits no valuation.  negate_leaf reads each sequent once
+and gives one negation per relation: NegLl for ``<<`` and NegFrac for the
+fractional ``<=_z`` and ``<_z``.  The decision has three stages:
 
 1. Integer parts.  Each negated ``<<`` sequent asserts one floor inequality;
-   these become edges of a graph over the atoms, and one reachability
+   these become edges of a graph over the leaf's atoms and top (passed to
+   contract_and_sort as a vertex set and an edge set), and one reachability
    closure of that graph settles every floor constraint.  If top's floor
    reaches falsum's, the two pins clash and the negation is refuted.
    Otherwise vertices that reach falsum share its floor 0, vertices top
@@ -32,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Iterable, Sequence, Union
+from typing import AbstractSet, Iterable, Sequence, Union
 
 from .formula import BOT, Bottom, Formula, TOP, Var, is_atomic
 from .hypersequent import RelationalHypersequent, variables
@@ -49,48 +52,22 @@ class NegLl:
 
 
 @dataclass(frozen=True)
-class NegPrecEq:
-    """Negation of a one-each-side ``left <= right``: floors differ or value(right) < value(left)."""
+class NegFrac:
+    """Negation of ``lefts <=_z rights``, or of ``lefts <_z rights`` when strict.
 
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class NegPrec:
-    """Negation of a one-each-side ``left < right``: floors differ or value(right) <= value(left)."""
-
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class NegMultiPrecEq:
-    """Negation of a general ``<=_z`` sequent, constraining fractional sums."""
+    The negation constrains fractional sums when all atoms share one finite
+    floor.  unit marks the one-each-side shape with index 0, the only shape
+    whose negation survives with bare top among its atoms.
+    """
 
     lefts: tuple[Formula, ...]
     rights: tuple[Formula, ...]
     z: int
+    strict: bool
+    unit: bool
 
 
-@dataclass(frozen=True)
-class NegMultiPrec:
-    """Negation of a general ``<_z`` sequent, constraining fractional sums."""
-
-    lefts: tuple[Formula, ...]
-    rights: tuple[Formula, ...]
-    z: int
-
-
-NegatedSequent = Union[NegLl, NegPrecEq, NegPrec, NegMultiPrecEq, NegMultiPrec]
-
-
-@dataclass(frozen=True)
-class ClusterGraph:
-    """Floor-comparison graph: edge (tail, head) asserts floor(tail) <= floor(head)."""
-
-    vertices: frozenset[Formula]
-    edges: frozenset[tuple[Formula, Formula]]
+NegatedSequent = Union[NegLl, NegFrac]
 
 
 @dataclass(frozen=True)
@@ -104,7 +81,7 @@ class AxiomVerdict:
 
 
 def negate_leaf(h: RelationalHypersequent) -> list[NegatedSequent]:
-    """Negate each sequent of an irreducible hypersequent.
+    """Negate each sequent of an irreducible hypersequent, one type per relation.
 
     General fractional sequents containing bare top are dead: they require
     all values finite, so they are never satisfied and their negations hold
@@ -113,21 +90,17 @@ def negate_leaf(h: RelationalHypersequent) -> list[NegatedSequent]:
     """
     out: list[NegatedSequent] = []
     for s in h:
-        for f in s.formulas():
-            if not is_atomic(f):
-                raise ValueError(f"leaf expected, found compound formula {f!r}")
+        if not s.all_atomic:
+            f = next(f for f in s.formulas() if not is_atomic(f))
+            raise ValueError(f"leaf expected, found compound formula {f!r}")
         if s.kind.is_ll:
             if len(s.left) != 1 or len(s.right) != 1:
                 raise ValueError("a << sequent in a leaf must have one formula per side")
             out.append(NegLl(s.left[0], s.right[0]))
-        elif s.kind.z == 0 and len(s.left) == 1 and len(s.right) == 1:
-            cls = NegPrec if s.kind.strict else NegPrecEq
-            out.append(cls(s.left[0], s.right[0]))
-        else:
-            if TOP in s.left or TOP in s.right:
-                continue
-            mcls = NegMultiPrec if s.kind.strict else NegMultiPrecEq
-            out.append(mcls(s.left, s.right, s.kind.z))
+            continue
+        unit = s.kind.z == 0 and len(s.left) == 1 and len(s.right) == 1
+        if unit or (TOP not in s.left and TOP not in s.right):
+            out.append(NegFrac(s.left, s.right, s.kind.z, s.kind.strict, unit))
     return out
 
 
@@ -141,50 +114,29 @@ def _atom_key(atom: Formula) -> tuple:
     return (1, 0)
 
 
-def leaf_atoms(h: RelationalHypersequent) -> frozenset[Formula]:
-    atoms = set()
-    for s in h:
-        for f in s.formulas():
-            if not is_atomic(f):
-                raise ValueError(f"leaf expected, found compound formula {f!r}")
-            atoms.add(f)
-    return frozenset(atoms)
-
-
-def build_graph(negs: Iterable[NegatedSequent], atoms: Iterable[Formula]) -> ClusterGraph:
-    """Vertices are the leaf atoms plus top; edges come from negated ``<<``."""
-    vertices = set(atoms) | {TOP}
-    edges = set()
-    for neg in negs:
-        if isinstance(neg, NegLl):
-            edges.add((neg.right, neg.left))
-            vertices.add(neg.left)
-            vertices.add(neg.right)
-    return ClusterGraph(frozenset(vertices), frozenset(edges))
-
-
 def contract_and_sort(
-    graph: ClusterGraph,
+    vertices: AbstractSet[Formula], edges: AbstractSet[tuple[Formula, Formula]]
 ) -> tuple[tuple[frozenset[Formula], ...], frozenset[tuple[int, int]], bool]:
     """Group the floor graph's vertices and order the groups topologically.
 
-    One reachability closure decides everything.  The clash flag is set when
-    top's floor reaches falsum's, which refutes the negated leaf outright;
-    the groups are then the strongly connected components (mutually reachable
-    vertices, whose floors are squeezed equal).  Otherwise every vertex that
-    reaches falsum joins falsum's group (floor pinned to 0), every vertex top
-    reaches joins top's group (floor pinned to infinity), and each remaining
-    vertex joins its component.  The groups are sorted so every edge points
-    forward; ties are broken by the smallest member atom, falsum first,
-    variables by index, top last.  Returns the ordered groups, the edge set
-    over their positions and the clash flag.
+    The vertices are atoms, top among them; an edge (tail, head) asserts
+    floor(tail) <= floor(head).  One reachability closure decides everything.
+    The clash flag is set when top's floor reaches falsum's, which refutes the
+    negated leaf outright; the groups are then the strongly connected
+    components (mutually reachable vertices, whose floors are squeezed equal).
+    Otherwise every vertex that reaches falsum joins falsum's group (floor
+    pinned to 0), every vertex top reaches joins top's group (floor pinned to
+    infinity), and each remaining vertex joins its component.  The groups are
+    sorted so every edge points forward; ties are broken by the smallest
+    member atom, falsum first, variables by index, top last.  Returns the
+    ordered groups, the edge set over their positions and the clash flag.
     """
-    verts = sorted(graph.vertices, key=_atom_key)
+    verts = sorted(vertices, key=_atom_key)
     position = {v: i for i, v in enumerate(verts)}
     n = len(verts)
     # Bit j of reach[i] is set when floor(verts[i]) <= floor(verts[j]) is forced.
     reach = [1 << i for i in range(n)]
-    for tail, head in graph.edges:
+    for tail, head in edges:
         reach[position[tail]] |= 1 << position[head]
     for k in range(n):
         for i in range(n):
@@ -212,7 +164,7 @@ def contract_and_sort(
         groups.append(frozenset(verts[j] for j in same))
     gedges = {
         (group_of[position[t]], group_of[position[h]])
-        for t, h in graph.edges
+        for t, h in edges
         if group_of[position[t]] != group_of[position[h]]
     }
     order = _topo_order(groups, gedges, lambda c: min(_atom_key(f) for f in c))
@@ -272,12 +224,13 @@ def build_lp(
 ) -> list[LinConstraint]:
     """Fractional rows for the negated sequents under a fixed clustering.
 
-    One-each-side forms constrain only when both atoms share a cluster; a
-    shared infinite cluster refutes a negated ``<=`` outright (encoded as the
-    constant row 0 < 0) and trivializes a negated ``<``.  General forms
-    constrain exactly when all their atoms share one finite cluster; the
-    floor assignment neutralizes them otherwise.  Falsum's fractional part is
-    the constant 0 and contributes to the multiset sizes but not to the
+    A negated fractional sequent constrains exactly when all its atoms share
+    one finite cluster; the floor assignment neutralizes it otherwise.  Its
+    row bounds the right fractions minus the left ones by
+    len(rights) - len(lefts) - z, which is 0 for the unit shape.  The one
+    exception is a negated unit ``<=`` inside the infinite cluster, refuted
+    outright (encoded as the constant row 0 < 0).  Falsum's fractional part
+    is the constant 0 and contributes to the multiset sizes but not to the
     coefficients.
     """
     cluster_of = {atom: i for i, cluster in enumerate(clusters) for atom in cluster}
@@ -285,35 +238,20 @@ def build_lp(
     for neg in negs:
         if isinstance(neg, NegLl):
             continue
-        if isinstance(neg, (NegPrec, NegPrecEq)):
-            i = cluster_of[neg.left]
-            j = cluster_of[neg.right]
-            if i != j:
-                continue
-            if TOP in clusters[i]:
-                if isinstance(neg, NegPrecEq):
-                    rows.append(LinConstraint({}, 0, strict=True))
-                continue
-            coeffs: dict[int, int] = {}
-            _add_frac(coeffs, neg.right, 1)
-            _add_frac(coeffs, neg.left, -1)
-            rows.append(LinConstraint(coeffs, 0, strict=isinstance(neg, NegPrecEq)))
-            continue
         spots = {cluster_of[a] for a in neg.lefts + neg.rights}
-        if len(spots) != 1 or TOP in clusters[spots.pop()]:
+        if len(spots) != 1:
             continue
-        coeffs = {}
+        if TOP in clusters[spots.pop()]:
+            if neg.unit and not neg.strict:
+                rows.append(LinConstraint({}, 0, strict=True))
+            continue
+        coeffs: dict[int, int] = {}
         for atom in neg.rights:
             _add_frac(coeffs, atom, 1)
         for atom in neg.lefts:
             _add_frac(coeffs, atom, -1)
-        rows.append(
-            LinConstraint(
-                coeffs,
-                len(neg.rights) - len(neg.lefts) - neg.z,
-                strict=isinstance(neg, NegMultiPrecEq),
-            )
-        )
+        bound = len(neg.rights) - len(neg.lefts) - neg.z
+        rows.append(LinConstraint(coeffs, bound, strict=not neg.strict))
     return rows
 
 
@@ -335,9 +273,8 @@ def _least_escape(
     for neg in negs:
         if isinstance(neg, NegLl):
             continue
-        unit = isinstance(neg, (NegPrec, NegPrecEq))
-        spots = {cluster_of[a] for a in ((neg.left, neg.right) if unit else neg.lefts + neg.rights)}
-        if isinstance(neg, NegPrecEq):
+        spots = {cluster_of[a] for a in neg.lefts + neg.rights}
+        if neg.unit and not neg.strict:
             if spots == {top_at}:
                 return None
             kept.append(spots - {top_at})
@@ -392,16 +329,20 @@ def build_countermodel(
 def check_axiom(h: RelationalHypersequent) -> AxiomVerdict:
     """Classify an irreducible hypersequent.
 
-    The floor graph is grouped and sorted once (contract_and_sort); a clash of
-    the falsum and top pins is an axiom with the plain components as its
-    clusters.  Otherwise returns an Axiom verdict when the negated leaf is
-    unsatisfiable, else a NotAxiom verdict carrying a countermodel, which is
-    always re-checked against the leaf before being returned.  Its infinite
-    clusters form the least escape set, which every countermodel over these
-    floors escapes too.
+    The leaf is negated once (negate_leaf).  Its atoms and top, with one edge
+    per negated ``<<``, form the floor graph, grouped and sorted once
+    (contract_and_sort); a clash of the falsum and top pins is an axiom with
+    the plain components as its clusters.  Otherwise returns an Axiom verdict
+    when the negated leaf is unsatisfiable, else a NotAxiom verdict carrying a
+    countermodel, which is always re-checked against the leaf before being
+    returned.  Its infinite clusters form the least escape set, which every
+    countermodel over these floors escapes too.
     """
     negs = negate_leaf(h)
-    clusters, edges, clash = contract_and_sort(build_graph(negs, leaf_atoms(h)))
+    clusters, edges, clash = contract_and_sort(
+        {TOP}.union(*(s.left + s.right for s in h)),
+        {(neg.right, neg.left) for neg in negs if isinstance(neg, NegLl)},
+    )
     if clash:
         return AxiomVerdict(True, None, clusters, None)
     escape = _least_escape(negs, clusters, edges)

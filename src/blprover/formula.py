@@ -139,19 +139,6 @@ def cmp_complexity(a: Formula, b: Formula) -> int:
 
 
 @lru_cache(maxsize=None)
-def compound_subformulas(formula: Formula) -> frozenset[Formula]:
-    """All subformulas with at least one connective, including the formula itself."""
-    if isinstance(formula, (Bottom, Var)):
-        return frozenset()
-    assert isinstance(formula, (Conj, Impl))
-    return (
-        frozenset({formula})
-        | compound_subformulas(formula.left)
-        | compound_subformulas(formula.right)
-    )
-
-
-@lru_cache(maxsize=None)
 def variables_in(formula: Formula) -> frozenset[int]:
     """Indices of the variables occurring in the formula."""
     if isinstance(formula, Bottom):
@@ -171,7 +158,7 @@ _TOKEN_RE = re.compile(
   | (?P<tilde>~)
   | (?P<lparen>\()
   | (?P<rparen>\))
-  | (?P<var>p\d+)
+  | (?P<var>p[0-9]+)
   | (?P<bot>0|bot\b)
   | (?P<top>1|top\b)
     """,
@@ -299,6 +286,8 @@ class _Parser:
         if kind == "top":
             return TOP
         if kind == "var":
+            if text.startswith("p0") and text != "p0":
+                raise ParseError(f"variable {text} has a leading zero", pos)
             return Var(int(text[1:]))
         if kind == "lparen":
             inner = self.parse_equiv(depth + 1)
@@ -328,12 +317,6 @@ def parse(text: str) -> Formula:
 _PREC_IMPL = 0
 _PREC_CONJ = 1
 _PREC_ATOM = 2
-
-
-def _prec(formula: Formula) -> int:
-    if isinstance(formula, (Bottom, Var)) or formula == TOP:
-        return _PREC_ATOM
-    return _PREC_CONJ if isinstance(formula, Conj) else _PREC_IMPL
 
 
 def _render(formula: Formula, min_prec: int) -> str:

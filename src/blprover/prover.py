@@ -7,6 +7,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 from .axiom_check import AxiomVerdict, check_axiom, verify_branch_countermodel
 from .calculus import Premise, rwbl_premises
@@ -181,20 +182,35 @@ def _cmd_prove(args, formula: Formula) -> int:
     return 0 if result.provable else 1
 
 
+def _read_json_file(path: str, what: str, decode: Callable[[Any], Any]) -> Any:
+    """decode applied to a JSON file's contents, or None once stderr says why not.
+
+    Unreadable or undecodable bytes give ``cannot read``; bad JSON, JSON
+    nested too deep to parse, and data decode rejects give ``malformed``.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read {what} file: {exc}", file=sys.stderr)
+        return None
+    try:
+        return decode(json.loads(text))
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        print(f"malformed {what} file: {exc}", file=sys.stderr)
+        return None
+
+
+def _decode_certificate(data: Any) -> tuple[Formula, Certificate]:
+    if isinstance(data, dict) and isinstance(data.get("certificate"), dict):
+        data = data["certificate"]
+    return Certificate.from_json(json.dumps(data))
+
+
 def _cmd_verify(args, formula: Formula) -> int:
-    try:
-        text = Path(args.cert).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"cannot read certificate file: {exc}", file=sys.stderr)
+    loaded = _read_json_file(args.cert, "certificate", _decode_certificate)
+    if loaded is None:
         return 2
-    try:
-        data = json.loads(text)
-        if isinstance(data, dict) and isinstance(data.get("certificate"), dict):
-            data = data["certificate"]
-        cert_formula, certificate = Certificate.from_json(json.dumps(data))
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"malformed certificate file: {exc}", file=sys.stderr)
-        return 2
+    cert_formula, certificate = loaded
     if cert_formula != formula:
         print("rejected: certificate was issued for a different formula")
         return 1
@@ -224,15 +240,8 @@ def _cmd_tree(args, formula: Formula) -> int:
 
 
 def _cmd_eval(args, formula: Formula) -> int:
-    try:
-        text = Path(args.valuation).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"cannot read valuation file: {exc}", file=sys.stderr)
-        return 2
-    try:
-        valuation = Valuation.from_json(json.loads(text))
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"malformed valuation file: {exc}", file=sys.stderr)
+    valuation = _read_json_file(args.valuation, "valuation", Valuation.from_json)
+    if valuation is None:
         return 2
     try:
         value = eval_formula(valuation, formula)

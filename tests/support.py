@@ -4,8 +4,10 @@ Nothing here is part of the decision procedure.  The leaf oracle decides
 satisfiability of a negated irreducible hypersequent by enumerating integer
 parts outright, so it shares no reasoning with the clustering pipeline, and
 the fuzzer replays the reduction rules against random valuations.  The tree
-measures bound the size of rewriting trees, ``walk_stats`` recomputes a
-tree's statistics node by node, and ``rwbl_leaves`` lists its leaves.
+measures bound the size of rewriting trees (``compound_subformulas`` feeds
+``branch_estimate``), ``walk_stats`` recomputes a tree's statistics node by
+node, and ``rwbl_leaves`` lists a formula's leaves by expanding premises
+lazily, without building the tree.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from blprover.formula import (
     TOP,
     Var,
     complexity,
-    compound_subformulas,
     is_atomic,
 )
 from blprover.hypersequent import (
@@ -40,7 +41,7 @@ from blprover.hypersequent import (
     variables,
 )
 from blprover.linfeas import LinConstraint, solve
-from blprover.reduction import ReductionNode, TreeStats, build_rwbl_tree, root_label
+from blprover.reduction import ReductionNode, TreeStats, root_label
 from blprover.semantics import Finite, INF, OmegaValue, Valuation, satisfies
 
 
@@ -332,6 +333,18 @@ def fuzz_rules(
     return report
 
 
+def compound_subformulas(formula: Formula) -> frozenset[Formula]:
+    """All subformulas with at least one connective, including the formula itself."""
+    if isinstance(formula, (Bottom, Var)):
+        return frozenset()
+    assert isinstance(formula, (Conj, Impl))
+    return (
+        frozenset({formula})
+        | compound_subformulas(formula.left)
+        | compound_subformulas(formula.right)
+    )
+
+
 def branch_estimate(formula: Formula) -> int:
     """Upper bound on the number of branches of the rewriting tree.
 
@@ -352,14 +365,18 @@ def weight_bound(n: int) -> int:
 
 
 def rwbl_leaves(formula: Formula) -> Iterator[RelationalHypersequent]:
-    """Every leaf occurrence of the rewriting tree, depth first in premise order."""
-    stack = [build_rwbl_tree(formula).root]
+    """Every leaf occurrence of the rewriting tree, depth first in premise order.
+
+    The walk expands labels as it reaches them and builds no tree, so taking
+    the first few leaves costs only the labels on the way to them.
+    """
+    stack = [root_label(formula)]
     while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            yield node.label
+        label = stack.pop()
+        if is_irreducible(label):
+            yield label
         else:
-            stack.extend(reversed(node.children))
+            stack.extend(p.label for p in reversed(rwbl_premises(label)))
 
 
 def _node_count(formula: Formula) -> int:

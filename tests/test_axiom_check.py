@@ -23,17 +23,7 @@ from blprover import (
     verify_branch_countermodel,
 )
 from blprover import axiom_check
-from blprover.axiom_check import (
-    ClusterGraph,
-    NegLl,
-    NegMultiPrec,
-    NegMultiPrecEq,
-    NegPrec,
-    NegPrecEq,
-    build_graph,
-    contract_and_sort,
-    negate_leaf,
-)
+from blprover.axiom_check import NegFrac, NegLl, contract_and_sort, negate_leaf
 from blprover.semantics import Valuation
 from support import oracle_leaf_satisfiable, random_formula, rwbl_leaves
 
@@ -56,24 +46,19 @@ class TestNegation:
             seq((), prec(-1), (P1, P2)),
         )
         negs = negate_leaf(leaf)
-        assert sorted(type(n).__name__ for n in negs) == [
-            "NegLl",
-            "NegMultiPrec",
-            "NegMultiPrecEq",
-            "NegPrec",
-            "NegPrecEq",
-        ]
-        by_type = {type(n): n for n in negs}
-        assert by_type[NegLl] == NegLl(P1, P2)
-        assert by_type[NegPrecEq] == NegPrecEq(P1, P2)
-        assert by_type[NegPrec] == NegPrec(P2, P1)
-        assert by_type[NegMultiPrecEq] == NegMultiPrecEq((P1, P2), (), 1)
-        assert by_type[NegMultiPrec] == NegMultiPrec((), (P1, P2), -1)
+        assert len(negs) == 5
+        assert set(negs) == {
+            NegLl(P1, P2),
+            NegFrac((P1,), (P2,), 0, strict=False, unit=True),
+            NegFrac((P2,), (P1,), 0, strict=True, unit=True),
+            NegFrac((P1, P2), (), 1, strict=False, unit=False),
+            NegFrac((), (P1, P2), -1, strict=True, unit=False),
+        }
 
     def test_top_multis_are_dropped(self):
         leaf = hseq(seq((TOP, P1), preceq(), (P2,)), seq((P1,), preceq(), (P2,)))
         negs = negate_leaf(leaf)
-        assert [type(n) for n in negs] == [NegPrecEq]
+        assert negs == [NegFrac((P1,), (P2,), 0, strict=False, unit=True)]
 
     def test_rejects_compound_formulas(self):
         with pytest.raises(ValueError):
@@ -86,21 +71,24 @@ class TestNegation:
 
 class TestFloorGraph:
     def test_edge_direction_reverses_the_relation(self):
-        graph = build_graph([NegLl(TOP, P1)], frozenset({P1}))
-        assert (P1, TOP) in graph.edges
-        assert TOP in graph.vertices and P1 in graph.vertices
+        # not (p1 << top) forces floor(top) <= floor(p1): p1 joins top's cluster
+        verdict = check_axiom(hseq(seq((P1,), LL, (TOP,))))
+        assert verdict.clusters == (frozenset({P1, TOP}),)
+        assert verdict.countermodel.value_of(1) == INF
+        # not (top << p1) forces floor(p1) <= floor(top): p1 stays finite below top
+        verdict = check_axiom(hseq(seq((TOP,), LL, (P1,))))
+        assert verdict.clusters == (frozenset({P1}), frozenset({TOP}))
+        assert not verdict.countermodel.value_of(1).is_infinite
 
     def test_mutual_edges_cluster(self):
-        graph = ClusterGraph(
+        clusters, edges, _ = contract_and_sort(
             frozenset({P1, P2, TOP}), frozenset({(P1, P2), (P2, P1)})
         )
-        clusters, edges, _ = contract_and_sort(graph)
         assert clusters == (frozenset({P1, P2}), frozenset({TOP}))
         assert edges == frozenset()
 
     def test_topological_order_respects_edges(self):
-        graph = ClusterGraph(frozenset({BOT, P1, TOP}), frozenset({(BOT, P1)}))
-        clusters, edges, _ = contract_and_sort(graph)
+        clusters, edges, _ = contract_and_sort(frozenset({BOT, P1, TOP}), frozenset({(BOT, P1)}))
         assert clusters == (frozenset({BOT}), frozenset({P1}), frozenset({TOP}))
         assert edges == frozenset({(0, 1)})
 
@@ -112,14 +100,14 @@ def _floor_graphs(draw):
     if draw(st.booleans()):
         vertices.append(BOT)
     edges = draw(st.sets(st.sampled_from([(t, h) for t in vertices for h in vertices])))
-    return ClusterGraph(frozenset(vertices), frozenset(edges))
+    return frozenset(vertices), frozenset(edges)
 
 
-def _reachable(graph, start):
+def _reachable(graph_edges, start):
     seen, frontier = {start}, [start]
     while frontier:
         tail = frontier.pop()
-        for t, h in graph.edges:
+        for t, h in graph_edges:
             if t == tail and h not in seen:
                 seen.add(h)
                 frontier.append(h)
@@ -129,19 +117,20 @@ def _reachable(graph, start):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_floor_graphs())
 def test_contract_and_sort_agrees_with_a_plain_closure(graph):
-    clusters, edges, clash = contract_and_sort(graph)
-    reach = {v: _reachable(graph, v) for v in graph.vertices}
+    vertices, graph_edges = graph
+    clusters, edges, clash = contract_and_sort(vertices, graph_edges)
+    reach = {v: _reachable(graph_edges, v) for v in vertices}
     position = {v: i for i, cluster in enumerate(clusters) for v in cluster}
-    assert sum(map(len, clusters)) == len(position) and position.keys() == graph.vertices
+    assert sum(map(len, clusters)) == len(position) and position.keys() == vertices
     assert clash == (BOT in reach[TOP])
-    low = frozenset(v for v in graph.vertices if BOT in reach[v] and not clash)
+    low = frozenset(v for v in vertices if BOT in reach[v] and not clash)
     high = frozenset() if clash else reach[TOP]
-    for v in graph.vertices:
+    for v in vertices:
         component = frozenset(u for u in reach[v] if v in reach[u])
         expected = low if v in low else high if v in high else component
         assert clusters[position[v]] == expected
     assert edges == {
-        (position[t], position[h]) for t, h in graph.edges if position[t] != position[h]
+        (position[t], position[h]) for t, h in graph_edges if position[t] != position[h]
     }
     assert all(t < h for t, h in edges)
 

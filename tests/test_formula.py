@@ -10,11 +10,11 @@ from blprover.formula import (
     check_limits,
     cmp_complexity,
     complexity_key,
-    compound_subformulas,
     is_atomic,
     serialize_key,
     variables_in,
 )
+from support import compound_subformulas
 
 P1, P2, P3 = Var(1), Var(2), Var(3)
 
@@ -125,7 +125,9 @@ def test_var_index_validation():
         Var(-1)
 
 
-@pytest.mark.parametrize("text", ["", "p1 ->", "-> p1", "q1", "p1 p2", "(p1", "p1)", "p0x"])
+@pytest.mark.parametrize(
+    "text", ["", "p1 ->", "-> p1", "q1", "p1 p2", "(p1", "p1)", "p0x", "p01", "p\u0661"]
+)
 def test_parse_rejects_garbage(text):
     with pytest.raises(ParseError):
         parse(text)

@@ -39,6 +39,11 @@ IDENTITY = "p1 -> p1"
 
 NON_THEOREMS = ["p1", "0", "p1 -> p1 * p1", "((p1 -> 0) -> 0) -> p1", "p1 -> p2"]
 
+# Input files the CLI must refuse with exit 2, and the start of its error line:
+# bytes that are not UTF-8, and JSON nested deeper than json.loads can recurse.
+BAD_BYTES = [(b"\xff\xfe", "cannot read"), (b"[" * 200_000, "malformed")]
+BAD_BYTES_IDS = ["not_utf8", "too_deep"]
+
 
 @pytest.mark.parametrize("text", [WEAKENING, EX_FALSO, COMMUTATIVITY, IDENTITY])
 def test_provable_formulas(text):
@@ -336,6 +341,13 @@ class TestCliVerify:
         assert cli_main(["verify", "p1", "--cert", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("malformed certificate file:")
 
+    @pytest.mark.parametrize("content, error", BAD_BYTES, ids=BAD_BYTES_IDS)
+    def test_unparsable_bytes(self, tmp_path, capsys, content, error):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert cli_main(["verify", "p1", "--cert", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"{error} certificate file:")
+
     def test_certificate_pointing_at_an_axiom_leaf(self, tmp_path, capsys):
         path = tmp_path / "axiom.json"
         path.write_text(Certificate((1,)).to_json(parse(IDENTITY)), encoding="utf-8")
@@ -422,3 +434,10 @@ class TestCliEval:
         path.write_text(json.dumps(data), encoding="utf-8")
         assert cli_main(["eval", "p1", "--valuation", str(path)]) == 2
         assert capsys.readouterr().err.startswith("malformed valuation file:")
+
+    @pytest.mark.parametrize("content, error", BAD_BYTES, ids=BAD_BYTES_IDS)
+    def test_unparsable_valuation_bytes(self, tmp_path, capsys, content, error):
+        path = tmp_path / "valuation.json"
+        path.write_bytes(content)
+        assert cli_main(["eval", "p1", "--valuation", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"{error} valuation file:")
