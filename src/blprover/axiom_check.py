@@ -38,7 +38,7 @@ from heapq import heappop, heappush
 from typing import AbstractSet, Iterable, Sequence, Union
 
 from .formula import BOT, Bottom, Formula, TOP, Var, is_atomic
-from .hypersequent import RelationalHypersequent, variables
+from .hypersequent import RelationalHypersequent, RelationalSequent, variables
 from .linfeas import LinConstraint, solve
 from .semantics import Finite, INF, OmegaValue, Valuation, eval_formula, satisfies
 
@@ -86,13 +86,16 @@ def negate_leaf(h: RelationalHypersequent) -> list[NegatedSequent]:
     General fractional sequents containing bare top are dead: they require
     all values finite, so they are never satisfied and their negations hold
     vacuously.  These are dropped rather than constrained.  Raises ValueError
-    on non-atomic formulas or a ``<<`` sequent missing a side.
+    on non-atomic formulas, naming the first one in the compound sequent with
+    the least sort key, or on a ``<<`` sequent missing a side.
     """
+    compound = [s for s in h if not s.all_atomic]
+    if compound:
+        s = min(compound, key=RelationalSequent.sort_key)
+        f = next(f for f in s.formulas() if not is_atomic(f))
+        raise ValueError(f"leaf expected, found compound formula {f!r}")
     out: list[NegatedSequent] = []
     for s in h:
-        if not s.all_atomic:
-            f = next(f for f in s.formulas() if not is_atomic(f))
-            raise ValueError(f"leaf expected, found compound formula {f!r}")
         if s.kind.is_ll:
             if len(s.left) != 1 or len(s.right) != 1:
                 raise ValueError("a << sequent in a leaf must have one formula per side")

@@ -97,8 +97,8 @@ def rwbl_premises(g: RelationalHypersequent) -> tuple[Premise, ...]:
     everywhere, the middle premises substitute child pairs into the
     fractional sequents, and the final premise substitutes bare top, under
     which fractional sequents that are not one-formula-each-side at index
-    zero become unsatisfiable and are omitted.  Each label is canonicalized
-    once, from its antecedent and the rewritten parts.
+    zero become unsatisfiable and are omitted.  Each label is one set union
+    of its antecedent and the rewritten parts.
     """
     pivot = most_complex(g)
     a, b = pivot.left, pivot.right
@@ -129,17 +129,16 @@ def rwbl_premises(g: RelationalHypersequent) -> tuple[Premise, ...]:
 def choose_occurrence(g: RelationalHypersequent, pivot: Formula | None = None) -> Occurrence:
     """Deterministic occurrence selection for the single-occurrence calculus.
 
-    Picks the first sequent in canonical order that contains the pivot,
-    preferring its left side.
+    Picks the sequent with the least sort key among those that contain the
+    pivot, preferring its left side.
     """
     if pivot is None:
         pivot = most_complex(g)
-    for s in g:
-        if pivot in s.left:
-            return Occurrence(s, "left")
-        if pivot in s.right:
-            return Occurrence(s, "right")
-    raise ValueError("pivot does not occur in the hypersequent")
+    hosts = [s for s in g if s.contains(pivot)]
+    if not hosts:
+        raise ValueError("pivot does not occur in the hypersequent")
+    s = min(hosts, key=RelationalSequent.sort_key)
+    return Occurrence(s, "left" if pivot in s.left else "right")
 
 
 def _minus_one(side: tuple[Formula, ...], pivot: Formula) -> tuple[Formula, ...]:

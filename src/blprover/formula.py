@@ -54,7 +54,7 @@ class Conj(Formula):
     right: Formula
 
     def __hash__(self) -> int:
-        # Deep formulas are hashed constantly during label canonicalization,
+        # Deep formulas are hashed constantly as sequents enter label sets,
         # so the recursive hash is computed once per instance.
         cached = self.__dict__.get("_hash")
         if cached is None:

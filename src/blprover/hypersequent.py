@@ -1,21 +1,21 @@
-"""Relational hypersequents: syntax, canonical form and substitutions.
+"""Relational hypersequents: syntax, set semantics and substitutions.
 
 A relational sequent relates two multisets of formulas through one of three
 relation symbols: ``<<`` (integer-part comparison), ``<=_z`` and ``<_z``
 (indexed fractional comparisons; the index is omitted when zero).  A
 relational hypersequent is a finite set of such sequents, read disjunctively.
-Both layers are kept in a canonical sorted form so that structural equality,
-hashing and iteration order are deterministic.
+A hypersequent is a frozenset of sequents, with the set's equality and hash;
+only render sorts its sequents, by ``RelationalSequent.sort_key``.
 
 Sequents are immutable and cache their hash, sort key, weight and
 atomicity, so labels share them: a substitution returns every sequent that
 does not contain its target as the same object, and ``union`` joins the
-parts of a new label with a single canonicalization.
+parts of a new label with one set union.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -168,20 +168,12 @@ def seq(left: Iterable[Formula], kind: RelKind, right: Iterable[Formula]) -> Rel
 
 @dataclass(frozen=True)
 class RelationalHypersequent:
-    """A canonical set of relational sequents, read as a disjunction."""
+    """A set of relational sequents, read as a disjunction; built from any iterable."""
 
-    sequents: tuple[RelationalSequent, ...] = field(default=())
+    sequents: frozenset[RelationalSequent] = frozenset()
 
     def __post_init__(self) -> None:
-        canonical = tuple(sorted(set(self.sequents), key=RelationalSequent.sort_key))
-        object.__setattr__(self, "sequents", canonical)
-
-    def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash(self.sequents)
-            object.__setattr__(self, "_hash", cached)
-        return cached
+        object.__setattr__(self, "sequents", frozenset(self.sequents))
 
     def __iter__(self) -> Iterator[RelationalSequent]:
         return iter(self.sequents)
@@ -196,27 +188,25 @@ class RelationalHypersequent:
         return union(self, other)
 
     def without(self, sequent: RelationalSequent) -> RelationalHypersequent:
-        return RelationalHypersequent(tuple(s for s in self.sequents if s != sequent))
+        return RelationalHypersequent(self.sequents - {sequent})
 
     @property
     def is_empty(self) -> bool:
         return not self.sequents
 
     def render(self) -> str:
-        return " | ".join(s.render() for s in self.sequents)
+        return " | ".join(
+            s.render() for s in sorted(self.sequents, key=RelationalSequent.sort_key)
+        )
 
 
 def hseq(*sequents: RelationalSequent) -> RelationalHypersequent:
-    return RelationalHypersequent(tuple(sequents))
+    return RelationalHypersequent(sequents)
 
 
 def union(*parts: RelationalHypersequent) -> RelationalHypersequent:
-    """Every sequent of the parts, canonicalized once.
-
-    The canonical form is a set sorted by an injective key, so the result
-    does not depend on how the parts are grouped or ordered.
-    """
-    return RelationalHypersequent(tuple(s for part in parts for s in part.sequents))
+    """Every sequent of the parts, joined by one set union."""
+    return RelationalHypersequent(frozenset().union(*(part.sequents for part in parts)))
 
 
 EMPTY = RelationalHypersequent()
@@ -282,7 +272,7 @@ def subst_all(
     formula are not touched (the callers only substitute maximal formulas,
     which cannot occur nested).  Sequents without the target are unchanged.
     """
-    return RelationalHypersequent(tuple(_subst_sequent(s, target, (replacement,)) for s in g))
+    return RelationalHypersequent(_subst_sequent(s, target, (replacement,)) for s in g)
 
 
 def subst_pair(
@@ -297,7 +287,7 @@ def subst_pair(
     for s in g:
         if s.kind.is_ll and s.contains(target):
             raise ValueError("pair substitution cannot target a << sequent")
-    return RelationalHypersequent(tuple(_subst_sequent(s, target, (a, b)) for s in g))
+    return RelationalHypersequent(_subst_sequent(s, target, (a, b)) for s in g)
 
 
 def subst_balanced_conj(
@@ -322,7 +312,7 @@ def subst_balanced_conj(
         left = tuple(f for f in s.left if f != target) + (a, b)
         right = tuple(f for f in s.right if f != target) + (a, b)
         out.append(seq(left, s.kind.shifted(l - r), right))
-    return RelationalHypersequent(tuple(out))
+    return RelationalHypersequent(out)
 
 
 def subst_impl(
@@ -347,7 +337,7 @@ def subst_impl(
         left = tuple(f for f in s.left if f != target) + (a,) * r + (b,) * l
         right = tuple(f for f in s.right if f != target) + (a,) * l + (b,) * r
         out.append(seq(left, s.kind, right))
-    return RelationalHypersequent(tuple(out))
+    return RelationalHypersequent(out)
 
 
 def decompose(
@@ -381,10 +371,10 @@ def decompose(
     if not ll_part and not ord_part:
         raise ValueError("pivot does not occur in the hypersequent")
     return (
-        RelationalHypersequent(tuple(free)),
-        RelationalHypersequent(tuple(ll_part)),
-        RelationalHypersequent(tuple(ord_part)),
-        RelationalHypersequent(tuple(unit_part)),
+        RelationalHypersequent(free),
+        RelationalHypersequent(ll_part),
+        RelationalHypersequent(ord_part),
+        RelationalHypersequent(unit_part),
     )
 
 
@@ -445,14 +435,17 @@ def check_generated_shape(g: RelationalHypersequent) -> None:
 
     Every two-formula fractional sequent with index zero must have exactly one
     formula on each side.  The reduction engine calls this on every label it
-    creates; a violation signals an implementation bug.
+    creates; a violation signals an implementation bug.  The message names
+    the offending sequent with the least sort key.
     """
-    for s in g:
-        if s.kind.is_ll:
-            continue
-        if s.kind.z == 0 and len(s.left) + len(s.right) == 2:
-            if not (len(s.left) == 1 and len(s.right) == 1):
-                raise AssertionError(
-                    f"generated label has a two-formula index-0 sequent "
-                    f"with both formulas on one side: {s.render()}"
-                )
+    offenders = [
+        s
+        for s in g
+        if not s.kind.is_ll and s.kind.z == 0 and (len(s.left), len(s.right)) in ((2, 0), (0, 2))
+    ]
+    if offenders:
+        s = min(offenders, key=RelationalSequent.sort_key)
+        raise AssertionError(
+            f"generated label has a two-formula index-0 sequent "
+            f"with both formulas on one side: {s.render()}"
+        )

@@ -72,10 +72,10 @@ def check_tautology(formula: Formula) -> ProveResult:
     n = complexity(formula)
     # Settled part -> None for an axiom, else its verdict (so the memo keeps no
     # cluster data for axioms).  A leaf is its own settled part.
-    refutations: dict[tuple[RelationalSequent, ...], AxiomVerdict | None] = {}
+    refutations: dict[frozenset[RelationalSequent], AxiomVerdict | None] = {}
 
     def refutation(label: RelationalHypersequent) -> AxiomVerdict | None:
-        settled = tuple(s for s in label if s.all_atomic)
+        settled = frozenset(s for s in label if s.all_atomic)
         if settled not in refutations:
             verdict = check_axiom(RelationalHypersequent(settled))
             refutations[settled] = None if verdict.is_axiom else verdict

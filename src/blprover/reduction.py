@@ -167,14 +167,14 @@ def _by_open_part(expand: Expand) -> Expand:
     """expand, called at most once per distinct open part over the result's life.
 
     A label S ∪ U with a non-empty settled part S gets the premises of U, each
-    joined to S in one canonicalization, with U's tags and indices; a label
-    with no settled part is its own open part and is expanded as it is.
+    joined to S by one set union, with U's tags and indices; a label with no
+    settled part is its own open part and is expanded as it is.
     """
-    memo: dict[tuple[RelationalSequent, ...], tuple[Premise, ...]] = {}
+    memo: dict[frozenset[RelationalSequent], tuple[Premise, ...]] = {}
 
     def by_open_part(label: RelationalHypersequent) -> tuple[Premise, ...]:
-        settled = tuple(s for s in label if s.all_atomic)
-        open_part = tuple(s for s in label if not s.all_atomic) if settled else label.sequents
+        settled = frozenset(s for s in label if s.all_atomic)
+        open_part = label.sequents - settled if settled else label.sequents
         premises = memo.get(open_part)
         if premises is None:
             premises = expand(RelationalHypersequent(open_part) if settled else label)
@@ -182,7 +182,7 @@ def _by_open_part(expand: Expand) -> Expand:
         if not settled:
             return premises
         return tuple(
-            Premise(p.tag, p.index, RelationalHypersequent(settled + p.label.sequents))
+            Premise(p.tag, p.index, RelationalHypersequent(settled | p.label.sequents))
             for p in premises
         )
 
@@ -190,7 +190,7 @@ def _by_open_part(expand: Expand) -> Expand:
 
 
 def label_weight(g: RelationalHypersequent) -> int:
-    """Size of a canonical label: connectives plus atoms plus relations.
+    """Size of a label: connectives plus atoms plus relations, over its sequents.
 
     A bare top element counts as a single atom; compound elements count
     their connectives and their literal leaves.  Each sequent caches its own

@@ -64,6 +64,20 @@ class TestNegation:
         with pytest.raises(ValueError):
             negate_leaf(hseq(seq((TOP,), preceq(), (Conj(P1, P2),))))
 
+    def test_compound_error_names_the_least_offending_sequent(self):
+        # Two compound sequents: the << one has the least sort key.
+        leaf = hseq(
+            seq((TOP,), preceq(), (Conj(P1, P2),)),
+            seq((P1,), LL, (Conj(P2, P3),)),
+            seq((P1,), preceq(), (P2,)),
+        )
+        with pytest.raises(ValueError) as raised:
+            negate_leaf(leaf)
+        assert str(raised.value) == (
+            "leaf expected, found compound formula "
+            "Conj(left=Var(index=2), right=Var(index=3))"
+        )
+
     def test_rejects_one_sided_ll(self):
         with pytest.raises(ValueError):
             negate_leaf(hseq(seq((), LL, (P1,))))

@@ -1,4 +1,4 @@
-"""Canonical hypersequents, abbreviations and the substitution toolkit."""
+"""Hypersequents as sets of sequents, abbreviations and the substitution toolkit."""
 
 from fractions import Fraction
 
@@ -23,6 +23,7 @@ from blprover import (
     seq,
 )
 from blprover.hypersequent import (
+    check_generated_shape,
     decompose,
     expand_abbreviation,
     is_irreducible,
@@ -82,6 +83,22 @@ def test_hypersequent_set_semantics():
 def test_render_is_deterministic():
     g = hseq(seq((A,), preceq(), (B,)), seq((A,), LL, (B,)))
     assert g.render() == "p1 << p2 | p1 <= p2"
+
+
+def test_shape_error_names_the_least_offending_sequent():
+    g = hseq(
+        seq((A, B), preceq(), ()),
+        seq((), preceq(), (A, C)),
+        seq((A,), preceq(), (B,)),
+        seq((A, B), preceq(1), ()),
+    )
+    with pytest.raises(AssertionError) as raised:
+        check_generated_shape(g)
+    assert str(raised.value) == (
+        "generated label has a two-formula index-0 sequent "
+        "with both formulas on one side: <= p1,p3"
+    )
+    check_generated_shape(hseq(seq((A,), preceq(), (B,)), seq((A, B), preceq(1), ())))
 
 
 def test_variables_and_irreducibility():

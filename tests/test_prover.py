@@ -164,6 +164,46 @@ def test_decisions_are_deterministic():
     assert first.countermodel == second.countermodel
 
 
+def test_outputs_do_not_depend_on_the_hash_seed():
+    """Labels iterate in hash order, so two seeds must print the same bytes."""
+    # The four non-theorems of acceptance criterion 2.
+    commands = [
+        ["prove", text, "--json", "--countermodel", "--certificate"]
+        for text in ("p1", "0", "p1 -> p1 * p1", "((p1 -> 0) -> 0) -> p1")
+    ]
+    commands += [
+        ["tree", text, *emit]
+        for text in (COMMUTATIVITY, "p1 -> p1 * p1", "(p1 -> (p2 -> p3)) -> ((p1 * p2) -> p3)")
+        for emit in ([], ["--emit", "json"], ["--emit", "dot"])
+    ]
+    script = textwrap.dedent(
+        """
+        import json, sys
+        from blprover import cli_main
+        for argv in json.loads(sys.argv[1]):
+            cli_main(argv)
+        """
+    )
+    src = str(Path(blprover.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    first, second = (out.splitlines() for out in outputs)
+    assert sum(line == "digraph reduction {" for line in first) == 3
+    # Line numbers, not a diff: a diff of outputs this long takes minutes.
+    differing = [i for i, (a, b) in enumerate(zip(first, second)) if a != b]
+    assert (len(first), differing[:5]) == (len(second), [])
+
+
 def _reference_search(formula):
     """The search without the prune: every label expanded, every leaf classified."""
 

@@ -146,7 +146,7 @@ def test_each_open_part_is_expanded_once(monkeypatch):
             if not node.is_leaf:
                 inner.add(node.label)
                 stack.extend(node.children)
-        open_parts = {tuple(s for s in label if not s.all_atomic) for label in inner}
+        open_parts = {frozenset(s for s in label if not s.all_atomic) for label in inner}
         assert len(calls) == len(open_parts)
         shared += len(open_parts) < len(inner)
     assert shared >= 10
