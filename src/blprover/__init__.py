@@ -10,7 +10,7 @@ time.
 from __future__ import annotations
 
 from .axiom_check import AxiomVerdict, check_axiom, verify_branch_countermodel
-from .calculus import Premise, rhbl_premises, rwbl_premises
+from .calculus import Premise, rwbl_premises
 from .formula import (
     BOT,
     TOP,
@@ -103,7 +103,6 @@ __all__ = [
     "prec",
     "preceq",
     "render",
-    "rhbl_premises",
     "rwbl_premises",
     "satisfies",
     "seq",

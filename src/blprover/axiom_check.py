@@ -77,7 +77,6 @@ class AxiomVerdict:
     is_axiom: bool
     countermodel: Valuation | None
     clusters: tuple[frozenset[Formula], ...]
-    witness: dict[int, Fraction] | None
 
 
 def negate_leaf(h: RelationalHypersequent) -> list[NegatedSequent]:
@@ -347,10 +346,10 @@ def check_axiom(h: RelationalHypersequent) -> AxiomVerdict:
         {(neg.right, neg.left) for neg in negs if isinstance(neg, NegLl)},
     )
     if clash:
-        return AxiomVerdict(True, None, clusters, None)
+        return AxiomVerdict(True, None, clusters)
     escape = _least_escape(negs, clusters, edges)
     if escape is None:
-        return AxiomVerdict(True, None, clusters, None)
+        return AxiomVerdict(True, None, clusters)
     trial = _merge_escape(clusters, escape) if escape else clusters
     var_ids = sorted({f.index for c in clusters for f in c if isinstance(f, Var)})
     outcome = solve(build_lp(negs, trial), var_ids)
@@ -362,7 +361,7 @@ def check_axiom(h: RelationalHypersequent) -> AxiomVerdict:
             "countermodel construction failed its runtime check; "
             "the leaf violates the supported structural invariants"
         )
-    return AxiomVerdict(False, model, trial, dict(outcome.witness))
+    return AxiomVerdict(False, model, trial)
 
 
 def verify_branch_countermodel(

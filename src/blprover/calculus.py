@@ -1,34 +1,28 @@
-"""The two proof calculi over relational hypersequents.
+"""The whole-hypersequent rewriting calculus over relational hypersequents.
 
-Both calculi reduce a hypersequent by case analysis on the value of a pivot
-formula, the most complex compound occurrence.  A strong conjunction pivot
-splits into five premises and an implication pivot into three, one per
+A step reduces a hypersequent by case analysis on the value of its pivot,
+the most complex compound formula.  A strong conjunction pivot a * b splits
+into five premises and an implication pivot a -> b into three, one per
 semantic case; each premise carries an antecedent (the negation of the other
-cases, as primitive sequents) plus the rewritten goal.  The premise order is
-fixed and matches the case numbering of the semantics module, so a premise
-holds under exactly those valuations whose case matches its index.
-
-rwbl_premises rewrites every occurrence of the pivot across the hypersequent
-at once; rhbl_premises rewrites a single designated occurrence and leaves the
-others in place.
+cases, as primitive sequents) plus the goal with every occurrence of the
+pivot rewritten.  The premise order is fixed, so a premise holds under
+exactly those valuations whose case matches its index.  For a * b the cases
+are: 1, a has the smaller integer part; 2, b has; 3, equal finite integer
+parts with fractional sum at least 1; 4, the same with sum below 1; 5, both
+infinite.  For a -> b they are: 1, b has the smaller integer part; 2, equal
+finite integer parts with b < a; 3, a <= b.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import Conj, Formula, Impl, TOP, cmp_complexity
+from .formula import Conj, Formula, Impl, TOP, complexity_key
 from .hypersequent import (
-    EMPTY,
-    LL,
     RelationalHypersequent,
-    RelationalSequent,
     decompose,
     expand_abbreviation,
-    hseq,
     most_complex,
-    preceq,
-    seq,
     subst_all,
     subst_balanced_conj,
     subst_impl,
@@ -46,21 +40,9 @@ class Premise:
     label: RelationalHypersequent
 
 
-@dataclass(frozen=True)
-class Occurrence:
-    """A pivot occurrence: the hosting sequent and which side holds it."""
-
-    sequent: RelationalSequent
-    side: str
-
-    def __post_init__(self) -> None:
-        if self.side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
-
-
 def smaller_child(a: Formula, b: Formula) -> Formula:
     """The complexity-order minimum of two formulas, the first on a tie."""
-    return a if cmp_complexity(a, b) <= 0 else b
+    return min(a, b, key=complexity_key)
 
 
 def _conj_antecedents(a: Formula, b: Formula) -> list[RelationalHypersequent]:
@@ -124,112 +106,3 @@ def rwbl_premises(g: RelationalHypersequent) -> tuple[Premise, ...]:
         union(antecedents[2], *top_parts),
     ]
     return _premises("impl", labels)
-
-
-def choose_occurrence(g: RelationalHypersequent, pivot: Formula | None = None) -> Occurrence:
-    """Deterministic occurrence selection for the single-occurrence calculus.
-
-    Picks the sequent with the least sort key among those that contain the
-    pivot, preferring its left side.
-    """
-    if pivot is None:
-        pivot = most_complex(g)
-    hosts = [s for s in g if s.contains(pivot)]
-    if not hosts:
-        raise ValueError("pivot does not occur in the hypersequent")
-    s = min(hosts, key=RelationalSequent.sort_key)
-    return Occurrence(s, "left" if pivot in s.left else "right")
-
-
-def _minus_one(side: tuple[Formula, ...], pivot: Formula) -> tuple[Formula, ...]:
-    position = side.index(pivot)
-    return side[:position] + side[position + 1 :]
-
-
-def rhbl_premises(
-    g: RelationalHypersequent, occurrence: Occurrence | None = None
-) -> tuple[Premise, ...]:
-    """Logical-rule step rewriting one pivot occurrence of g.
-
-    The rewritten occurrence is the pivot formula inside the designated
-    sequent side (chosen by choose_occurrence when not supplied); all other
-    occurrences stay.  Premises whose semantic case leaves the hosting
-    sequent unsatisfiable drop it entirely, except for the
-    one-formula-against-pivot index-zero shape, where the final premise keeps
-    the residual comparison against bare top.
-    """
-    pivot = most_complex(g)
-    if occurrence is None:
-        occurrence = choose_occurrence(g, pivot)
-    s = occurrence.sequent
-    if s not in g:
-        raise ValueError("occurrence does not belong to the hypersequent")
-    pivot_side = s.left if occurrence.side == "left" else s.right
-    if pivot not in pivot_side:
-        raise ValueError("designated side does not contain the pivot")
-    rest = g.without(s)
-    a, b = pivot.left, pivot.right
-    is_conj = isinstance(pivot, Conj)
-    antecedents = _conj_antecedents(a, b) if is_conj else _impl_antecedents(a, b)
-
-    if s.kind.is_ll:
-        other_side = s.right if occurrence.side == "left" else s.left
-        if len(other_side) != 1:
-            raise ValueError("a << sequent must relate the pivot to one formula")
-        other = other_side[0]
-
-        def ll(x: Formula, y: Formula) -> RelationalHypersequent:
-            return hseq(seq((x,), LL, (y,)))
-
-        if occurrence.side == "left":
-            if is_conj:
-                replacements = [ll(a, other), ll(b, other), ll(a, other), ll(a, other), EMPTY]
-            else:
-                replacements = [ll(b, other), ll(a, other), EMPTY]
-        else:
-            if is_conj:
-                replacements = [
-                    ll(other, a),
-                    ll(other, b),
-                    ll(other, a),
-                    ll(other, a),
-                    ll(other, TOP),
-                ]
-            else:
-                replacements = [ll(other, b), ll(other, a), ll(other, TOP)]
-    else:
-        gamma = _minus_one(pivot_side, pivot)
-        delta = s.right if occurrence.side == "left" else s.left
-
-        def frac(
-            own: tuple[Formula, ...], kind, other: tuple[Formula, ...]
-        ) -> RelationalHypersequent:
-            if occurrence.side == "left":
-                return hseq(seq(own, kind, other))
-            return hseq(seq(other, kind, own))
-
-        if s.kind.tag == "preceq" and s.kind.z == 0 and not gamma and len(delta) == 1:
-            residual = hseq(seq((TOP,), preceq(), delta))
-        else:
-            residual = EMPTY
-        if is_conj:
-            shift = 1 if occurrence.side == "left" else -1
-            replacements = [
-                frac(gamma + (a,), s.kind, delta),
-                frac(gamma + (b,), s.kind, delta),
-                frac(gamma + (a, b), s.kind, delta),
-                frac(gamma + (a, b), s.kind.shifted(shift), (a, b) + delta),
-                residual,
-            ]
-        else:
-            replacements = [
-                frac(gamma + (b,), s.kind, delta),
-                frac(gamma + (b,), s.kind, (a,) + delta),
-                residual,
-            ]
-
-    labels = [
-        union(antecedent, rest, replacement)
-        for antecedent, replacement in zip(antecedents, replacements)
-    ]
-    return _premises("conj" if is_conj else "impl", labels)

@@ -123,21 +123,6 @@ def complexity_key(formula: Formula) -> tuple[int, bytes]:
     return (complexity(formula), serialize_key(formula))
 
 
-def cmp_complexity(a: Formula, b: Formula) -> int:
-    """Three-way comparison in the total complexity order.
-
-    Formulas are compared by connective count first; ties are broken by the
-    canonical serialization, so the result is 0 only for structurally equal
-    formulas.  Returns -1, 0 or 1.
-    """
-    ka, kb = complexity_key(a), complexity_key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
 @lru_cache(maxsize=None)
 def variables_in(formula: Formula) -> frozenset[int]:
     """Indices of the variables occurring in the formula."""

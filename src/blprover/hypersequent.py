@@ -4,11 +4,12 @@ A relational sequent relates two multisets of formulas through one of three
 relation symbols: ``<<`` (integer-part comparison), ``<=_z`` and ``<_z``
 (indexed fractional comparisons; the index is omitted when zero).  A
 relational hypersequent is a finite set of such sequents, read disjunctively.
-A hypersequent is a frozenset of sequents, with the set's equality and hash;
-only render sorts its sequents, by ``RelationalSequent.sort_key``.
+``RelationalHypersequent`` is a frozenset subclass that adds only ``render``,
+which sorts its sequents by ``RelationalSequent.sort_key``, and an ``|`` that
+keeps the type; any other set operation gives a plain frozenset.
 
-Sequents are immutable and cache their hash, sort key, weight and
-atomicity, so labels share them: a substitution returns every sequent that
+Sequents are immutable and cache their hash, sort key, weight, atomicity and
+shape flag, so labels share them: a substitution returns every sequent that
 does not contain its target as the same object, and ``union`` joins the
 parts of a new label with one set union.
 """
@@ -146,6 +147,19 @@ class RelationalSequent:
         return target in self.left or target in self.right
 
     @property
+    def one_sided_pair(self) -> bool:
+        """True for two formulas on one side of an index-zero fractional relation."""
+        cached = self.__dict__.get("_one_sided_pair")
+        if cached is None:
+            cached = (
+                not self.kind.is_ll
+                and self.kind.z == 0
+                and (len(self.left), len(self.right)) in ((2, 0), (0, 2))
+            )
+            object.__setattr__(self, "_one_sided_pair", cached)
+        return cached
+
+    @property
     def is_unit_shape(self) -> bool:
         """True for the one-formula-each-side shape with index zero."""
         return (
@@ -166,38 +180,16 @@ def seq(left: Iterable[Formula], kind: RelKind, right: Iterable[Formula]) -> Rel
     return RelationalSequent(tuple(left), kind, tuple(right))
 
 
-@dataclass(frozen=True)
-class RelationalHypersequent:
+class RelationalHypersequent(frozenset):
     """A set of relational sequents, read as a disjunction; built from any iterable."""
 
-    sequents: frozenset[RelationalSequent] = frozenset()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sequents", frozenset(self.sequents))
-
-    def __iter__(self) -> Iterator[RelationalSequent]:
-        return iter(self.sequents)
-
-    def __len__(self) -> int:
-        return len(self.sequents)
-
-    def __contains__(self, sequent: RelationalSequent) -> bool:
-        return sequent in self.sequents
+    __slots__ = ()
 
     def __or__(self, other: RelationalHypersequent) -> RelationalHypersequent:
         return union(self, other)
 
-    def without(self, sequent: RelationalSequent) -> RelationalHypersequent:
-        return RelationalHypersequent(self.sequents - {sequent})
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.sequents
-
     def render(self) -> str:
-        return " | ".join(
-            s.render() for s in sorted(self.sequents, key=RelationalSequent.sort_key)
-        )
+        return " | ".join(s.render() for s in sorted(self, key=RelationalSequent.sort_key))
 
 
 def hseq(*sequents: RelationalSequent) -> RelationalHypersequent:
@@ -206,10 +198,7 @@ def hseq(*sequents: RelationalSequent) -> RelationalHypersequent:
 
 def union(*parts: RelationalHypersequent) -> RelationalHypersequent:
     """Every sequent of the parts, joined by one set union."""
-    return RelationalHypersequent(frozenset().union(*(part.sequents for part in parts)))
-
-
-EMPTY = RelationalHypersequent()
+    return RelationalHypersequent(frozenset().union(*parts))
 
 
 def variables(g: RelationalHypersequent) -> frozenset[int]:
@@ -268,7 +257,7 @@ def subst_all(
 ) -> RelationalHypersequent:
     """Replace every occurrence of target by a single replacement formula.
 
-    Occurrences are sequent-side elements; targets nested inside a larger
+    Only sequent-side elements are replaced; targets nested inside a larger
     formula are not touched (the callers only substitute maximal formulas,
     which cannot occur nested).  Sequents without the target are unchanged.
     """
@@ -387,10 +376,6 @@ def expand_abbreviation(name: str, a: Formula, b: Formula) -> RelationalHyperseq
     for the conditions themselves.  Expansions are immutable, so repeat
     requests share one instance.
     """
-    if name == "leq":
-        return hseq(seq((a,), LL, (b,)), seq((a,), preceq(), (b,)))
-    if name == "sim":
-        return hseq(seq((a,), preceq(), (b,)), seq((b,), preceq(), (a,)))
     if name == "neg_ll":
         return hseq(
             seq((a,), preceq(), (b,)),
@@ -438,11 +423,7 @@ def check_generated_shape(g: RelationalHypersequent) -> None:
     creates; a violation signals an implementation bug.  The message names
     the offending sequent with the least sort key.
     """
-    offenders = [
-        s
-        for s in g
-        if not s.kind.is_ll and s.kind.z == 0 and (len(s.left), len(s.right)) in ((2, 0), (0, 2))
-    ]
+    offenders = [s for s in g if s.one_sided_pair]
     if offenders:
         s = min(offenders, key=RelationalSequent.sort_key)
         raise AssertionError(

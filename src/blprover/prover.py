@@ -271,7 +271,3 @@ def cli_main(argv: list[str] | None = None) -> int:
         return _cmd_tree(args, formula)
     assert args.command == "eval"
     return _cmd_eval(args, formula)
-
-
-if __name__ == "__main__":
-    sys.exit(cli_main())

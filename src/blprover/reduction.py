@@ -174,7 +174,7 @@ def _by_open_part(expand: Expand) -> Expand:
 
     def by_open_part(label: RelationalHypersequent) -> tuple[Premise, ...]:
         settled = frozenset(s for s in label if s.all_atomic)
-        open_part = label.sequents - settled if settled else label.sequents
+        open_part = label - settled if settled else label
         premises = memo.get(open_part)
         if premises is None:
             premises = expand(RelationalHypersequent(open_part) if settled else label)
@@ -182,7 +182,7 @@ def _by_open_part(expand: Expand) -> Expand:
         if not settled:
             return premises
         return tuple(
-            Premise(p.tag, p.index, RelationalHypersequent(settled | p.label.sequents))
+            Premise(p.tag, p.index, RelationalHypersequent(settled | p.label))
             for p in premises
         )
 
@@ -223,21 +223,20 @@ def _fold_inner(
     )
 
 
-def build_rwbl_tree(formula: Formula, depth_limit: int | None = None) -> ReductionTree:
+def build_rwbl_tree(formula: Formula) -> ReductionTree:
     """Full reduction tree in the whole-hypersequent rewriting calculus.
 
-    The depth limit defaults to the connective count of the formula, which is
-    a proven bound on the height; exceeding it raises ReductionDepthError.
+    The depth limit is the connective count of the formula, which is a
+    proven bound on the height; exceeding it raises ReductionDepthError.
     Formulas beyond the parser's size limits raise ValueError.  Premises of a
     label S ∪ U with settled part S are S ∪ premises(U), so each distinct
     open part U is expanded once.  The pass that builds the nodes also
     computes the tree's statistics, valuing each distinct label once.
     """
     check_limits(formula)
-    limit = complexity(formula) if depth_limit is None else depth_limit
     root = root_label(formula)
     (children, stats), _ = fold_tree(
-        root, _by_open_part(rwbl_premises), limit, _fold_leaf, _fold_inner
+        root, _by_open_part(rwbl_premises), complexity(formula), _fold_leaf, _fold_inner
     )
     return ReductionTree(formula, ReductionNode(root, None, None, children), stats)
 

@@ -180,35 +180,6 @@ def eval_formula(v: Valuation, formula: Formula) -> OmegaValue:
     return omega_imp(eval_formula(v, formula.left), eval_formula(v, formula.right))
 
 
-def odot_type(x: OmegaValue, y: OmegaValue) -> int:
-    """Case split for strong conjunction, numbered 1 to 5.
-
-    1: first integer part smaller.  2: second smaller.  3: equal finite
-    integer parts with fractional sum at least 1.  4: equal finite integer
-    parts with fractional sum below 1.  5: both infinite.
-    """
-    if isinstance(x, Infinite) and isinstance(y, Infinite):
-        return 5
-    if isinstance(y, Infinite) or (isinstance(x, Finite) and isinstance(y, Finite) and x.int_part < y.int_part):
-        return 1
-    if isinstance(x, Infinite) or y.int_part < x.int_part:
-        return 2
-    return 3 if x.frac + y.frac >= 1 else 4
-
-
-def imp_type(x: OmegaValue, y: OmegaValue) -> int:
-    """Case split for implication, numbered 1 to 3.
-
-    1: second integer part smaller.  2: equal finite integer parts with
-    y < x.  3: x <= y.
-    """
-    if x <= y:
-        return 3
-    if isinstance(x, Finite) and isinstance(y, Finite) and x.int_part == y.int_part:
-        return 2
-    return 1
-
-
 def _floors_equal(x: OmegaValue, y: OmegaValue) -> bool:
     if isinstance(x, Infinite) or isinstance(y, Infinite):
         return isinstance(x, Infinite) and isinstance(y, Infinite)

@@ -3,7 +3,11 @@
 Nothing here is part of the decision procedure.  The leaf oracle decides
 satisfiability of a negated irreducible hypersequent by enumerating integer
 parts outright, so it shares no reasoning with the clustering pipeline, and
-the fuzzer replays the reduction rules against random valuations.  The tree
+the fuzzer replays the reduction rules against random valuations: the
+prover's rewriting rules and the paper's single-occurrence RHBL rules
+(``rhbl_premises``), which rewrite one designated pivot occurrence.  The
+semantic case numbering (``odot_type``, ``imp_type``) and the positive
+abbreviations ``leq`` and ``sim`` (``abbreviation``) live here too.  The tree
 measures bound the size of rewriting trees (``compound_subformulas`` feeds
 ``branch_estimate``), ``walk_stats`` recomputes a tree's statistics node by
 node, and ``rwbl_leaves`` lists a formula's leaves by expanding premises
@@ -18,7 +22,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from blprover.calculus import Premise, rhbl_premises, rwbl_premises, smaller_child
+from blprover.calculus import (
+    Premise,
+    _conj_antecedents,
+    _impl_antecedents,
+    _premises,
+    rwbl_premises,
+    smaller_child,
+)
 from blprover.formula import (
     BOT,
     Bottom,
@@ -31,18 +42,23 @@ from blprover.formula import (
     is_atomic,
 )
 from blprover.hypersequent import (
+    LL,
     RelationalHypersequent,
+    RelationalSequent,
     decompose,
     expand_abbreviation,
+    hseq,
     is_irreducible,
     most_complex,
+    preceq,
     seq,
     subst_all,
+    union,
     variables,
 )
 from blprover.linfeas import LinConstraint, solve
 from blprover.reduction import ReductionNode, TreeStats, root_label
-from blprover.semantics import Finite, INF, OmegaValue, Valuation, satisfies
+from blprover.semantics import Finite, INF, Infinite, OmegaValue, Valuation, satisfies
 
 
 class OracleBudgetError(RuntimeError):
@@ -219,6 +235,165 @@ def random_formula(
         rng, connectives - 1 - left_budget, var_count, bottom_prob, conj_prob
     )
     return Conj(left, right) if rng.random() < conj_prob else Impl(left, right)
+
+
+def odot_type(x: OmegaValue, y: OmegaValue) -> int:
+    """Case split for strong conjunction, numbered 1 to 5.
+
+    1: first integer part smaller.  2: second smaller.  3: equal finite
+    integer parts with fractional sum at least 1.  4: equal finite integer
+    parts with fractional sum below 1.  5: both infinite.
+    """
+    if isinstance(x, Infinite) and isinstance(y, Infinite):
+        return 5
+    if isinstance(y, Infinite) or (isinstance(x, Finite) and isinstance(y, Finite) and x.int_part < y.int_part):
+        return 1
+    if isinstance(x, Infinite) or y.int_part < x.int_part:
+        return 2
+    return 3 if x.frac + y.frac >= 1 else 4
+
+
+def imp_type(x: OmegaValue, y: OmegaValue) -> int:
+    """Case split for implication, numbered 1 to 3.
+
+    1: second integer part smaller.  2: equal finite integer parts with
+    y < x.  3: x <= y.
+    """
+    if x <= y:
+        return 3
+    if isinstance(x, Finite) and isinstance(y, Finite) and x.int_part == y.int_part:
+        return 2
+    return 1
+
+
+def abbreviation(name: str, a: Formula, b: Formula) -> RelationalHypersequent:
+    """expand_abbreviation, plus the positive forms ``leq`` and ``sim``."""
+    if name == "leq":
+        return hseq(seq((a,), LL, (b,)), seq((a,), preceq(), (b,)))
+    if name == "sim":
+        return hseq(seq((a,), preceq(), (b,)), seq((b,), preceq(), (a,)))
+    return expand_abbreviation(name, a, b)
+
+
+@dataclass(frozen=True)
+class Occurrence:
+    """A pivot occurrence: the hosting sequent and which side holds it."""
+
+    sequent: RelationalSequent
+    side: str
+
+    def __post_init__(self) -> None:
+        if self.side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
+
+
+def choose_occurrence(g: RelationalHypersequent, pivot: Formula | None = None) -> Occurrence:
+    """Deterministic occurrence selection for the single-occurrence calculus.
+
+    Picks the sequent with the least sort key among those that contain the
+    pivot, preferring its left side.
+    """
+    if pivot is None:
+        pivot = most_complex(g)
+    hosts = [s for s in g if s.contains(pivot)]
+    if not hosts:
+        raise ValueError("pivot does not occur in the hypersequent")
+    s = min(hosts, key=RelationalSequent.sort_key)
+    return Occurrence(s, "left" if pivot in s.left else "right")
+
+
+def _minus_one(side: tuple[Formula, ...], pivot: Formula) -> tuple[Formula, ...]:
+    position = side.index(pivot)
+    return side[:position] + side[position + 1 :]
+
+
+def rhbl_premises(
+    g: RelationalHypersequent, occurrence: Occurrence | None = None
+) -> tuple[Premise, ...]:
+    """Logical-rule step rewriting one pivot occurrence of g.
+
+    The rewritten occurrence is the pivot formula inside the designated
+    sequent side (chosen by choose_occurrence when not supplied); all other
+    occurrences stay.  Premises whose semantic case leaves the hosting
+    sequent unsatisfiable drop it entirely, except for the
+    one-formula-against-pivot index-zero shape, where the final premise keeps
+    the residual comparison against bare top.
+    """
+    pivot = most_complex(g)
+    if occurrence is None:
+        occurrence = choose_occurrence(g, pivot)
+    s = occurrence.sequent
+    if s not in g:
+        raise ValueError("occurrence does not belong to the hypersequent")
+    pivot_side = s.left if occurrence.side == "left" else s.right
+    if pivot not in pivot_side:
+        raise ValueError("designated side does not contain the pivot")
+    rest = g - {s}
+    a, b = pivot.left, pivot.right
+    is_conj = isinstance(pivot, Conj)
+    antecedents = _conj_antecedents(a, b) if is_conj else _impl_antecedents(a, b)
+
+    if s.kind.is_ll:
+        other_side = s.right if occurrence.side == "left" else s.left
+        if len(other_side) != 1:
+            raise ValueError("a << sequent must relate the pivot to one formula")
+        other = other_side[0]
+
+        def ll(x: Formula, y: Formula) -> RelationalHypersequent:
+            return hseq(seq((x,), LL, (y,)))
+
+        if occurrence.side == "left":
+            if is_conj:
+                replacements = [ll(a, other), ll(b, other), ll(a, other), ll(a, other), hseq()]
+            else:
+                replacements = [ll(b, other), ll(a, other), hseq()]
+        else:
+            if is_conj:
+                replacements = [
+                    ll(other, a),
+                    ll(other, b),
+                    ll(other, a),
+                    ll(other, a),
+                    ll(other, TOP),
+                ]
+            else:
+                replacements = [ll(other, b), ll(other, a), ll(other, TOP)]
+    else:
+        gamma = _minus_one(pivot_side, pivot)
+        delta = s.right if occurrence.side == "left" else s.left
+
+        def frac(
+            own: tuple[Formula, ...], kind, other: tuple[Formula, ...]
+        ) -> RelationalHypersequent:
+            if occurrence.side == "left":
+                return hseq(seq(own, kind, other))
+            return hseq(seq(other, kind, own))
+
+        if s.kind.tag == "preceq" and s.kind.z == 0 and not gamma and len(delta) == 1:
+            residual = hseq(seq((TOP,), preceq(), delta))
+        else:
+            residual = hseq()
+        if is_conj:
+            shift = 1 if occurrence.side == "left" else -1
+            replacements = [
+                frac(gamma + (a,), s.kind, delta),
+                frac(gamma + (b,), s.kind, delta),
+                frac(gamma + (a, b), s.kind, delta),
+                frac(gamma + (a, b), s.kind.shifted(shift), (a, b) + delta),
+                residual,
+            ]
+        else:
+            replacements = [
+                frac(gamma + (b,), s.kind, delta),
+                frac(gamma + (b,), s.kind, (a,) + delta),
+                residual,
+            ]
+
+    labels = [
+        union(antecedent, rest, replacement)
+        for antecedent, replacement in zip(antecedents, replacements)
+    ]
+    return _premises("conj" if is_conj else "impl", labels)
 
 
 def _balanced_no_shift(

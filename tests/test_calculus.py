@@ -1,19 +1,16 @@
-"""Premise construction for both rule families, pinned against hand-built labels."""
+"""Premise construction for both rule families, pinned against hand-built labels.
+
+The rewriting rules are the package's; the paper's single-occurrence RHBL
+rules live in the test support module, beside the fuzzer that checks them.
+"""
 
 import random
 
 import pytest
 
-from blprover import Conj, Impl, LL, TOP, Var, hseq, prec, preceq, rhbl_premises, rwbl_premises, satisfies, seq
-from blprover.calculus import (
-    Occurrence,
-    _conj_antecedents,
-    _impl_antecedents,
-    choose_occurrence,
-    smaller_child,
-)
+from blprover import Conj, Impl, LL, TOP, Var, hseq, prec, preceq, rwbl_premises, satisfies, seq
+from blprover.calculus import _conj_antecedents, _impl_antecedents, smaller_child
 from blprover.hypersequent import (
-    EMPTY,
     RelationalHypersequent,
     decompose,
     expand_abbreviation,
@@ -26,7 +23,13 @@ from blprover.hypersequent import (
     variables,
 )
 from blprover.reduction import build_rwbl_tree, root_label
-from support import random_formula, random_valuation
+from support import (
+    Occurrence,
+    choose_occurrence,
+    random_formula,
+    random_valuation,
+    rhbl_premises,
+)
 
 A, B, C = Var(1), Var(2), Var(3)
 
@@ -255,7 +258,7 @@ def _chained_rhbl_labels(g, occurrence):
         def ll(x):
             return hseq(seq((x,), LL, (other,)) if on_left else seq((other,), LL, (x,)))
 
-        last = EMPTY if on_left else ll(TOP)
+        last = hseq() if on_left else ll(TOP)
         if is_conj:
             replacements = [ll(a), ll(b), ll(a), ll(a), last]
         else:
@@ -270,7 +273,7 @@ def _chained_rhbl_labels(g, occurrence):
             return hseq(seq(mine, kind, theirs) if on_left else seq(theirs, kind, mine))
 
         unit = s.kind == preceq() and not gamma and len(delta) == 1
-        residual = hseq(seq((TOP,), preceq(), delta)) if unit else EMPTY
+        residual = hseq(seq((TOP,), preceq(), delta)) if unit else hseq()
         if is_conj:
             shifted = s.kind.shifted(1 if on_left else -1)
             replacements = [
@@ -286,7 +289,7 @@ def _chained_rhbl_labels(g, occurrence):
                 frac(gamma + (b,), s.kind, (a,) + delta),
                 residual,
             ]
-    rest = g.without(s)
+    rest = g - {s}
     return [ante | rest | repl for ante, repl in zip(antecedents, replacements)]
 
 

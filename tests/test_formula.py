@@ -8,7 +8,6 @@ from blprover.formula import (
     MAX_CONNECTIVES,
     MAX_NESTING,
     check_limits,
-    cmp_complexity,
     complexity_key,
     is_atomic,
     serialize_key,
@@ -89,10 +88,10 @@ def test_is_atomic():
 
 def test_complexity_order():
     # same connective count: the tie-break puts conjunction first
-    assert cmp_complexity(Conj(P1, P2), Impl(P1, P2)) == -1
-    assert cmp_complexity(Impl(P1, P2), Conj(P1, P2)) == 1
-    assert cmp_complexity(P1, P1) == 0
-    assert cmp_complexity(P1, Conj(P1, P2)) == -1
+    assert complexity_key(Conj(P1, P2)) < complexity_key(Impl(P1, P2))
+    assert complexity_key(Impl(P1, P2)) > complexity_key(Conj(P1, P2))
+    assert complexity_key(P1) == complexity_key(P1)
+    assert complexity_key(P1) < complexity_key(Conj(P1, P2))
     assert sorted([Impl(P1, P2), P2, Conj(P1, P2)], key=complexity_key) == [
         P2,
         Conj(P1, P2),

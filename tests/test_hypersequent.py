@@ -32,9 +32,12 @@ from blprover.hypersequent import (
     subst_balanced_conj,
     subst_impl,
     subst_pair,
+    union,
     variables,
 )
+from blprover.calculus import rwbl_premises
 from blprover.semantics import satisfies_sequent
+from support import abbreviation
 
 A, B, C = Var(1), Var(2), Var(3)
 PIV = Conj(A, B)
@@ -76,8 +79,23 @@ def test_hypersequent_set_semantics():
     assert len(hseq(s1, s2, s1)) == 2
     assert s1 in hseq(s1)
     assert hseq(s1) | hseq(s2) == hseq(s1, s2)
-    assert hseq(s1, s2).without(s1) == hseq(s2)
-    assert hseq().is_empty
+    assert hseq(s1, s2) - {s1} == hseq(s2)
+    assert not hseq()
+
+
+def test_every_label_operation_returns_a_label():
+    """A frozenset operation that returned a plain frozenset would lose render."""
+    s1, s2 = seq((A,), LL, (PIV,)), seq((TOP,), preceq(), (PIV, B))
+    g = hseq(s1, s2, seq((PIV,), preceq(), (C,)), seq((A,), prec(), (C,)))
+    labels = [hseq(), hseq(s1) | hseq(s2), union(hseq(s1), hseq(s2), g), g]
+    labels += [subst_all(g, PIV, A), subst_pair(hseq(s2), PIV, A, B)]
+    labels += [subst_balanced_conj(hseq(s2), PIV, A, B), subst_impl(hseq(s2), PIV, A, B)]
+    labels += decompose(g, PIV)
+    labels += [p.label for root in (g, hseq(s2)) for p in rwbl_premises(root)]
+    for label in labels:
+        assert type(label) is RelationalHypersequent
+        plain = frozenset(label)
+        assert label == plain and hash(label) == hash(plain)
 
 
 def test_render_is_deterministic():
@@ -224,7 +242,7 @@ def _condition(name, x, y):
     ],
 )
 def test_abbreviation_matches_semantics(name):
-    expansion = expand_abbreviation(name, A, B)
+    expansion = abbreviation(name, A, B)
     for x in _sample_values():
         for y in _sample_values():
             v = Valuation({1: x, 2: y})

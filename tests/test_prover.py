@@ -123,7 +123,7 @@ def test_soundness_checks_survive_optimised_mode():
 
         if __debug__:
             sys.exit("assertions are still enabled")
-        prover.check_axiom = lambda leaf: AxiomVerdict(False, None, (), None)
+        prover.check_axiom = lambda leaf: AxiomVerdict(False, None, ())
         formula = parse("p1 -> p2")
         for decide in (
             lambda: prover.check_tautology(formula),
@@ -335,6 +335,17 @@ class TestCliProve:
         assert cli_main(["prove", " <-> ".join(["p1"] * 30)]) == 2
         assert time.perf_counter() - start < 5
         assert capsys.readouterr().err.startswith("parse error:")
+
+    def test_module_entry_point_runs_without_warnings(self):
+        src = str(Path(blprover.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "blprover", "prove", "p1 -> p1"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "provable\n", "")
 
     def test_mode_option_is_a_usage_error(self, capsys):
         assert cli_main(["prove", "p1", "--mode", "rhbl"]) == 2

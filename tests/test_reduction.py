@@ -191,9 +191,17 @@ def test_weight_bound_values():
     assert weight_bound(10) == 30613
 
 
+def _fold_height(formula, limit):
+    """The tree height, folded by fold_tree under the given depth limit."""
+    height, _ = fold_tree(
+        root_label(formula), rwbl_premises, limit, lambda _: 0, lambda _l, _p, hs: 1 + max(hs)
+    )
+    return height
+
+
 def test_zero_depth_limit_refuses_a_reducible_root():
     with pytest.raises(ReductionDepthError):
-        build_rwbl_tree(parse("p1 * p2"), depth_limit=0)
+        _fold_height(parse("p1 * p2"), 0)
 
 
 def test_depth_limit_is_the_tree_height():
@@ -205,8 +213,8 @@ def test_depth_limit_is_the_tree_height():
         if height == 0:
             continue
         with pytest.raises(ReductionDepthError):
-            build_rwbl_tree(formula, depth_limit=height - 1)
-        assert tree_stats(build_rwbl_tree(formula, depth_limit=height)).height == height
+            _fold_height(formula, height - 1)
+        assert _fold_height(formula, height) == height
         checked += 1
 
 

@@ -25,12 +25,11 @@ from blprover import (
 )
 from blprover.hypersequent import LL
 from blprover.semantics import (
-    imp_type,
-    odot_type,
     parse_value,
     render_value,
     satisfies_sequent,
 )
+from support import imp_type, odot_type
 
 fractions = st.integers(min_value=0, max_value=7).map(lambda k: Fraction(k, 8))
 finites = st.builds(Finite, st.integers(min_value=0, max_value=3), fractions)
