@@ -1,11 +1,18 @@
 """Feasibility of systems of linear inequalities over exact rationals.
 
-The solver decides systems of the form sum(c_i * x_i) <= b or < b by
-Fourier-Motzkin elimination, with native support for strict inequalities:
-a combined row is strict exactly when one of its parents is.  Every queried
-variable additionally receives the bounds 0 <= x < 1, matching the intended
-use (fractional parts of truth values).  On feasible systems a rational
-witness is extracted by back substitution and re-checked against every row.
+The solver decides systems of the form sum(c_i * x_i) <= b or < b, with
+``int`` coefficients and bounds (anything else, ``bool`` included, raises
+``ValueError``), by Fourier-Motzkin elimination with native support for strict
+inequalities: a combined row is strict exactly when one of its parents is.
+Every queried variable additionally receives the bounds 0 <= x < 1, matching
+the intended use (fractional parts of truth values).
+
+Elimination stays in integers (Schrijver, *Theory of Linear and Integer
+Programming*, 1986, section 12.2).  A row is divided by the gcd of its
+coefficients and bound, so positive multiples of one row are kept once, and
+combining a lower and an upper row scales each by the other's pivot magnitude.
+Only a feasible system meets rationals: its witness is extracted by back
+substitution and re-checked against every row.
 """
 
 from __future__ import annotations
@@ -13,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping
 
 
 @dataclass(frozen=True)
 class LinConstraint:
-    """One row: sum of coefficient * variable compared against an integer bound."""
+    """One row: sum(coefficient * variable) against a bound; ``int`` only, no ``bool``."""
 
     coefficients: Mapping[Hashable, int]
     bound: int
@@ -31,31 +38,20 @@ class FeasibilityResult:
     witness: dict[Hashable, Fraction] | None = None
 
 
-_Row = tuple[dict, Fraction, bool]
-
-
-def _normalized(coeffs: dict, bound: Fraction, strict: bool) -> _Row | None:
-    """Drop zero coefficients and scale by the gcd; None for tautologies."""
-    coeffs = {v: c for v, c in coeffs.items() if c != 0}
-    if not coeffs:
+def _primitive(
+    coeffs: tuple[int, ...], bound: int, strict: bool
+) -> tuple[tuple[int, ...], int, bool] | None:
+    """Divide the row by the gcd of its coefficients and bound; None for tautologies."""
+    divisor = gcd(*coeffs)
+    if divisor == 0:
         if bound < 0 or (strict and bound == 0):
             raise _InfeasibleRow()
         return None
-    divisor = gcd(*(abs(c.numerator) for c in coeffs.values()))
-    denoms = [c.denominator for c in coeffs.values()] + [bound.denominator]
-    scale = Fraction(_lcm_all(denoms), divisor)
-    return (
-        {v: c * scale for v, c in sorted(coeffs.items(), key=lambda it: repr(it[0]))},
-        bound * scale,
-        strict,
-    )
-
-
-def _lcm_all(values: Sequence[int]) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
+    divisor = gcd(divisor, bound)
+    if divisor != 1:
+        coeffs = tuple(c // divisor for c in coeffs)
+        bound //= divisor
+    return coeffs, bound, strict
 
 
 class _InfeasibleRow(Exception):
@@ -76,64 +72,71 @@ def solve(
     # iterator input must not be used up by the first pass.
     constraints = list(constraints)
     ordering = sorted(set(variables), key=repr)
-    known = set(ordering)
-    rows: list[_Row] = []
-    seen: set[tuple] = set()
+    position = {var: k for k, var in enumerate(ordering)}
+    width = len(ordering)
+    rows: list[tuple[tuple[int, ...], int, bool]] = []
+    seen: set[tuple[tuple[int, ...], int, bool]] = set()
 
-    def add_row(coeffs: dict, bound: Fraction, strict: bool) -> None:
-        row = _normalized(dict(coeffs), bound, strict)
-        if row is None:
-            return
-        key = (tuple(row[0].items()), row[1], row[2])
-        if key not in seen:
-            seen.add(key)
+    def add_row(coeffs: tuple[int, ...], bound: int, strict: bool) -> None:
+        row = _primitive(coeffs, bound, strict)
+        if row is not None and row not in seen:
+            seen.add(row)
             rows.append(row)
 
-    try:
-        for constraint in constraints:
-            for var in constraint.coefficients:
-                if var not in known:
-                    raise ValueError(f"row mentions unknown variable {var!r}")
-            add_row(
-                {v: Fraction(c) for v, c in constraint.coefficients.items()},
-                Fraction(constraint.bound),
-                constraint.strict,
-            )
-        for var in ordering:
-            add_row({var: Fraction(-1)}, Fraction(0), False)
-            add_row({var: Fraction(1)}, Fraction(1), True)
+    # Every row is checked before elimination starts, so a malformed row is
+    # reported even when an earlier row is already infeasible.  type() and not
+    # isinstance(): bool is a subclass of int.
+    dense_rows = []
+    for constraint in constraints:
+        dense = [0] * width
+        for var, coeff in constraint.coefficients.items():
+            if var not in position:
+                raise ValueError(f"row mentions unknown variable {var!r}")
+            if type(coeff) is not int:
+                raise ValueError(f"coefficient of {var!r} must be an int, not {coeff!r}")
+            dense[position[var]] = coeff
+        if type(constraint.bound) is not int:
+            raise ValueError(f"bound must be an int, not {constraint.bound!r}")
+        dense_rows.append((tuple(dense), constraint.bound, constraint.strict))
 
-        eliminated: list[tuple[Hashable, list[_Row]]] = []
-        for var in ordering:
-            involved = [r for r in rows if var in r[0]]
-            passed = [r for r in rows if var not in r[0]]
-            eliminated.append((var, involved))
-            lowers = [r for r in involved if r[0][var] < 0]
-            uppers = [r for r in involved if r[0][var] > 0]
-            rows = passed
-            seen = {(tuple(r[0].items()), r[1], r[2]) for r in rows}
+    eliminated: list[list[tuple[tuple[int, ...], int, bool]]] = []
+    try:
+        for row in dense_rows:
+            add_row(*row)
+        for k in range(width):
+            unit = tuple(int(j == k) for j in range(width))
+            add_row(tuple(-u for u in unit), 0, False)
+            add_row(unit, 1, True)
+
+        for k in range(width):
+            involved = [r for r in rows if r[0][k]]
+            rows = [r for r in rows if not r[0][k]]
+            eliminated.append(involved)
+            seen = set(rows)
+            lowers = [r for r in involved if r[0][k] < 0]
+            uppers = [r for r in involved if r[0][k] > 0]
             for lo_c, lo_b, lo_s in lowers:
+                a_lo = -lo_c[k]
                 for up_c, up_b, up_s in uppers:
-                    a_lo = lo_c[var]
-                    a_up = up_c[var]
-                    coeffs: dict = {}
-                    for v, c in lo_c.items():
-                        coeffs[v] = coeffs.get(v, Fraction(0)) + c * a_up
-                    for v, c in up_c.items():
-                        coeffs[v] = coeffs.get(v, Fraction(0)) + c * (-a_lo)
-                    del coeffs[var]
-                    add_row(coeffs, lo_b * a_up + up_b * (-a_lo), lo_s or up_s)
+                    a_up = up_c[k]
+                    add_row(
+                        tuple(lo * a_up + up * a_lo for lo, up in zip(lo_c, up_c)),
+                        lo_b * a_up + up_b * a_lo,
+                        lo_s or up_s,
+                    )
     except _InfeasibleRow:
         return FeasibilityResult(False)
 
+    values: list[Fraction] = [Fraction(0)] * width
     witness: dict[Hashable, Fraction] = {}
-    for var, involved in reversed(eliminated):
+    for k in reversed(range(width)):
         lo, lo_strict = Fraction(0), False
         hi, hi_strict = Fraction(1), True
-        for coeffs, bound, strict in involved:
-            rest = bound - sum(c * witness[v] for v, c in coeffs.items() if v != var)
-            limit = rest / coeffs[var]
-            if coeffs[var] > 0:
+        for coeffs, bound, strict in eliminated[k]:
+            later = range(k + 1, width)
+            rest = bound - sum(coeffs[j] * values[j] for j in later if coeffs[j])
+            limit = Fraction(rest, coeffs[k])
+            if coeffs[k] > 0:
                 if limit < hi or (limit == hi and strict):
                     hi, hi_strict = limit, strict
             else:
@@ -141,10 +144,10 @@ def solve(
                     lo, lo_strict = limit, strict
         if lo > hi or (lo == hi and (lo_strict or hi_strict)):
             raise AssertionError("elimination left an empty interval, solver bug")
-        witness[var] = (lo + hi) / 2
+        values[k] = witness[ordering[k]] = (lo + hi) / 2
 
     for constraint in constraints:
-        value = sum(Fraction(c) * witness[v] for v, c in constraint.coefficients.items())
+        value = sum(c * witness[v] for v, c in constraint.coefficients.items())
         ok = value < constraint.bound if constraint.strict else value <= constraint.bound
         if not ok:
             raise AssertionError("witness fails an input row, solver bug")

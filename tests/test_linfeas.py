@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -11,8 +12,11 @@ from itertools import product
 from pathlib import Path
 from unittest import mock
 
+from hypothesis import given, settings, strategies as st
+
 from blprover import linfeas
 from blprover.linfeas import FeasibilityResult, LinConstraint, solve
+from support import reference_solve
 
 
 def _holds(constraint, point):
@@ -90,21 +94,46 @@ class TestLinearFeasibility(unittest.TestCase):
             LinConstraint({2: 1, 1: -1}, 0, strict=True),
             LinConstraint({1: -2, 2: -2}, -3, strict=True),
         ]
-        self._assert_witness(solve(constraints, [1, 2]), constraints)
+        result = solve(constraints, [1, 2])
+        self._assert_witness(result, constraints)
+        self.assertEqual(result.witness, {1: Fraction(7, 8), 2: Fraction(3, 4)})
+
+    def test_non_integer_input_rejected(self):
+        for bad in (Fraction(1, 2), 0.5, True):
+            with self.assertRaisesRegex(ValueError, re.escape(repr(bad))):
+                solve([LinConstraint({1: bad}, 0)], [1])
+            with self.assertRaisesRegex(ValueError, re.escape(repr(bad))):
+                solve([LinConstraint({1: 1}, bad)], [1])
 
     def test_iterator_input_is_rechecked(self):
         rows = [LinConstraint({1: -2}, -1, strict=True), LinConstraint({1: 4}, 3)]
         self.assertEqual(solve(iter(rows), [1]), solve(rows, [1]))
         # Simulate an elimination bug that loses the row x1 > 1/2: the final
         # re-check must still see that row when it came from a one-shot iterator.
-        normalized = linfeas._normalized
+        primitive = linfeas._primitive
 
         def lose_row(coeffs, bound, strict):
-            return None if strict and coeffs == {1: -2} else normalized(coeffs, bound, strict)
+            return None if strict and coeffs == (-2,) else primitive(coeffs, bound, strict)
 
-        with mock.patch.object(linfeas, "_normalized", lose_row):
+        with mock.patch.object(linfeas, "_primitive", lose_row):
             with self.assertRaisesRegex(AssertionError, "witness fails an input row"):
                 solve(iter(rows[:1]), [1])
+
+    def test_positive_multiples_are_kept_once(self):
+        # Scaled copies change no verdict or witness, so only the work shows
+        # them: every row, input or combined, passes through _primitive once.
+        def rows_made(scales):
+            rows = [LinConstraint({1: k, 2: -k}, k, strict=True) for k in scales]
+            rows.append(LinConstraint({1: -1, 2: 2}, 0))
+            spy = mock.Mock(wraps=linfeas._primitive)
+            with mock.patch.object(linfeas, "_primitive", spy):
+                result = solve(rows, [1, 2])
+            return result, spy.call_count
+
+        single, single_rows = rows_made([1])
+        scaled, scaled_rows = rows_made([1, 2, 3])
+        self.assertEqual(scaled, single)
+        self.assertEqual(scaled_rows, single_rows + 2)
 
     def test_interval_check_survives_optimised_mode(self):
         # Under -O assert statements vanish; a solver bug that lets the
@@ -117,15 +146,15 @@ class TestLinearFeasibility(unittest.TestCase):
 
             if __debug__:
                 sys.exit("assertions are still enabled")
-            normalized = linfeas._normalized
+            primitive = linfeas._primitive
 
             def keep_going(coeffs, bound, strict):
                 try:
-                    return normalized(coeffs, bound, strict)
+                    return primitive(coeffs, bound, strict)
                 except linfeas._InfeasibleRow:
                     return None
 
-            linfeas._normalized = keep_going
+            linfeas._primitive = keep_going
             rows = [linfeas.LinConstraint({1: -2}, -1), linfeas.LinConstraint({1: 4}, 1)]
             try:
                 linfeas.solve(rows, [1])
@@ -169,6 +198,35 @@ class TestLinearFeasibility(unittest.TestCase):
             elif result.feasible:
                 # a witness off the sixths grid is fine, but must check out
                 self._assert_witness(result, constraints)
+
+
+@st.composite
+def _systems(draw):
+    # Ids from 10 up make the repr elimination order differ from numeric
+    # order.  A row mentions at most four variables: nearly all of the
+    # prover's rows are that sparse, and dense random rows make elimination
+    # blow up.
+    var_ids = draw(st.lists(st.integers(1, 15), min_size=1, max_size=8, unique=True))
+    row = st.builds(
+        LinConstraint,
+        st.dictionaries(st.sampled_from(var_ids), st.integers(-3, 3), max_size=4),
+        st.integers(-4, 4),
+        st.booleans(),
+    )
+    return draw(st.lists(row, max_size=12)), var_ids
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_systems())
+def test_agrees_with_the_fraction_solver(system):
+    constraints, var_ids = system
+    expected = reference_solve(constraints, var_ids)
+    result = solve(constraints, var_ids)
+    assert result.feasible == expected.feasible
+    assert result.witness == expected.witness
+    if expected.witness is not None:
+        assert list(result.witness) == list(expected.witness)
+        assert all(type(value) is Fraction for value in result.witness.values())
 
 
 if __name__ == "__main__":
