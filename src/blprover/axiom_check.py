@@ -1,9 +1,10 @@
 """Deciding irreducible hypersequents: axiom or explicit countermodel.
 
 An irreducible label is valid exactly when the conjunction of the negations
-of its sequents admits no valuation.  negate_leaf reads each sequent once
-and gives one negation per relation: NegLl for ``<<`` and NegFrac for the
-fractional ``<=_z`` and ``<_z``.  The decision has three stages:
+of its sequents admits no valuation.  negate_leaf reads each sequent once:
+each ``<<`` sequent becomes one floor edge, and each fractional ``<=_z`` or
+``<_z`` sequent whose negation can constrain is kept as it is.  The decision
+has three stages:
 
 1. Integer parts.  Each negated ``<<`` sequent asserts one floor inequality;
    these become edges of a graph over the leaf's atoms and top (passed to
@@ -18,16 +19,18 @@ fractional ``<=_z`` and ``<_z``.  The decision has three stages:
    (finite) cluster contribute linear rows over the fractional variables;
    sequents whose atoms are spread over distinct clusters are vacuously
    negated by the distinct floors and contribute nothing.
-3. Feasibility.  The rows go to the exact Fourier-Motzkin solver.  A feasible
-   system yields a countermodel (floor = cluster position, fraction = solver
-   witness), which is re-checked against the leaf unconditionally; an
-   infeasible system rules the current floor assignment out.
+3. Feasibility.  Rows of distinct clusters share no variable, so the exact
+   Fourier-Motzkin solver takes each cluster that owns rows once.  An
+   infeasible cluster cannot keep a finite floor; the feasible ones' witnesses
+   give the countermodel (floor = cluster position, fraction = witness),
+   which is re-checked against the leaf unconditionally.
 
 Floors alone do not determine the whole search space: a countermodel may
 also park an upward-closed set of clusters at infinity alongside top.  Every
 constraint on that escape set is a Horn clause, so the upward closure of the
 clusters forced to escape is the least escape set, feasible whenever any is;
-check_axiom computes it (_least_escape) and makes one more solve for the witness.
+check_axiom computes it (_least_escape) from the per-cluster solves, which
+also give the witness, so no further solve is made.
 """
 
 from __future__ import annotations
@@ -35,39 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import AbstractSet, Iterable, Sequence, Union
+from typing import AbstractSet, Iterable, Sequence
 
 from .formula import BOT, Bottom, Formula, TOP, Var, is_atomic
-from .hypersequent import RelationalHypersequent, RelationalSequent, variables
+from .hypersequent import RelationalHypersequent, RelationalSequent
 from .linfeas import LinConstraint, solve
 from .semantics import Finite, INF, OmegaValue, Valuation, eval_formula, satisfies
-
-
-@dataclass(frozen=True)
-class NegLl:
-    """Negation of ``left << right``: asserts floor(right) <= floor(left)."""
-
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class NegFrac:
-    """Negation of ``lefts <=_z rights``, or of ``lefts <_z rights`` when strict.
-
-    The negation constrains fractional sums when all atoms share one finite
-    floor.  unit marks the one-each-side shape with index 0, the only shape
-    whose negation survives with bare top among its atoms.
-    """
-
-    lefts: tuple[Formula, ...]
-    rights: tuple[Formula, ...]
-    z: int
-    strict: bool
-    unit: bool
-
-
-NegatedSequent = Union[NegLl, NegFrac]
 
 
 @dataclass(frozen=True)
@@ -79,31 +55,34 @@ class AxiomVerdict:
     clusters: tuple[frozenset[Formula], ...]
 
 
-def negate_leaf(h: RelationalHypersequent) -> list[NegatedSequent]:
-    """Negate each sequent of an irreducible hypersequent, one type per relation.
+def negate_leaf(
+    h: RelationalHypersequent,
+) -> tuple[set[tuple[Formula, Formula]], list[RelationalSequent]]:
+    """Split an irreducible hypersequent into floor edges and fractional sequents.
 
-    General fractional sequents containing bare top are dead: they require
-    all values finite, so they are never satisfied and their negations hold
-    vacuously.  These are dropped rather than constrained.  Raises ValueError
-    on non-atomic formulas, naming the first one in the compound sequent with
-    the least sort key, or on a ``<<`` sequent missing a side.
+    Negating ``left << right`` asserts floor(right) <= floor(left), the edge
+    (right, left).  A negated fractional sequent constrains when its atoms
+    share one finite floor, so the sequent itself is kept.  One with bare top
+    is dead unless it has the unit shape: never satisfied, its negation holds
+    vacuously, so it is dropped.  Raises ValueError on non-atomic formulas,
+    naming the first one in the compound sequent with the least sort key, or
+    on a ``<<`` sequent missing a side.
     """
     compound = [s for s in h if not s.all_atomic]
     if compound:
         s = min(compound, key=RelationalSequent.sort_key)
         f = next(f for f in s.formulas() if not is_atomic(f))
         raise ValueError(f"leaf expected, found compound formula {f!r}")
-    out: list[NegatedSequent] = []
+    edges: set[tuple[Formula, Formula]] = set()
+    fracs: list[RelationalSequent] = []
     for s in h:
         if s.kind.is_ll:
             if len(s.left) != 1 or len(s.right) != 1:
                 raise ValueError("a << sequent in a leaf must have one formula per side")
-            out.append(NegLl(s.left[0], s.right[0]))
-            continue
-        unit = s.kind.z == 0 and len(s.left) == 1 and len(s.right) == 1
-        if unit or (TOP not in s.left and TOP not in s.right):
-            out.append(NegFrac(s.left, s.right, s.kind.z, s.kind.strict, unit))
-    return out
+            edges.add((s.right[0], s.left[0]))
+        elif s.is_unit_shape or (TOP not in s.left and TOP not in s.right):
+            fracs.append(s)
+    return edges, fracs
 
 
 def _atom_key(atom: Formula) -> tuple:
@@ -220,77 +199,64 @@ def _add_frac(coeffs: dict[int, int], atom: Formula, sign: int) -> None:
         raise AssertionError("top cannot reach the fractional rows")
 
 
-def build_lp(
-    negs: Iterable[NegatedSequent],
-    clusters: tuple[frozenset[Formula], ...],
-) -> list[LinConstraint]:
-    """Fractional rows for the negated sequents under a fixed clustering.
+def build_lp(fracs: Iterable[RelationalSequent]) -> list[LinConstraint]:
+    """Fractional rows for negated sequents whose atoms share one finite cluster.
 
-    A negated fractional sequent constrains exactly when all its atoms share
-    one finite cluster; the floor assignment neutralizes it otherwise.  Its
-    row bounds the right fractions minus the left ones by
-    len(rights) - len(lefts) - z, which is 0 for the unit shape.  The one
-    exception is a negated unit ``<=`` inside the infinite cluster, refuted
-    outright (encoded as the constant row 0 < 0).  Falsum's fractional part
-    is the constant 0 and contributes to the multiset sizes but not to the
-    coefficients.
+    Each row bounds the right fractions minus the left ones by
+    len(right) - len(left) - z, which is 0 for the unit shape.  Falsum's
+    fractional part is the constant 0 and contributes to the multiset sizes
+    but not to the coefficients.
     """
-    cluster_of = {atom: i for i, cluster in enumerate(clusters) for atom in cluster}
     rows: list[LinConstraint] = []
-    for neg in negs:
-        if isinstance(neg, NegLl):
-            continue
-        spots = {cluster_of[a] for a in neg.lefts + neg.rights}
-        if len(spots) != 1:
-            continue
-        if TOP in clusters[spots.pop()]:
-            if neg.unit and not neg.strict:
-                rows.append(LinConstraint({}, 0, strict=True))
-            continue
+    for s in fracs:
         coeffs: dict[int, int] = {}
-        for atom in neg.rights:
+        for atom in s.right:
             _add_frac(coeffs, atom, 1)
-        for atom in neg.lefts:
+        for atom in s.left:
             _add_frac(coeffs, atom, -1)
-        bound = len(neg.rights) - len(neg.lefts) - neg.z
-        rows.append(LinConstraint(coeffs, bound, strict=not neg.strict))
+        bound = len(s.right) - len(s.left) - s.kind.z
+        rows.append(LinConstraint(coeffs, bound, strict=not s.kind.strict))
     return rows
 
 
 def _least_escape(
-    negs: Sequence[NegatedSequent],
+    fracs: Sequence[RelationalSequent],
     clusters: tuple[frozenset[Formula], ...],
     edges: frozenset[tuple[int, int]],
-) -> frozenset[int] | None:
-    """The least feasible set of finite clusters sent to infinity; None when none is.
+) -> tuple[frozenset[int], dict[int, Fraction]] | None:
+    """The least feasible set of finite clusters sent to infinity, and a witness.
 
-    A cluster whose own rows are infeasible must escape.  Falsum's cluster, and
-    the finite clusters of each negated unit ``<=``, may not all escape; such a
-    ``<=`` inside top's cluster makes the leaf an axiom outright.
+    Each finite cluster that owns rows is solved once; one whose rows are
+    infeasible must escape.  Falsum's cluster, and the finite clusters of each
+    negated unit ``<=``, may not all escape; such a ``<=`` inside top's
+    cluster makes the leaf an axiom outright (None, as when no escape set is
+    feasible).  The witness joins those of the feasible clusters.
     """
     cluster_of = {atom: i for i, cluster in enumerate(clusters) for atom in cluster}
     top_at = cluster_of[TOP]
     kept = [{cluster_of[BOT]}] if BOT in cluster_of else []
-    owned: dict[int, list[NegatedSequent]] = {}
-    for neg in negs:
-        if isinstance(neg, NegLl):
-            continue
-        spots = {cluster_of[a] for a in neg.lefts + neg.rights}
-        if neg.unit and not neg.strict:
+    owned: dict[int, list[RelationalSequent]] = {}
+    for s in fracs:
+        spots = {cluster_of[a] for a in s.formulas()}
+        if s.is_unit_shape:
             if spots == {top_at}:
                 return None
             kept.append(spots - {top_at})
         if len(spots) == 1 and top_at not in spots:
-            owned.setdefault(next(iter(spots)), []).append(neg)
+            owned.setdefault(next(iter(spots)), []).append(s)
     forced = []
-    for i, rows in owned.items():
+    witness: dict[int, Fraction] = {}
+    for i, own in owned.items():
         var_ids = sorted(f.index for f in clusters[i] if isinstance(f, Var))
-        if not solve(build_lp(rows, clusters), var_ids).feasible:
+        outcome = solve(build_lp(own), var_ids)
+        if outcome.feasible:
+            witness.update(outcome.witness)
+        else:
             forced.append(i)
     escape = _reach(forced, edges) - {top_at}
     if any(group <= escape for group in kept):
         return None
-    return frozenset(escape)
+    return frozenset(escape), witness
 
 
 def _merge_escape(
@@ -308,54 +274,45 @@ def _merge_escape(
 
 
 def build_countermodel(
-    h: RelationalHypersequent,
-    clusters: tuple[frozenset[Formula], ...],
-    witness: dict[int, Fraction],
+    clusters: tuple[frozenset[Formula], ...], witness: dict[int, Fraction]
 ) -> Valuation:
-    """Valuation refuting the leaf: floor from cluster position, fraction from witness."""
-    placement: dict[int, int] = {}
+    """Valuation refuting the leaf: floor from cluster position, fraction from witness.
+
+    A variable absent from the witness gets 1/2, the midpoint of its interval.
+    """
+    assignment: dict[int, OmegaValue] = {}
     for pos, cluster in enumerate(clusters):
         for atom in cluster:
             if isinstance(atom, Var):
-                placement[atom.index] = pos
-    assignment: dict[int, OmegaValue] = {}
-    for index in sorted(variables(h)):
-        pos = placement[index]
-        if TOP in clusters[pos]:
-            assignment[index] = INF
-        else:
-            assignment[index] = Finite(pos, Fraction(witness.get(index, 0)))
+                frac = witness.get(atom.index, Fraction(1, 2))
+                assignment[atom.index] = INF if TOP in cluster else Finite(pos, frac)
     return Valuation(assignment)
 
 
 def check_axiom(h: RelationalHypersequent) -> AxiomVerdict:
     """Classify an irreducible hypersequent.
 
-    The leaf is negated once (negate_leaf).  Its atoms and top, with one edge
+    The leaf is split once (negate_leaf).  Its atoms and top, with one edge
     per negated ``<<``, form the floor graph, grouped and sorted once
     (contract_and_sort); a clash of the falsum and top pins is an axiom with
     the plain components as its clusters.  Otherwise returns an Axiom verdict
     when the negated leaf is unsatisfiable, else a NotAxiom verdict carrying a
-    countermodel, which is always re-checked against the leaf before being
-    returned.  Its infinite clusters form the least escape set, which every
-    countermodel over these floors escapes too.
+    countermodel from the witnesses of _least_escape, always re-checked against
+    the leaf before being returned.  Its infinite clusters form the least
+    escape set, which every countermodel over these floors escapes too.
     """
-    negs = negate_leaf(h)
+    floor_edges, fracs = negate_leaf(h)
     clusters, edges, clash = contract_and_sort(
-        {TOP}.union(*(s.left + s.right for s in h)),
-        {(neg.right, neg.left) for neg in negs if isinstance(neg, NegLl)},
+        {TOP}.union(*(s.left + s.right for s in h)), floor_edges
     )
     if clash:
         return AxiomVerdict(True, None, clusters)
-    escape = _least_escape(negs, clusters, edges)
-    if escape is None:
+    least = _least_escape(fracs, clusters, edges)
+    if least is None:
         return AxiomVerdict(True, None, clusters)
+    escape, witness = least
     trial = _merge_escape(clusters, escape) if escape else clusters
-    var_ids = sorted({f.index for c in clusters for f in c if isinstance(f, Var)})
-    outcome = solve(build_lp(negs, trial), var_ids)
-    if not outcome.feasible:
-        raise AssertionError("the least escape set failed its final solve, bug")
-    model = build_countermodel(h, trial, outcome.witness)
+    model = build_countermodel(trial, witness)
     if satisfies(model, h):
         raise AssertionError(
             "countermodel construction failed its runtime check; "

@@ -28,7 +28,6 @@ from .formula import (
     is_atomic,
     render as render_formula,
     serialize_key,
-    variables_in,
 )
 
 _KIND_RANK = {"ll": 0, "preceq": 1, "prec": 2}
@@ -199,15 +198,6 @@ def hseq(*sequents: RelationalSequent) -> RelationalHypersequent:
 def union(*parts: RelationalHypersequent) -> RelationalHypersequent:
     """Every sequent of the parts, joined by one set union."""
     return RelationalHypersequent(frozenset().union(*parts))
-
-
-def variables(g: RelationalHypersequent) -> frozenset[int]:
-    """Indices of all variables occurring anywhere in the hypersequent."""
-    result: frozenset[int] = frozenset()
-    for sequent in g:
-        for f in sequent.formulas():
-            result |= variables_in(f)
-    return result
 
 
 def is_irreducible(g: RelationalHypersequent) -> bool:

@@ -80,7 +80,7 @@ def render_value(value: OmegaValue) -> str:
     return f"{value.int_part}+{value.frac.numerator}/{value.frac.denominator}"
 
 
-_VALUE_RE = re.compile(r"(\d+)\+(\d+)/(\d+)\Z")
+_VALUE_RE = re.compile(r"([0-9]+)\+([0-9]+)/([0-9]+)\Z")
 
 
 def parse_value(text: str) -> OmegaValue:

@@ -14,6 +14,7 @@ node, and ``rwbl_leaves`` lists a formula's leaves by expanding premises
 lazily, without building the tree.  ``reference_solve`` is the Fourier-Motzkin
 solver over ``Fraction`` rows that the integer ``linfeas.solve`` replaced; the
 differential test holds the two to the same verdicts and witnesses.
+``variables`` collects a hypersequent's variable indices.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from blprover.formula import (
     Var,
     complexity,
     is_atomic,
+    variables_in,
 )
 from blprover.hypersequent import (
     LL,
@@ -57,11 +59,19 @@ from blprover.hypersequent import (
     seq,
     subst_all,
     union,
-    variables,
 )
 from blprover.linfeas import FeasibilityResult, LinConstraint, solve
 from blprover.reduction import ReductionNode, TreeStats, root_label
 from blprover.semantics import Finite, INF, Infinite, OmegaValue, Valuation, satisfies
+
+
+def variables(g: RelationalHypersequent) -> frozenset[int]:
+    """Indices of all variables occurring anywhere in the hypersequent."""
+    result: frozenset[int] = frozenset()
+    for sequent in g:
+        for f in sequent.formulas():
+            result |= variables_in(f)
+    return result
 
 
 class OracleBudgetError(RuntimeError):

@@ -25,7 +25,7 @@ from blprover import (
 )
 from blprover.axiom_check import check_axiom
 from blprover.formula import variables_in
-from blprover.hypersequent import LL, hseq, preceq, prec, seq, variables
+from blprover.hypersequent import LL, hseq, preceq, prec, seq
 from blprover.reduction import build_rwbl_tree
 from support import (
     branch_estimate,
@@ -33,6 +33,7 @@ from support import (
     oracle_leaf_satisfiable,
     random_formula,
     rwbl_leaves,
+    variables,
     weight_bound,
 )
 

@@ -23,7 +23,8 @@ from blprover import (
     verify_branch_countermodel,
 )
 from blprover import axiom_check
-from blprover.axiom_check import NegFrac, NegLl, contract_and_sort, negate_leaf
+from blprover.axiom_check import build_lp, contract_and_sort, negate_leaf
+from blprover.linfeas import solve
 from blprover.semantics import Valuation
 from support import oracle_leaf_satisfiable, random_formula, rwbl_leaves
 
@@ -45,20 +46,29 @@ class TestNegation:
             seq((P1, P2), preceq(1), ()),
             seq((), prec(-1), (P1, P2)),
         )
-        negs = negate_leaf(leaf)
-        assert len(negs) == 5
-        assert set(negs) == {
-            NegLl(P1, P2),
-            NegFrac((P1,), (P2,), 0, strict=False, unit=True),
-            NegFrac((P2,), (P1,), 0, strict=True, unit=True),
-            NegFrac((P1, P2), (), 1, strict=False, unit=False),
-            NegFrac((), (P1, P2), -1, strict=True, unit=False),
+        edges, fracs = negate_leaf(leaf)
+        # not (p1 << p2) asserts floor(p2) <= floor(p1): the edge runs p2 -> p1
+        assert edges == {(P2, P1)}
+        assert len(fracs) == 4
+        assert set(fracs) == {
+            seq((P1,), preceq(), (P2,)),
+            seq((P2,), prec(), (P1,)),
+            seq((P1, P2), preceq(1), ()),
+            seq((), prec(-1), (P1, P2)),
         }
 
     def test_top_multis_are_dropped(self):
-        leaf = hseq(seq((TOP, P1), preceq(), (P2,)), seq((P1,), preceq(), (P2,)))
-        negs = negate_leaf(leaf)
-        assert negs == [NegFrac((P1,), (P2,), 0, strict=False, unit=True)]
+        # p1 <= top holds once p1 is infinite; p1 < top and top,p1 <= p2 never hold
+        leaf = hseq(
+            seq((TOP, P1), preceq(), (P2,)),
+            seq((P1,), prec(), (TOP,)),
+            seq((P1,), preceq(), (TOP,)),
+            seq((P1,), preceq(), (P2,)),
+        )
+        edges, fracs = negate_leaf(leaf)
+        assert edges == set()
+        assert len(fracs) == 2
+        assert set(fracs) == {seq((P1,), preceq(), (TOP,)), seq((P1,), preceq(), (P2,))}
 
     def test_rejects_compound_formulas(self):
         with pytest.raises(ValueError):
@@ -253,7 +263,7 @@ class TestVerdicts:
 class TestEscapeClosure:
     def test_wide_leaf_needs_few_solves(self, monkeypatch):
         # 40 singleton clusters: enumerating escape sets would try all 2^40 of
-        # them, the closure solves each cluster that owns rows once, plus one.
+        # them, the closure solves each cluster that owns rows once.
         leaf = hseq(
             seq((P1,), preceq(), (P1,)),
             *(seq((Var(i),), LL, (Var(i),)) for i in range(2, 41)),
@@ -266,7 +276,23 @@ class TestEscapeClosure:
         verdict = check_axiom(leaf)
         assert verdict.is_axiom
         assert len(verdict.clusters) == 41
-        assert 1 <= len(calls) <= len(verdict.clusters) + 1
+        assert 1 <= len(calls) <= len(verdict.clusters)
+
+    def test_refuted_leaf_solves_each_owning_cluster_once(self, monkeypatch):
+        # p1 and p2 each own rows; those two solves decide the leaf and give
+        # its countermodel
+        leaf = hseq(
+            seq((P1,), LL, (P1,)),
+            seq((P1, P1), preceq(1), ()),
+            seq((P2,), prec(), (P2,)),
+        )
+        calls = []
+        solve = axiom_check.solve
+        monkeypatch.setattr(
+            axiom_check, "solve", lambda rows, ids: calls.append(ids) or solve(rows, ids)
+        )
+        assert not check_axiom(leaf).is_axiom
+        assert sorted(calls) == [[1], [2]]
 
     def test_partial_escape(self):
         # p1's own rows need a fraction above 1, so p1 alone goes to infinity
@@ -314,6 +340,34 @@ class TestBranchVerification:
         formula = parse("p1 -> p1 * p1")
         result = check_tautology(formula)
         assert not verify_branch_countermodel(Valuation({1: INF}), result.branch, formula)
+
+
+def test_countermodel_fractions_are_one_joint_solve():
+    """Rows of distinct clusters share no variable, so joining the witnesses
+    of the per-cluster solves gives what one solve over the rows of every
+    finite cluster gives, unmentioned variables at the midpoint 1/2 included."""
+    rng = random.Random(11)
+    refuted = 0
+    for _ in range(100):
+        formula = random_formula(rng, rng.randint(1, 4), 3)
+        for leaf in rwbl_leaves(formula):
+            verdict = check_axiom(leaf)
+            if verdict.is_axiom:
+                continue
+            refuted += 1
+            clusters = verdict.clusters
+            cluster_of = {atom: i for i, cluster in enumerate(clusters) for atom in cluster}
+            spots = {s: {cluster_of[a] for a in s.formulas()} for s in negate_leaf(leaf)[1]}
+            rows = build_lp(
+                s for s, at in spots.items() if len(at) == 1 and TOP not in clusters[min(at)]
+            )
+            var_ids = sorted({a.index for c in clusters for a in c if isinstance(a, Var)})
+            joint = solve(rows, var_ids)
+            assert joint.feasible
+            for i, value in verdict.countermodel.items():
+                if not value.is_infinite:
+                    assert value.frac == joint.witness[i], (leaf.render(), i)
+    assert refuted > 400
 
 
 def test_pipeline_agrees_with_enumeration_on_random_leaves():

@@ -20,7 +20,6 @@ from blprover.hypersequent import (
     subst_balanced_conj,
     subst_impl,
     subst_pair,
-    variables,
 )
 from blprover.reduction import build_rwbl_tree, root_label
 from support import (
@@ -29,6 +28,7 @@ from support import (
     random_formula,
     random_valuation,
     rhbl_premises,
+    variables,
 )
 
 A, B, C = Var(1), Var(2), Var(3)

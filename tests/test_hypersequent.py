@@ -33,11 +33,10 @@ from blprover.hypersequent import (
     subst_impl,
     subst_pair,
     union,
-    variables,
 )
 from blprover.calculus import rwbl_premises
 from blprover.semantics import satisfies_sequent
-from support import abbreviation
+from support import abbreviation, variables
 
 A, B, C = Var(1), Var(2), Var(3)
 PIV = Conj(A, B)

@@ -477,8 +477,16 @@ class TestCliEval:
             {"assignment": {"p1": "0+1/0"}},
             {"assignment": {"p1": "1+1/2", "p01": "inf"}},
             {"assignment": {"p\u0661": "inf"}},
+            {"assignment": {"p1": "1+\u0661/2"}},
         ],
-        ids=["string", "null", "zero_denominator", "leading_zero", "non_ascii_digit"],
+        ids=[
+            "string",
+            "null",
+            "zero_denominator",
+            "leading_zero",
+            "non_ascii_digit",
+            "non_ascii_value_digit",
+        ],
     )
     def test_malformed_valuation_file(self, tmp_path, capsys, data):
         path = tmp_path / "valuation.json"
