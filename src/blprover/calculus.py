@@ -16,6 +16,7 @@ finite integer parts with b < a; 3, a <= b.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from weakref import WeakKeyDictionary
 
 from .formula import Conj, Formula, Impl, TOP, complexity_key
 from .hypersequent import (
@@ -45,23 +46,37 @@ def smaller_child(a: Formula, b: Formula) -> Formula:
     return min(a, b, key=complexity_key)
 
 
-def _conj_antecedents(a: Formula, b: Formula) -> list[RelationalHypersequent]:
-    return [
+def _conj_antecedents(a: Formula, b: Formula) -> tuple[RelationalHypersequent, ...]:
+    return (
         expand_abbreviation("neg_ll", a, b),
         expand_abbreviation("neg_ll", b, a),
         expand_abbreviation("neg_preceq1_pair", a, b),
         expand_abbreviation("neg_pair_prec_minus1", a, b),
         expand_abbreviation("neg_preceq", TOP, a)
         | expand_abbreviation("neg_preceq", TOP, b),
-    ]
+    )
 
 
-def _impl_antecedents(a: Formula, b: Formula) -> list[RelationalHypersequent]:
-    return [
+def _impl_antecedents(a: Formula, b: Formula) -> tuple[RelationalHypersequent, ...]:
+    return (
         expand_abbreviation("neg_ll", b, a),
         expand_abbreviation("neg_prec", b, a),
         expand_abbreviation("neg_leq", a, b),
-    ]
+    )
+
+
+# The antecedent labels of each pivot, held only as long as the pivot lives.
+_ANTECEDENTS: WeakKeyDictionary[Formula, tuple[RelationalHypersequent, ...]] = (
+    WeakKeyDictionary()
+)
+
+
+def _antecedents(pivot: Formula) -> tuple[RelationalHypersequent, ...]:
+    found = _ANTECEDENTS.get(pivot)
+    if found is None:
+        expand = _conj_antecedents if isinstance(pivot, Conj) else _impl_antecedents
+        found = _ANTECEDENTS[pivot] = expand(pivot.left, pivot.right)
+    return found
 
 
 def _premises(kind: str, labels: list[RelationalHypersequent]) -> tuple[Premise, ...]:
@@ -88,8 +103,8 @@ def rwbl_premises(g: RelationalHypersequent) -> tuple[Premise, ...]:
     free, g_ll, g_ord, g_unit = decompose(g, pivot)
     ll_floor = subst_all(g_ll, pivot, c)
     top_parts = (subst_all(g_ll, pivot, TOP), subst_all(g_unit, pivot, TOP), free)
+    antecedents = _antecedents(pivot)
     if isinstance(pivot, Conj):
-        antecedents = _conj_antecedents(a, b)
         labels = [
             union(antecedents[0], subst_all(g, pivot, a)),
             union(antecedents[1], subst_all(g, pivot, b)),
@@ -99,7 +114,6 @@ def rwbl_premises(g: RelationalHypersequent) -> tuple[Premise, ...]:
         ]
         return _premises("conj", labels)
     assert isinstance(pivot, Impl)
-    antecedents = _impl_antecedents(a, b)
     labels = [
         union(antecedents[0], subst_all(g, pivot, b)),
         union(antecedents[1], ll_floor, subst_impl(g_ord, pivot, a, b), free),

@@ -5,13 +5,21 @@ conjunction and implication.  Truth is a defined constant: ``top`` abbreviates
 ``0 -> 0``.  The parser accepts the sugar ``~A`` for ``A -> 0``, ``1``/``top``
 for ``0 -> 0`` and ``A <-> B`` for ``(A -> B) * (B -> A)``; the abstract syntax
 stores only the four primitive constructors.
+
+Formulas are hash-consed: the constructors return the one live node for each
+structurally distinct formula, so equality is identity and the hash is the
+identity hash.  A node's connective count and height are fields set from its
+children at construction; its serialization key and variable set are
+computed on first use and kept on the node.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+from typing import TypeVar
+from weakref import KeyedRef
+
+N = TypeVar("N")
 
 
 class ParseError(ValueError):
@@ -22,60 +30,152 @@ class ParseError(ValueError):
         self.position = position
 
 
-class Formula:
-    """Base class for formula nodes.  Instances are immutable and hashable."""
+class InternTable(dict):
+    """Canonical nodes by structural key, held through weak references.
 
-    __slots__ = ()
+    A reference's callback removes its entry only while the key still maps to
+    that reference, so an entry dies with its node and a newer node entered
+    under the same key stays.
+    """
+
+    def add(self, key: object, node: N) -> N:
+        """Enter node under key and return the node the table now holds for it.
+
+        That is node itself, unless another thread entered a live node first.
+        """
+        ref = KeyedRef(node, self._forget, key)
+        held = self.setdefault(key, ref)
+        if held is not ref:
+            earlier = held()
+            if earlier is not None:
+                return earlier
+            self[key] = ref
+        return node
+
+    def _forget(self, ref: KeyedRef) -> None:
+        if self.get(ref.key) is ref:
+            del self[ref.key]
 
 
-@dataclass(frozen=True)
+class Interned:
+    """Base of the hash-consed node types: immutable, compared and hashed by identity.
+
+    ``_fields`` names the constructor arguments, which ``repr`` shows and
+    pickling passes back to the constructor, so a copy is the same object.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+_INTERNED = InternTable()
+_set = object.__setattr__
+
+
+class Formula(Interned):
+    """Base class for formula nodes.
+
+    ``complexity`` is the connective count of the formula tree, counting a
+    shared subformula once per occurrence, and ``height`` the longest chain
+    of connectives from the root.
+    """
+
+    __slots__ = ("complexity", "height", "_key", "_variables")
+
+    complexity: int
+    height: int
+
+
+def _enter(key: tuple, node: N, complexity: int, height: int) -> N:
+    _set(node, "complexity", complexity)
+    _set(node, "height", height)
+    _set(node, "_key", None)
+    _set(node, "_variables", None)
+    return _INTERNED.add(key, node)
+
+
 class Bottom(Formula):
     """The falsum constant."""
 
     __slots__ = ()
 
+    def __new__(cls) -> Bottom:
+        key = (cls,)
+        ref = _INTERNED.get(key)
+        return (ref and ref()) or _enter(key, object.__new__(cls), 0, 0)
 
-@dataclass(frozen=True)
+
 class Var(Formula):
     """A propositional variable ``p<index>``."""
 
+    __slots__ = ("index",)
+    _fields = ("index",)
+
     index: int
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"variable index must be nonnegative, got {self.index}")
+    def __new__(cls, index: int) -> Var:
+        key = (cls, index)
+        ref = _INTERNED.get(key)
+        node = ref and ref()
+        if node is None:
+            if index < 0:
+                raise ValueError(f"variable index must be nonnegative, got {index}")
+            node = object.__new__(cls)
+            _set(node, "index", index)
+            node = _enter(key, node, 0, 0)
+        return node
 
 
-@dataclass(frozen=True)
-class Conj(Formula):
+class _Connective(Formula):
+    """A binary connective over two interned formulas."""
+
+    __slots__ = ("left", "right")
+    _fields = ("left", "right")
+
+    left: Formula
+    right: Formula
+
+    def __new__(cls, left: Formula, right: Formula) -> _Connective:
+        key = (cls, left, right)
+        ref = _INTERNED.get(key)
+        node = ref and ref()
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "left", left)
+            _set(node, "right", right)
+            node = _enter(
+                key,
+                node,
+                1 + left.complexity + right.complexity,
+                1 + max(left.height, right.height),
+            )
+        return node
+
+
+class Conj(_Connective):
     """Strong conjunction."""
 
-    left: Formula
-    right: Formula
-
-    def __hash__(self) -> int:
-        # Deep formulas are hashed constantly as sequents enter label sets,
-        # so the recursive hash is computed once per instance.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((Conj, self.left, self.right))
-            object.__setattr__(self, "_hash", cached)
-        return cached
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Impl(Formula):
+class Impl(_Connective):
     """Implication."""
 
-    left: Formula
-    right: Formula
-
-    def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((Impl, self.left, self.right))
-            object.__setattr__(self, "_hash", cached)
-        return cached
+    __slots__ = ()
 
 
 BOT = Bottom()
@@ -89,49 +189,52 @@ def is_atomic(formula: Formula) -> bool:
     (it is never selected for reduction), even though structurally it is the
     implication ``0 -> 0``.
     """
-    return isinstance(formula, (Bottom, Var)) or formula == TOP
+    return formula.complexity == 0 or formula is TOP
 
 
-@lru_cache(maxsize=None)
 def complexity(formula: Formula) -> int:
     """Number of connective occurrences.  The truth constant has complexity 1."""
-    if isinstance(formula, (Bottom, Var)):
-        return 0
-    assert isinstance(formula, (Conj, Impl))
-    return 1 + complexity(formula.left) + complexity(formula.right)
+    return formula.complexity
 
 
-@lru_cache(maxsize=None)
 def serialize_key(formula: Formula) -> bytes:
     """Canonical prefix serialization, used as a deterministic tie-breaker.
 
     The encoding is injective: two formulas serialize equally iff they are
-    structurally equal.
+    structurally equal.  It is computed once per node.
     """
-    if isinstance(formula, Bottom):
-        return b"B"
-    if isinstance(formula, Var):
-        return b"v%d;" % formula.index
-    if isinstance(formula, Conj):
-        return b"*" + serialize_key(formula.left) + serialize_key(formula.right)
-    assert isinstance(formula, Impl)
-    return b">" + serialize_key(formula.left) + serialize_key(formula.right)
+    key = formula._key
+    if key is None:
+        if isinstance(formula, Bottom):
+            key = b"B"
+        elif isinstance(formula, Var):
+            key = b"v%d;" % formula.index
+        else:
+            assert isinstance(formula, (Conj, Impl))
+            tag = b"*" if isinstance(formula, Conj) else b">"
+            key = tag + serialize_key(formula.left) + serialize_key(formula.right)
+        _set(formula, "_key", key)
+    return key
 
 
 def complexity_key(formula: Formula) -> tuple[int, bytes]:
     """Sort key realizing the total order used for pivot selection."""
-    return (complexity(formula), serialize_key(formula))
+    return (formula.complexity, serialize_key(formula))
 
 
-@lru_cache(maxsize=None)
 def variables_in(formula: Formula) -> frozenset[int]:
-    """Indices of the variables occurring in the formula."""
-    if isinstance(formula, Bottom):
-        return frozenset()
-    if isinstance(formula, Var):
-        return frozenset({formula.index})
-    assert isinstance(formula, (Conj, Impl))
-    return variables_in(formula.left) | variables_in(formula.right)
+    """Indices of the variables occurring in the formula, computed once per node."""
+    found = formula._variables
+    if found is None:
+        if isinstance(formula, Bottom):
+            found = frozenset()
+        elif isinstance(formula, Var):
+            found = frozenset({formula.index})
+        else:
+            assert isinstance(formula, (Conj, Impl))
+            found = variables_in(formula.left) | variables_in(formula.right)
+        _set(formula, "_variables", found)
+    return found
 
 
 _TOKEN_RE = re.compile(
@@ -183,26 +286,14 @@ def check_limits(formula: Formula) -> None:
     """Raise ValueError on a formula taller than MAX_NESTING connectives or
     with more than MAX_CONNECTIVES of them.
 
-    The walk is iterative and measures each shared node once, keyed by
-    identity because hashing and equality recurse: a formula built through
-    the API fails here, not with RecursionError in a recursive helper.
+    Both measures are fields of the node, so the check takes constant time;
+    the recursive helpers call it first, so a formula built through the API
+    fails here, not with RecursionError.
     """
-    measured: dict[int, tuple[int, int]] = {}
-    stack = [(formula, False)]
-    while stack:
-        node, ready = stack.pop()
-        if ready:
-            left = measured.get(id(node.left), (0, 0))
-            right = measured.get(id(node.right), (0, 0))
-            height, size = max(left[0], right[0]) + 1, left[1] + right[1] + 1
-            if height > MAX_NESTING:
-                raise ValueError(f"formula nested deeper than {MAX_NESTING} levels")
-            if size > MAX_CONNECTIVES:
-                raise ValueError(f"formula has more than {MAX_CONNECTIVES} connectives")
-            measured[id(node)] = (height, size)
-        elif isinstance(node, (Conj, Impl)) and id(node) not in measured:
-            # The node is measured once both children are, which happens first.
-            stack += ((node, True), (node.left, False), (node.right, False))
+    if formula.height > MAX_NESTING:
+        raise ValueError(f"formula nested deeper than {MAX_NESTING} levels")
+    if formula.complexity > MAX_CONNECTIVES:
+        raise ValueError(f"formula has more than {MAX_CONNECTIVES} connectives")
 
 
 class _Parser:
@@ -305,7 +396,7 @@ _PREC_ATOM = 2
 
 
 def _render(formula: Formula, min_prec: int) -> str:
-    if formula == TOP:
+    if formula is TOP:
         return "top"
     if isinstance(formula, Bottom):
         return "0"
@@ -325,6 +416,8 @@ def render(formula: Formula) -> str:
     """Canonical concrete syntax.  parse(render(f)) == f for every formula.
 
     The truth constant is printed as ``top``; the other sugar forms are not
-    reconstructed.
+    reconstructed.  Raises ValueError on formulas beyond the parser's size
+    limits.
     """
+    check_limits(formula)
     return _render(formula, _PREC_IMPL)

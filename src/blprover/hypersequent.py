@@ -8,22 +8,25 @@ relational hypersequent is a finite set of such sequents, read disjunctively.
 which sorts its sequents by ``RelationalSequent.sort_key``, and an ``|`` that
 keeps the type; any other set operation gives a plain frozenset.
 
-Sequents are immutable and cache their hash, sort key, weight, atomicity and
-shape flag, so labels share them: a substitution returns every sequent that
-does not contain its target as the same object, and ``union`` joins the
-parts of a new label with one set union.
+Sequents are hash-consed like formulas: the constructor returns the one live
+sequent for each pair of sorted sides and relation, so equality is identity
+and the hash is the identity hash.  Each sequent holds its weight,
+atomicity and shape flags as fields set at construction and computes its
+sort key on first use.  Labels share sequents: a substitution returns every
+sequent that does not contain its target as the same object, and ``union``
+joins the parts of a new label with one set union.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .formula import (
     Formula,
+    Interned,
+    InternTable,
     TOP,
-    complexity,
     complexity_key,
     is_atomic,
     render as render_formula,
@@ -76,67 +79,91 @@ def prec(z: int = 0) -> RelKind:
     return RelKind("prec", z)
 
 
-@dataclass(frozen=True)
-class RelationalSequent:
+_INTERNED = InternTable()
+_set = object.__setattr__
+
+
+class RelationalSequent(Interned):
     """One relation between two formula multisets.
 
     Sides are stored as tuples sorted in the complexity order, which makes the
     tuple a canonical multiset representative.  The ``<<`` relation admits at
-    most one formula per side.
+    most one formula per side.  Sequents are interned and immutable.
+
+    The fields set at construction: ``all_atomic``, every formula is falsum,
+    a variable or bare top; ``one_sided_pair``, two formulas on one side of
+    an index-zero fractional relation; ``is_unit_shape``, one formula on each
+    side of ``<=`` with index zero; ``weight``, one for the relation, one per
+    bare top and 2c + 1 per other formula of c connectives, so a compound
+    formula counts its connectives and its literal leaves.
     """
+
+    __slots__ = (
+        "left",
+        "kind",
+        "right",
+        "all_atomic",
+        "one_sided_pair",
+        "is_unit_shape",
+        "weight",
+        "_sort_key",
+    )
+    _fields = ("left", "kind", "right")
 
     left: tuple[Formula, ...]
     kind: RelKind
     right: tuple[Formula, ...]
+    all_atomic: bool
+    one_sided_pair: bool
+    is_unit_shape: bool
+    weight: int
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls, left: tuple[Formula, ...], kind: RelKind, right: tuple[Formula, ...]
+    ) -> RelationalSequent:
         # A side of one formula is already sorted; most sides have one.
-        if len(self.left) > 1:
-            object.__setattr__(self, "left", tuple(sorted(self.left, key=complexity_key)))
-        if len(self.right) > 1:
-            object.__setattr__(self, "right", tuple(sorted(self.right, key=complexity_key)))
-        if self.kind.is_ll and (len(self.left) > 1 or len(self.right) > 1):
+        if len(left) > 1:
+            left = tuple(sorted(left, key=complexity_key))
+        if len(right) > 1:
+            right = tuple(sorted(right, key=complexity_key))
+        key = (left, kind.tag, kind.z, right)
+        ref = _INTERNED.get(key)
+        node = ref and ref()
+        if node is not None:
+            return node
+        if kind.is_ll and (len(left) > 1 or len(right) > 1):
             raise ValueError("a << sequent takes at most one formula per side")
+        node = object.__new__(cls)
+        formulas = left + right
+        index_zero_ord = not kind.is_ll and kind.z == 0
+        one_side = (len(left), len(right)) in ((2, 0), (0, 2))
+        _set(node, "left", left)
+        _set(node, "kind", kind)
+        _set(node, "right", right)
+        _set(node, "all_atomic", all(is_atomic(f) for f in formulas))
+        _set(node, "one_sided_pair", index_zero_ord and one_side)
+        _set(
+            node,
+            "is_unit_shape",
+            index_zero_ord and kind.tag == "preceq" and len(left) == len(right) == 1,
+        )
+        _set(
+            node, "weight", 1 + sum(1 if f is TOP else 2 * f.complexity + 1 for f in formulas)
+        )
+        _set(node, "_sort_key", None)
+        return _INTERNED.add(key, node)
 
     def sort_key(self) -> tuple:
-        cached = self.__dict__.get("_sort_key")
-        if cached is None:
-            cached = (
+        key = self._sort_key
+        if key is None:
+            key = (
                 _KIND_RANK[self.kind.tag],
                 self.kind.z,
                 tuple(serialize_key(f) for f in self.left),
                 tuple(serialize_key(f) for f in self.right),
             )
-            object.__setattr__(self, "_sort_key", cached)
-        return cached
-
-    def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.left, self.kind, self.right))
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
-    @property
-    def all_atomic(self) -> bool:
-        """True when every formula is falsum, a variable or bare top."""
-        cached = self.__dict__.get("_all_atomic")
-        if cached is None:
-            cached = all(is_atomic(f) for f in self.formulas())
-            object.__setattr__(self, "_all_atomic", cached)
-        return cached
-
-    def weight(self) -> int:
-        """One for the relation, one per bare top, 2c + 1 per other formula.
-
-        c is the formula's connective count, so a compound formula counts its
-        connectives and its literal leaves.
-        """
-        cached = self.__dict__.get("_weight")
-        if cached is None:
-            cached = 1 + sum(1 if f == TOP else 2 * complexity(f) + 1 for f in self.formulas())
-            object.__setattr__(self, "_weight", cached)
-        return cached
+            _set(self, "_sort_key", key)
+        return key
 
     def formulas(self) -> Iterator[Formula]:
         yield from self.left
@@ -144,30 +171,6 @@ class RelationalSequent:
 
     def contains(self, target: Formula) -> bool:
         return target in self.left or target in self.right
-
-    @property
-    def one_sided_pair(self) -> bool:
-        """True for two formulas on one side of an index-zero fractional relation."""
-        cached = self.__dict__.get("_one_sided_pair")
-        if cached is None:
-            cached = (
-                not self.kind.is_ll
-                and self.kind.z == 0
-                and (len(self.left), len(self.right)) in ((2, 0), (0, 2))
-            )
-            object.__setattr__(self, "_one_sided_pair", cached)
-        return cached
-
-    @property
-    def is_unit_shape(self) -> bool:
-        """True for the one-formula-each-side shape with index zero."""
-        return (
-            not self.kind.is_ll
-            and self.kind.z == 0
-            and self.kind.tag == "preceq"
-            and len(self.left) == 1
-            and len(self.right) == 1
-        )
 
     def render(self) -> str:
         lhs = ",".join(render_formula(f) for f in self.left)
@@ -223,7 +226,7 @@ def _subst_side(
 ) -> tuple[Formula, ...]:
     out: list[Formula] = []
     for f in side:
-        if f == target:
+        if f is target:
             out.extend(replacement)
         else:
             out.append(f)
@@ -288,8 +291,8 @@ def subst_balanced_conj(
         if l == 0 and r == 0:
             out.append(s)
             continue
-        left = tuple(f for f in s.left if f != target) + (a, b)
-        right = tuple(f for f in s.right if f != target) + (a, b)
+        left = tuple(f for f in s.left if f is not target) + (a, b)
+        right = tuple(f for f in s.right if f is not target) + (a, b)
         out.append(seq(left, s.kind.shifted(l - r), right))
     return RelationalHypersequent(out)
 
@@ -313,8 +316,8 @@ def subst_impl(
         if l == 0 and r == 0:
             out.append(s)
             continue
-        left = tuple(f for f in s.left if f != target) + (a,) * r + (b,) * l
-        right = tuple(f for f in s.right if f != target) + (a,) * l + (b,) * r
+        left = tuple(f for f in s.left if f is not target) + (a,) * r + (b,) * l
+        right = tuple(f for f in s.right if f is not target) + (a,) * l + (b,) * r
         out.append(seq(left, s.kind, right))
     return RelationalHypersequent(out)
 
@@ -357,14 +360,12 @@ def decompose(
     )
 
 
-@lru_cache(maxsize=None)
 def expand_abbreviation(name: str, a: Formula, b: Formula) -> RelationalHypersequent:
     """Expand one of the named hypersequent abbreviations over formulas a, b.
 
     The negated forms encode the complement of the corresponding semantic
     condition as a disjunction of primitive sequents; see the semantics module
-    for the conditions themselves.  Expansions are immutable, so repeat
-    requests share one instance.
+    for the conditions themselves.
     """
     if name == "neg_ll":
         return hseq(

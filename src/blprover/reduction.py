@@ -197,7 +197,7 @@ def label_weight(g: RelationalHypersequent) -> int:
     share (``RelationalSequent.weight``), so a sequent shared by many labels
     is weighed once.
     """
-    return sum(s.weight() for s in g)
+    return sum(s.weight for s in g)
 
 
 # A subtree as build_rwbl_tree folds it: its root's children and its statistics.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .formula import Bottom, Conj, Formula, Impl, Var
+from .formula import Bottom, Conj, Formula, Impl, Var, check_limits
 from .hypersequent import RelationalHypersequent, RelationalSequent
 
 
@@ -169,15 +169,23 @@ def omega_imp(x: OmegaValue, y: OmegaValue) -> OmegaValue:
 
 
 def eval_formula(v: Valuation, formula: Formula) -> OmegaValue:
-    """Value of a formula under a valuation.  Falsum evaluates to zero."""
+    """Value of a formula under a valuation.  Falsum evaluates to zero.
+
+    Raises ValueError on formulas beyond the parser's size limits.
+    """
+    check_limits(formula)
+    return _eval(v, formula)
+
+
+def _eval(v: Valuation, formula: Formula) -> OmegaValue:
     if isinstance(formula, Bottom):
         return ZERO
     if isinstance(formula, Var):
         return v.value_of(formula.index)
     if isinstance(formula, Conj):
-        return omega_mul(eval_formula(v, formula.left), eval_formula(v, formula.right))
+        return omega_mul(_eval(v, formula.left), _eval(v, formula.right))
     assert isinstance(formula, Impl)
-    return omega_imp(eval_formula(v, formula.left), eval_formula(v, formula.right))
+    return omega_imp(_eval(v, formula.left), _eval(v, formula.right))
 
 
 def _floors_equal(x: OmegaValue, y: OmegaValue) -> bool:

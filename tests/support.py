@@ -250,6 +250,14 @@ def random_formula(
     return Conj(left, right) if rng.random() < conj_prob else Impl(left, right)
 
 
+def implication_chain(height: int) -> Formula:
+    """``p1 -> (p1 -> ... p1)`` with height implications, built through the API."""
+    formula: Formula = Var(1)
+    for _ in range(height):
+        formula = Impl(Var(1), formula)
+    return formula
+
+
 def odot_type(x: OmegaValue, y: OmegaValue) -> int:
     """Case split for strong conjunction, numbered 1 to 5.
 

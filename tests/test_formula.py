@@ -1,5 +1,7 @@
 """Parser, printer and structural helpers for the formula language."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,7 +15,7 @@ from blprover.formula import (
     serialize_key,
     variables_in,
 )
-from support import compound_subformulas
+from support import compound_subformulas, implication_chain
 
 P1, P2, P3 = Var(1), Var(2), Var(3)
 
@@ -124,6 +126,28 @@ def test_var_index_validation():
         Var(-1)
 
 
+def test_each_distinct_formula_is_one_object():
+    assert Conj(Var(1), Var(2)) is Conj(Var(1), Var(2))
+    assert Conj(P1, P2) is not Impl(P1, P2)
+    assert parse("0 -> 0") is TOP and Bottom() is BOT
+    formula = parse("(p1 -> p2) * ~p3")
+    assert formula is Conj(Impl(P1, P2), Impl(P3, BOT))
+    assert pickle.loads(pickle.dumps(formula)) is formula
+    assert repr(Conj(Var(2), Var(3))) == "Conj(left=Var(index=2), right=Var(index=3))"
+    with pytest.raises(AttributeError):
+        formula.left = P1
+    with pytest.raises(AttributeError):
+        P1.index = 2
+
+
+def test_formulas_past_the_limits_are_measured_but_not_rendered():
+    chain = implication_chain(3000)
+    assert complexity(chain) == chain.height == 3000
+    assert chain is Impl(P1, chain.right) and hash(chain) == hash(Impl(P1, chain.right))
+    with pytest.raises(ValueError, match="nested deeper than 100 levels"):
+        render(chain)
+
+
 @pytest.mark.parametrize(
     "text", ["", "p1 ->", "-> p1", "q1", "p1 p2", "(p1", "p1)", "p0x", "p01", "p\u0661"]
 )
@@ -170,8 +194,10 @@ def test_parse_connective_limit():
     at_limit = _balanced(MAX_CONNECTIVES)
     assert parse(render(at_limit)) == at_limit
     assert complexity(at_limit) == MAX_CONNECTIVES
+    over = _balanced(MAX_CONNECTIVES + 1)
+    # render refuses the formula itself, so its text is joined from its halves.
     with pytest.raises(ParseError, match=f"more than {MAX_CONNECTIVES} connectives"):
-        parse(render(_balanced(MAX_CONNECTIVES + 1)))
+        parse(f"({render(over.left)}) * ({render(over.right)})")
 
 
 def test_check_limits_counts_shared_subformulas_in_full():

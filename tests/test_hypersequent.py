@@ -1,5 +1,8 @@
 """Hypersequents as sets of sequents, abbreviations and the substitution toolkit."""
 
+import gc
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,9 +17,14 @@ from blprover import (
     Impl,
     RelKind,
     RelationalHypersequent,
+    RelationalSequent,
     Valuation,
     Var,
+    build_rwbl_tree,
+    check_tautology,
     hseq,
+    parse,
+    render,
     prec,
     preceq,
     satisfies,
@@ -34,9 +42,10 @@ from blprover.hypersequent import (
     subst_pair,
     union,
 )
+from blprover import formula as formula_module, hypersequent
 from blprover.calculus import rwbl_premises
 from blprover.semantics import satisfies_sequent
-from support import abbreviation, variables
+from support import abbreviation, random_formula, variables
 
 A, B, C = Var(1), Var(2), Var(3)
 PIV = Conj(A, B)
@@ -54,7 +63,8 @@ def test_relkind_validation():
 def test_sequent_sides_are_canonical_multisets():
     s = seq((Impl(A, B), A), preceq(), ())
     assert s.left == (A, Impl(A, B))
-    assert seq((A, B), preceq(), ()) == seq((B, A), preceq(), ())
+    assert seq((A, B), preceq(), ()) is seq((B, A), preceq(), ())
+    assert RelationalSequent((B, A), RelKind("prec", 1), (C,)) is seq((A, B), prec(1), (C,))
     # multiset semantics: repetition matters
     assert seq((A, A), preceq(), ()) != seq((A,), preceq(), ())
 
@@ -62,6 +72,39 @@ def test_sequent_sides_are_canonical_multisets():
 def test_ll_admits_one_formula_per_side():
     with pytest.raises(ValueError):
         seq((A, B), LL, (C,))
+
+
+def test_sequents_are_immutable_and_survive_pickling():
+    s = seq((A, Impl(A, B)), prec(1), (TOP,))
+    assert pickle.loads(pickle.dumps(s)) is s
+    assert repr(seq((A,), LL, ())) == (
+        "RelationalSequent(left=(Var(index=1),), kind=RelKind(tag='ll', z=0), right=())"
+    )
+    with pytest.raises(AttributeError):
+        s.weight = 0
+
+
+def _interned_counts():
+    return len(formula_module._INTERNED), len(hypersequent._INTERNED)
+
+
+def test_intern_tables_forget_what_no_one_holds():
+    """Entries die with their objects, so a finished search leaves the tables as it found them."""
+    gc.collect()
+    before = _interned_counts()
+    rng = random.Random(20260825)
+    # Variables p101-p103, which no other test holds, so every compound
+    # subformula, and every sequent over one, is new here.
+    corpus = [
+        parse(render(random_formula(rng, 1 + i % 6, 3, bottom_prob=0)).replace("p", "p10"))
+        for i in range(20)
+    ]
+    results = [(build_rwbl_tree(f), check_tautology(f)) for f in corpus]
+    grown = _interned_counts()
+    assert grown[0] > before[0] and grown[1] > before[1]
+    del corpus, results
+    gc.collect()
+    assert _interned_counts() == before
 
 
 def test_unit_shape_flag():

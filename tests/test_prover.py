@@ -30,7 +30,13 @@ from blprover.formula import BOT, Conj, Impl, Var, variables_in
 from blprover.hypersequent import RelationalHypersequent, is_irreducible
 from blprover.reduction import build_rwbl_tree, fold_tree, follow_certificate, root_label
 from blprover.semantics import INF, Finite, Valuation, eval_formula
-from support import branch_estimate, oracle_leaf_satisfiable, random_formula, walk_stats
+from support import (
+    branch_estimate,
+    implication_chain,
+    oracle_leaf_satisfiable,
+    random_formula,
+    walk_stats,
+)
 
 WEAKENING = "(p1 * p2) -> p1"
 EX_FALSO = "0 -> p1"
@@ -87,13 +93,6 @@ def test_double_negation_is_not_eliminable_but_its_closure_holds():
     assert check_tautology(parse("~~(p1 -> p1)")).provable
 
 
-def _implication_chain(height):
-    formula = Var(1)
-    for _ in range(height):
-        formula = Impl(Var(1), formula)
-    return formula
-
-
 @pytest.mark.parametrize(
     "entry",
     [
@@ -108,7 +107,7 @@ def test_formulas_built_past_the_parser_limits_are_refused(entry):
     # The parser never sees API-built formulas; the recursive helpers would end
     # in RecursionError on this chain, so the entry points must refuse it first.
     with pytest.raises(ValueError, match="nested deeper than 100 levels"):
-        entry(_implication_chain(3000))
+        entry(implication_chain(3000))
 
 
 def test_soundness_checks_survive_optimised_mode():
@@ -165,7 +164,12 @@ def test_decisions_are_deterministic():
 
 
 def test_outputs_do_not_depend_on_the_hash_seed():
-    """Labels iterate in hash order, so two seeds must print the same bytes."""
+    """Labels iterate in hash order, so two seeds must print the same bytes.
+
+    Sequents hash by identity, so that order follows memory addresses; the
+    system allocator places objects elsewhere than Python's own, and must
+    print the same bytes too.
+    """
     # The four non-theorems of acceptance criterion 2.
     commands = [
         ["prove", text, "--json", "--countermodel", "--certificate"]
@@ -186,8 +190,8 @@ def test_outputs_do_not_depend_on_the_hash_seed():
     )
     src = str(Path(blprover.__file__).resolve().parents[1])
     outputs = []
-    for seed in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+    for setting in ({"PYTHONHASHSEED": "1"}, {"PYTHONHASHSEED": "2"}, {"PYTHONMALLOC": "malloc"}):
+        env = {**os.environ, "PYTHONPATH": src, **setting}
         done = subprocess.run(
             [sys.executable, "-c", script, json.dumps(commands)],
             env=env,
@@ -197,11 +201,12 @@ def test_outputs_do_not_depend_on_the_hash_seed():
         )
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
-    first, second = (out.splitlines() for out in outputs)
+    first, *others = (out.splitlines() for out in outputs)
     assert sum(line == "digraph reduction {" for line in first) == 3
-    # Line numbers, not a diff: a diff of outputs this long takes minutes.
-    differing = [i for i, (a, b) in enumerate(zip(first, second)) if a != b]
-    assert (len(first), differing[:5]) == (len(second), [])
+    for other in others:
+        # Line numbers, not a diff: a diff of outputs this long takes minutes.
+        differing = [i for i, (a, b) in enumerate(zip(first, other)) if a != b]
+        assert (len(first), differing[:5]) == (len(other), [])
 
 
 def _reference_search(formula):

@@ -29,7 +29,7 @@ from blprover.semantics import (
     render_value,
     satisfies_sequent,
 )
-from support import imp_type, odot_type
+from support import imp_type, implication_chain, odot_type
 
 fractions = st.integers(min_value=0, max_value=7).map(lambda k: Fraction(k, 8))
 finites = st.builds(Finite, st.integers(min_value=0, max_value=3), fractions)
@@ -158,6 +158,10 @@ class TestEvaluation:
     def test_unbound_variable(self):
         with pytest.raises(ValueError):
             eval_formula(Valuation({}), parse("p7"))
+
+    def test_formulas_past_the_limits_are_refused(self):
+        with pytest.raises(ValueError, match="nested deeper than 100 levels"):
+            eval_formula(Valuation({1: INF}), implication_chain(3000))
 
     def test_negation_collapses_positive_values(self):
         v = Valuation({1: Finite(0, Fraction(1, 2))})
