@@ -13,8 +13,9 @@ has three stages:
    reaches falsum's, the two pins clash and the negation is refuted.
    Otherwise vertices that reach falsum share its floor 0, vertices top
    reaches share its infinite floor, and the remaining strongly connected
-   components each get their own floor; a topological order of these groups
-   realizes all remaining floor constraints with distinct integers.
+   components each get their own floor.  Joined per group, the closure rows
+   give each group's reach set and an order of the groups that realizes all
+   remaining floor constraints with distinct integers.
 2. Fractional parts.  Negated fractional sequents whose atoms share a
    (finite) cluster contribute linear rows over the fractional variables;
    sequents whose atoms are spread over distinct clusters are vacuously
@@ -28,16 +29,17 @@ has three stages:
 Floors alone do not determine the whole search space: a countermodel may
 also park an upward-closed set of clusters at infinity alongside top.  Every
 constraint on that escape set is a Horn clause, so the upward closure of the
-clusters forced to escape is the least escape set, feasible whenever any is;
-check_axiom computes it (_least_escape) from the per-cluster solves, which
-also give the witness, so no further solve is made.
+clusters forced to escape, the union of their reach sets, is the least escape
+set, feasible whenever any is; _least_escape reads it off the closure and
+takes the witness from the per-cluster solves, so no further solve is made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
+from functools import reduce
+from operator import or_
 from typing import AbstractSet, Iterable, Sequence
 
 from .formula import BOT, Bottom, Formula, TOP, Var, is_atomic
@@ -97,20 +99,23 @@ def _atom_key(atom: Formula) -> tuple:
 
 def contract_and_sort(
     vertices: AbstractSet[Formula], edges: AbstractSet[tuple[Formula, Formula]]
-) -> tuple[tuple[frozenset[Formula], ...], frozenset[tuple[int, int]], bool]:
-    """Group the floor graph's vertices and order the groups topologically.
+) -> tuple[tuple[frozenset[Formula], ...], tuple[frozenset[int], ...], bool]:
+    """Group the floor graph's vertices and order the groups, all from one closure.
 
     The vertices are atoms, top among them; an edge (tail, head) asserts
-    floor(tail) <= floor(head).  One reachability closure decides everything.
-    The clash flag is set when top's floor reaches falsum's, which refutes the
-    negated leaf outright; the groups are then the strongly connected
-    components (mutually reachable vertices, whose floors are squeezed equal).
-    Otherwise every vertex that reaches falsum joins falsum's group (floor
-    pinned to 0), every vertex top reaches joins top's group (floor pinned to
-    infinity), and each remaining vertex joins its component.  The groups are
-    sorted so every edge points forward; ties are broken by the smallest
-    member atom, falsum first, variables by index, top last.  Returns the
-    ordered groups, the edge set over their positions and the clash flag.
+    floor(tail) <= floor(head).  The clash flag is set when top's floor
+    reaches falsum's, which refutes the negated leaf outright; the groups are
+    then the strongly connected components (mutually reachable vertices, whose
+    floors are squeezed equal).  Otherwise every vertex that reaches falsum
+    joins falsum's group (floor pinned to 0), every vertex top reaches joins
+    top's group (floor pinned to infinity), and each remaining vertex joins
+    its component.  A group's reach set joins its members' closure rows; as
+    no edge enters falsum's group and none leaves top's, it holds exactly the
+    groups that a path from the group ends in.  The order takes, each time,
+    the group with the least member (falsum first, variables by index, top
+    last) that no other unplaced group reaches, so every edge points forward.
+    Returns the ordered groups, their reach sets as positions in that order
+    (each its own included) and the clash flag.
     """
     verts = sorted(vertices, key=_atom_key)
     position = {v: i for i, v in enumerate(verts)}
@@ -120,76 +125,41 @@ def contract_and_sort(
     for tail, head in edges:
         reach[position[tail]] |= 1 << position[head]
     for k in range(n):
-        for i in range(n):
-            if reach[i] >> k & 1:
-                reach[i] |= reach[k]
+        bit, row = 1 << k, reach[k]
+        reach = [r | row if r & bit else r for r in reach]
     falsum = 1 << position[BOT] if BOT in position else 0
-    top_reach = reach[position[TOP]]
-    clash = bool(top_reach & falsum)
+    low = sum(1 << i for i in range(n) if reach[i] & falsum)
+    high = reach[position[TOP]]
+    clash = bool(high & falsum)
     if clash:
         # An axiom: no pins, and the verdict reports the plain components.
-        falsum = top_reach = 0
-    group_of: dict[int, int] = {}
-    groups: list[frozenset[Formula]] = []
+        low = high = 0
+    # Each group as a bit set over verts, by least member, mapped to the
+    # vertices outside it that its members reach.
+    beyond: dict[int, int] = {}
+    placed = 0
     for i in range(n):
-        if i in group_of:
+        if placed >> i & 1:
             continue
-        if reach[i] & falsum:
-            same = [j for j in range(n) if reach[j] & falsum]
-        elif top_reach >> i & 1:
-            same = [j for j in range(n) if top_reach >> j & 1]
+        if low >> i & 1:
+            group = low
+        elif high >> i & 1:
+            group = high
         else:
-            same = [j for j in range(n) if reach[i] >> j & 1 and reach[j] >> i & 1]
-        for j in same:
-            group_of[j] = len(groups)
-        groups.append(frozenset(verts[j] for j in same))
-    gedges = {
-        (group_of[position[t]], group_of[position[h]])
-        for t, h in edges
-        if group_of[position[t]] != group_of[position[h]]
-    }
-    order = _topo_order(groups, gedges, lambda c: min(_atom_key(f) for f in c))
-    rank = {old: new for new, old in enumerate(order)}
-    clusters = tuple(groups[old] for old in order)
-    return clusters, frozenset((rank[t], rank[h]) for t, h in gedges), clash
-
-
-def _topo_order(clusters: Sequence[frozenset], edges: set[tuple[int, int]], key) -> list[int]:
-    indegree = [0] * len(clusters)
-    successors: list[list[int]] = [[] for _ in clusters]
-    for t, h in edges:
-        indegree[h] += 1
-        successors[t].append(h)
-    heap: list[tuple] = []
-    for i, cluster in enumerate(clusters):
-        if indegree[i] == 0:
-            heappush(heap, (key(cluster), i))
+            group = sum(1 << j for j in range(n) if reach[i] >> j & 1 and reach[j] >> i & 1)
+        placed |= group
+        beyond[group] = reduce(or_, (reach[j] for j in range(n) if group >> j & 1)) & ~group
     order: list[int] = []
-    while heap:
-        _, i = heappop(heap)
-        order.append(i)
-        for j in successors[i]:
-            indegree[j] -= 1
-            if indegree[j] == 0:
-                heappush(heap, (key(clusters[j]), j))
-    if len(order) != len(clusters):
-        raise AssertionError("cycle in a condensation, bug")
-    return order
-
-
-def _reach(starts: Iterable[int], edges: Iterable[tuple[int, int]]) -> set[int]:
-    """The positions reachable from starts along edges (tail to head), starts included."""
-    successors: dict[int, list[int]] = {}
-    for tail, head in edges:
-        successors.setdefault(tail, []).append(head)
-    seen = set(starts)
-    frontier = list(seen)
-    while frontier:
-        for nxt in successors.get(frontier.pop(), ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
+    rest = dict(beyond)
+    while rest:
+        blocked = reduce(or_, rest.values())
+        order.append(next(group for group in rest if not group & blocked))
+        del rest[order[-1]]
+    return (
+        tuple(frozenset(v for j, v in enumerate(verts) if g >> j & 1) for g in order),
+        tuple(frozenset(p for p, h in enumerate(order) if (g | beyond[g]) & h) for g in order),
+        clash,
+    )
 
 
 def _add_frac(coeffs: dict[int, int], atom: Formula, sign: int) -> None:
@@ -222,15 +192,16 @@ def build_lp(fracs: Iterable[RelationalSequent]) -> list[LinConstraint]:
 def _least_escape(
     fracs: Sequence[RelationalSequent],
     clusters: tuple[frozenset[Formula], ...],
-    edges: frozenset[tuple[int, int]],
+    reaches: tuple[frozenset[int], ...],
 ) -> tuple[frozenset[int], dict[int, Fraction]] | None:
     """The least feasible set of finite clusters sent to infinity, and a witness.
 
     Each finite cluster that owns rows is solved once; one whose rows are
-    infeasible must escape.  Falsum's cluster, and the finite clusters of each
-    negated unit ``<=``, may not all escape; such a ``<=`` inside top's
-    cluster makes the leaf an axiom outright (None, as when no escape set is
-    feasible).  The witness joins those of the feasible clusters.
+    infeasible must escape, and its reach set with it, top's cluster aside.
+    Falsum's cluster, and the finite clusters of each negated unit ``<=``,
+    may not all escape; such a ``<=`` inside top's cluster makes the leaf an
+    axiom outright (None, as when no escape set is feasible).  The witness
+    joins those of the feasible clusters.
     """
     cluster_of = {atom: i for i, cluster in enumerate(clusters) for atom in cluster}
     top_at = cluster_of[TOP]
@@ -253,10 +224,10 @@ def _least_escape(
             witness.update(outcome.witness)
         else:
             forced.append(i)
-    escape = _reach(forced, edges) - {top_at}
+    escape = frozenset().union(*(reaches[i] for i in forced)) - {top_at}
     if any(group <= escape for group in kept):
         return None
-    return frozenset(escape), witness
+    return escape, witness
 
 
 def _merge_escape(
@@ -293,21 +264,22 @@ def check_axiom(h: RelationalHypersequent) -> AxiomVerdict:
     """Classify an irreducible hypersequent.
 
     The leaf is split once (negate_leaf).  Its atoms and top, with one edge
-    per negated ``<<``, form the floor graph, grouped and sorted once
-    (contract_and_sort); a clash of the falsum and top pins is an axiom with
-    the plain components as its clusters.  Otherwise returns an Axiom verdict
-    when the negated leaf is unsatisfiable, else a NotAxiom verdict carrying a
-    countermodel from the witnesses of _least_escape, always re-checked against
-    the leaf before being returned.  Its infinite clusters form the least
-    escape set, which every countermodel over these floors escapes too.
+    per negated ``<<``, form the floor graph; one closure gives its groups,
+    their order and reach sets (contract_and_sort).  A clash of the falsum
+    and top pins is an axiom with the plain components as its clusters.
+    Otherwise returns an Axiom verdict when the negated leaf is unsatisfiable,
+    else a NotAxiom verdict carrying a countermodel from the witnesses of
+    _least_escape, always re-checked against the leaf before being returned.
+    Its infinite clusters form the least escape set, read off the same
+    closure, which every countermodel over these floors escapes too.
     """
     floor_edges, fracs = negate_leaf(h)
-    clusters, edges, clash = contract_and_sort(
+    clusters, reaches, clash = contract_and_sort(
         {TOP}.union(*(s.left + s.right for s in h)), floor_edges
     )
     if clash:
         return AxiomVerdict(True, None, clusters)
-    least = _least_escape(fracs, clusters, edges)
+    least = _least_escape(fracs, clusters, reaches)
     if least is None:
         return AxiomVerdict(True, None, clusters)
     escape, witness = least

@@ -75,8 +75,21 @@ class Interned:
         raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
+        # Nodes still to show and text already made share an explicit stack,
+        # so a deep formula does not recurse.
+        parts: list[str] = []
+        stack: list[object] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, Interned):
+                stack.append(")")
+                for k, name in reversed(list(enumerate(item._fields))):
+                    value = getattr(item, name)
+                    stack.append(value if isinstance(value, Interned) else repr(value))
+                    stack.append(f"{', ' if k else ''}{name}=")
+                item = f"{type(item).__name__}("
+            parts.append(item)
+        return "".join(parts)
 
     def __reduce__(self) -> tuple:
         return type(self), tuple(getattr(self, name) for name in self._fields)
@@ -197,6 +210,31 @@ def complexity(formula: Formula) -> int:
     return formula.complexity
 
 
+def _fill(formula: Formula, slot: str, value) -> object:
+    """formula's entry in a cached slot, set with those of its descendants that lack it.
+
+    value(node) makes a node's entry from its children's, which an explicit
+    stack sets first, so a deep formula does not recurse.
+    """
+    stack = [(formula, False)]
+    while stack:
+        node, ready = stack.pop()
+        if getattr(node, slot) is None:
+            if ready or not isinstance(node, _Connective):
+                _set(node, slot, value(node))
+            else:
+                stack += ((node, True), (node.right, False), (node.left, False))
+    return getattr(formula, slot)
+
+
+def _serial(node: Formula) -> bytes:
+    if isinstance(node, Bottom):
+        return b"B"
+    if isinstance(node, Var):
+        return b"v%d;" % node.index
+    return (b"*" if isinstance(node, Conj) else b">") + node.left._key + node.right._key
+
+
 def serialize_key(formula: Formula) -> bytes:
     """Canonical prefix serialization, used as a deterministic tie-breaker.
 
@@ -204,17 +242,7 @@ def serialize_key(formula: Formula) -> bytes:
     structurally equal.  It is computed once per node.
     """
     key = formula._key
-    if key is None:
-        if isinstance(formula, Bottom):
-            key = b"B"
-        elif isinstance(formula, Var):
-            key = b"v%d;" % formula.index
-        else:
-            assert isinstance(formula, (Conj, Impl))
-            tag = b"*" if isinstance(formula, Conj) else b">"
-            key = tag + serialize_key(formula.left) + serialize_key(formula.right)
-        _set(formula, "_key", key)
-    return key
+    return _fill(formula, "_key", _serial) if key is None else key
 
 
 def complexity_key(formula: Formula) -> tuple[int, bytes]:
@@ -222,19 +250,18 @@ def complexity_key(formula: Formula) -> tuple[int, bytes]:
     return (formula.complexity, serialize_key(formula))
 
 
+def _variables(node: Formula) -> frozenset[int]:
+    if isinstance(node, Bottom):
+        return frozenset()
+    if isinstance(node, Var):
+        return frozenset({node.index})
+    return node.left._variables | node.right._variables
+
+
 def variables_in(formula: Formula) -> frozenset[int]:
     """Indices of the variables occurring in the formula, computed once per node."""
     found = formula._variables
-    if found is None:
-        if isinstance(formula, Bottom):
-            found = frozenset()
-        elif isinstance(formula, Var):
-            found = frozenset({formula.index})
-        else:
-            assert isinstance(formula, (Conj, Impl))
-            found = variables_in(formula.left) | variables_in(formula.right)
-        _set(formula, "_variables", found)
-    return found
+    return _fill(formula, "_variables", _variables) if found is None else found
 
 
 _TOKEN_RE = re.compile(
@@ -271,9 +298,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 # The deepest formula (in connectives) and the deepest parser nesting (in
-# brackets, ``~`` and right operands) that parse accepts.  The formula helpers,
-# render and the prover recurse once per level, and so stay far below the
-# default recursion limit.
+# brackets, ``~`` and right operands) that parse accepts.  The parser, render
+# and the prover recurse once per level, and so stay far below the default
+# recursion limit; serialize_key, variables_in and repr do not recurse.
 MAX_NESTING = 100
 
 # The most connectives a parsed formula may have.  ``A <-> B`` copies both

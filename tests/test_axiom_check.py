@@ -105,16 +105,26 @@ class TestFloorGraph:
         assert not verdict.countermodel.value_of(1).is_infinite
 
     def test_mutual_edges_cluster(self):
-        clusters, edges, _ = contract_and_sort(
+        clusters, reaches, _ = contract_and_sort(
             frozenset({P1, P2, TOP}), frozenset({(P1, P2), (P2, P1)})
         )
         assert clusters == (frozenset({P1, P2}), frozenset({TOP}))
-        assert edges == frozenset()
+        assert reaches == (frozenset({0}), frozenset({1}))
 
     def test_topological_order_respects_edges(self):
-        clusters, edges, _ = contract_and_sort(frozenset({BOT, P1, TOP}), frozenset({(BOT, P1)}))
-        assert clusters == (frozenset({BOT}), frozenset({P1}), frozenset({TOP}))
-        assert edges == frozenset({(0, 1)})
+        clusters, reaches, _ = contract_and_sort(
+            frozenset({BOT, P1, P2, TOP}), frozenset({(BOT, P1), (P2, P1)})
+        )
+        assert clusters == (frozenset({BOT}), frozenset({P2}), frozenset({P1}), frozenset({TOP}))
+        assert reaches == (frozenset({0, 2}), frozenset({1, 2}), frozenset({2}), frozenset({3}))
+
+    def test_top_cluster_need_not_come_last(self):
+        # p1 joins top's cluster, whose least member then sorts it before p2.
+        clusters, reaches, _ = contract_and_sort(
+            frozenset({P1, P2, TOP}), frozenset({(TOP, P1)})
+        )
+        assert clusters == (frozenset({P1, TOP}), frozenset({P2}))
+        assert reaches == (frozenset({0}), frozenset({1}))
 
 
 @st.composite
@@ -138,11 +148,22 @@ def _reachable(graph_edges, start):
     return frozenset(seen)
 
 
+def _least_key_order(clusters, reaches):
+    """Kahn's algorithm over the cluster graph, always taking the least atom key."""
+    key = {c: min(map(axiom_check._atom_key, c)) for c in clusters}
+    predecessors = {c: {d for d in clusters if d != c and c in reaches[d]} for c in clusters}
+    order = []
+    while len(order) < len(clusters):
+        ready = [c for c in clusters if c not in order and predecessors[c] <= set(order)]
+        order.append(min(ready, key=key.get))
+    return order
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_floor_graphs())
 def test_contract_and_sort_agrees_with_a_plain_closure(graph):
     vertices, graph_edges = graph
-    clusters, edges, clash = contract_and_sort(vertices, graph_edges)
+    clusters, reaches, clash = contract_and_sort(vertices, graph_edges)
     reach = {v: _reachable(graph_edges, v) for v in vertices}
     position = {v: i for i, cluster in enumerate(clusters) for v in cluster}
     assert sum(map(len, clusters)) == len(position) and position.keys() == vertices
@@ -153,10 +174,12 @@ def test_contract_and_sort_agrees_with_a_plain_closure(graph):
         component = frozenset(u for u in reach[v] if v in reach[u])
         expected = low if v in low else high if v in high else component
         assert clusters[position[v]] == expected
-    assert edges == {
-        (position[t], position[h]) for t, h in graph_edges if position[t] != position[h]
-    }
-    assert all(t < h for t, h in edges)
+    assert all(position[t] <= position[h] for t, h in graph_edges)
+    by_cluster = {c: frozenset(clusters[position[u]] for v in c for u in reach[v]) for c in clusters}
+    assert len(reaches) == len(clusters)
+    for cluster, reached in zip(clusters, reaches):
+        assert frozenset(clusters[i] for i in reached) == by_cluster[cluster]
+    assert _least_key_order(clusters, by_cluster) == list(clusters)
 
 
 class TestVerdicts:
@@ -245,6 +268,22 @@ class TestVerdicts:
         assert not verdict.is_axiom
         assert verdict.countermodel.value_of(1) == INF
         assert not satisfies(verdict.countermodel, leaf)
+        _agree(leaf, verdict)
+
+    def test_forced_falsum_cluster_is_an_axiom(self):
+        """Falsum's cluster is the one group whose members' closure rows differ:
+        p1 joins it and also reaches p2.  Its row is infeasible, so the cluster
+        is forced to escape, which falsum's cluster may not, whatever it reaches."""
+        leaf = hseq(seq((BOT,), LL, (P1,)), seq((P2,), LL, (P1,)), seq((P1, P1), preceq(1), ()))
+        assert leaf.render() == "0 << p1 | p2 << p1 | p1,p1 <=_1"
+        clusters, reaches, clash = contract_and_sort(
+            frozenset({BOT, P1, P2, TOP}), negate_leaf(leaf)[0]
+        )
+        assert not clash
+        assert clusters == (frozenset({BOT, P1}), frozenset({P2}), frozenset({TOP}))
+        assert reaches[0] == frozenset({0, 1})
+        verdict = check_axiom(leaf)
+        assert verdict.is_axiom and verdict.clusters == clusters
         _agree(leaf, verdict)
 
     def test_constant_only_leaves(self):

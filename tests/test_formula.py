@@ -148,6 +148,13 @@ def test_formulas_past_the_limits_are_measured_but_not_rendered():
         render(chain)
 
 
+def test_cached_helpers_and_repr_do_not_recurse():
+    chain = implication_chain(3000)
+    assert serialize_key(chain) == b">v1;" * 3000 + b"v1;"
+    assert variables_in(chain) == {1}
+    assert repr(chain) == "Impl(left=Var(index=1), right=" * 3000 + "Var(index=1)" + ")" * 3000
+
+
 @pytest.mark.parametrize(
     "text", ["", "p1 ->", "-> p1", "q1", "p1 p2", "(p1", "p1)", "p0x", "p01", "p\u0661"]
 )
