@@ -51,17 +51,18 @@ class VerifyOutcome:
 def check_tautology(formula: Formula) -> ProveResult:
     """Decide provability by exhaustive reduction and leaf classification.
 
-    The search walks the rewriting tree, whose height is at most the
-    connective count.  Premises are explored in ascending index, so the
-    reported refutation is the first invalid leaf in that deterministic
-    order.  A repeated label is classified once: a countermodel at any leaf
-    ends the search, so every label seen before is known to be provable.
-    The certificate is the list of premise indices along the refuted branch,
-    padded with zeros to the connective count.
+    The search walks the rewriting tree depth first, keeping only its branch,
+    whose height is at most the connective count.  Premises are explored in
+    ascending index, so the reported refutation is the first invalid leaf in
+    that deterministic order.  The certificate is the list of premise
+    indices along the refuted branch, padded with zeros to the connective
+    count.
 
     A label whose settled part (its all-atomic sequents, which every premise
     keeps) is an axiom is not expanded: every leaf below contains that valid
-    part, so the first invalid leaf and its path do not change.  Formula
+    part, so the first invalid leaf and its path do not change.  Each
+    settled part is classified once and keeps only that flag; the leaf that
+    ends the search is classified again if its part was met before.  Formula
     variables that the refuted leaf lacks are set to zero, which keeps the
     branch refuted: the last premise omits the non-unit fractional sequents
     that contain the pivot, and only the tests, not a proof, say that no
@@ -70,19 +71,21 @@ def check_tautology(formula: Formula) -> ProveResult:
     """
     check_limits(formula)
     n = complexity(formula)
-    # Settled part -> None for an axiom, else its verdict (so the memo keeps no
-    # cluster data for axioms).  A leaf is its own settled part.
-    refutations: dict[frozenset[RelationalSequent], AxiomVerdict | None] = {}
+    # Settled part -> whether it is an axiom.  A leaf is its own settled part.
+    valid: dict[frozenset[RelationalSequent], bool] = {}
 
     def refutation(label: RelationalHypersequent) -> AxiomVerdict | None:
         settled = frozenset(s for s in label if s.all_atomic)
-        if settled not in refutations:
-            verdict = check_axiom(RelationalHypersequent(settled))
-            refutations[settled] = None if verdict.is_axiom else verdict
-        return refutations[settled]
+        if valid.get(settled):
+            return None
+        verdict = check_axiom(RelationalHypersequent(settled))
+        valid[settled] = verdict.is_axiom
+        return None if verdict.is_axiom else verdict
 
     def premises(label: RelationalHypersequent) -> tuple[Premise, ...]:
-        if any(s.all_atomic for s in label) and refutation(label) is None:
+        settled = frozenset(s for s in label if s.all_atomic)
+        # A part known to fail is not checked again; it cannot prune.
+        if settled and valid.get(settled) is not False and refutation(label) is None:
             return ()
         return rwbl_premises(label)
 

@@ -2,15 +2,17 @@
 
 A reduction tree starts from the goal hypersequent ``top <= A`` and expands
 every node with the premises of the whole-hypersequent rewriting calculus
-until all leaves are irreducible.  One memoised walker, ``fold_tree``, does
-every expansion: ``build_rwbl_tree`` folds the nodes and their statistics in
-one pass, and the provability search folds its verdicts.  One depth guard,
-in that walker's step, bounds the height: it never exceeds the connective
-count of A, because each step removes the pivot from the set of compound
-formulas of the label and introduces only proper subformulas, so the guard
-at that limit doubles as a bug detector.  An expansion may also return no
-premises, which makes the label a leaf: the provability search does so for
-labels it already knows to be valid.
+until all leaves are irreducible.  One depth-first walker, ``fold_tree``,
+does every expansion and keeps only the current branch: ``build_rwbl_tree``
+folds the nodes and their statistics in one pass, and the provability
+search folds its verdicts.  One depth guard, in that walker, bounds the
+height: it never exceeds the connective count of A, because each step
+removes the pivot from the set of compound formulas of the label and
+introduces only proper subformulas, so the guard at that limit doubles as a
+bug detector.  An expansion may also return no premises, which makes the
+label a leaf: that is how a client cuts a subtree it already knows.  The
+provability search does so for labels whose settled part is valid, and
+``build_rwbl_tree`` for labels it has already folded.
 
 The all-atomic sequents of a label, its settled part S, never pivot, and the
 calculus carries them unchanged into every premise; the pivot and the
@@ -57,8 +59,8 @@ class ReductionNode:
     """A tree node: its label, how it was reached and its expansions.
 
     premise_index and premise_tag describe the edge from the parent (None at
-    the root).  Leaves have no children.  Nodes with equal labels share one
-    children tuple.
+    the root).  Leaves have no children.  In a tree from build_rwbl_tree,
+    nodes with equal labels share one children tuple.
     """
 
     label: RelationalHypersequent
@@ -99,18 +101,6 @@ def root_label(formula: Formula) -> RelationalHypersequent:
     return hseq(seq((TOP,), preceq(), (formula,)))
 
 
-def _step(
-    label: RelationalHypersequent, depth: int, limit: int, expand: Expand
-) -> tuple[Premise, ...] | None:
-    """The premises of a label at the given depth, or None when it is a leaf."""
-    check_generated_shape(label)
-    if is_irreducible(label):
-        return None
-    if depth >= limit:
-        raise ReductionDepthError("reducible node at the depth limit")
-    return expand(label)
-
-
 def fold_tree(
     root: RelationalHypersequent,
     expand: Expand,
@@ -123,44 +113,40 @@ def fold_tree(
 
     leaf(label) values a leaf, an irreducible label or one whose expansion
     gave no premises; inner(label, premises, values) values an inner node
-    from its premises' values.  Each distinct label is expanded and
-    valued once; a reuse keeps the first value and height, and raises
-    ReductionDepthError when its new depth plus that height exceeds the limit.
-    Returns (root value, None), or, as soon as stop holds for a leaf's value,
-    that value and its path.
+    from its premises' values.  The walk keeps only the current branch, so
+    every occurrence of a label is expanded and valued; a client cuts a
+    subtree it already knows by returning no premises.  A reducible label at
+    depth limit raises ReductionDepthError.  Returns (root value, None), or,
+    as soon as stop holds for a leaf's value, that value and its path.
     """
-    memo: dict[RelationalHypersequent, tuple[V, int]] = {}
     # One frame per inner node on the current branch: its label, premises,
-    # and the values and heights of the premises folded so far.
-    frames: list[tuple[RelationalHypersequent, tuple[Premise, ...], list[V], list[int]]] = []
+    # and the values of the premises folded so far.
+    frames: list[tuple[RelationalHypersequent, tuple[Premise, ...], list[V]]] = []
     label = root
     while True:
-        depth = len(frames)
-        done = memo.get(label)
-        if done is None:
-            premises = _step(label, depth, limit, expand)
+        check_generated_shape(label)
+        if not is_irreducible(label):
+            if len(frames) >= limit:
+                raise ReductionDepthError("reducible node at the depth limit")
+            premises = expand(label)
             if premises:
-                frames.append((label, premises, [], []))
+                frames.append((label, premises, []))
                 label = premises[0].label
                 continue
-            value = leaf(label)
-            if stop is not None and stop(value):
-                moves = tuple(ps[len(vs)].index for _, ps, vs, _ in frames)
-                return value, (moves, tuple(f[0] for f in frames) + (label,))
-            done = memo[label] = (value, 0)
-        elif depth + done[1] > limit:
-            raise ReductionDepthError("reducible node at the depth limit")
+        value = leaf(label)
+        if stop is not None and stop(value):
+            moves = tuple(ps[len(vs)].index for _, ps, vs in frames)
+            return value, (moves, tuple(f[0] for f in frames) + (label,))
         while frames:
-            parent, premises, values, heights = frames[-1]
-            values.append(done[0])
-            heights.append(done[1])
+            parent, premises, values = frames[-1]
+            values.append(value)
             if len(values) < len(premises):
                 label = premises[len(values)].label
                 break
             frames.pop()
-            done = memo[parent] = (inner(parent, premises, values), 1 + max(heights))
+            value = inner(parent, premises, values)
         else:
-            return done[0], None
+            return value, None
 
 
 def _by_open_part(expand: Expand) -> Expand:
@@ -204,25 +190,6 @@ def label_weight(g: RelationalHypersequent) -> int:
 Folded = tuple[tuple[ReductionNode, ...], TreeStats]
 
 
-def _fold_leaf(label: RelationalHypersequent) -> Folded:
-    return (), TreeStats(0, 1, 1, label_weight(label))
-
-
-def _fold_inner(
-    label: RelationalHypersequent, premises: tuple[Premise, ...], subtrees: Sequence[Folded]
-) -> Folded:
-    children = tuple(
-        ReductionNode(p.label, p.index, p.tag, sub) for p, (sub, _) in zip(premises, subtrees)
-    )
-    subs = [stats for _, stats in subtrees]
-    return children, TreeStats(
-        1 + max(s.height for s in subs),
-        1 + sum(s.node_count for s in subs),
-        sum(s.leaf_count for s in subs),
-        label_weight(label) + max(s.max_branch_weight for s in subs),
-    )
-
-
 def build_rwbl_tree(formula: Formula) -> ReductionTree:
     """Full reduction tree in the whole-hypersequent rewriting calculus.
 
@@ -231,13 +198,42 @@ def build_rwbl_tree(formula: Formula) -> ReductionTree:
     Formulas beyond the parser's size limits raise ValueError.  Premises of a
     label S ∪ U with settled part S are S ∪ premises(U), so each distinct
     open part U is expanded once.  The pass that builds the nodes also
-    computes the tree's statistics, valuing each distinct label once.
+    computes the tree's statistics.  A label already folded is cut from the
+    walk and reuses its fold, so equal labels share one children tuple.
     """
     check_limits(formula)
     root = root_label(formula)
+    limit = complexity(formula)
+    by_open_part = _by_open_part(rwbl_premises)
+    folded: dict[RelationalHypersequent, Folded] = {}
+
+    def inner(
+        label: RelationalHypersequent, premises: tuple[Premise, ...], subtrees: Sequence[Folded]
+    ) -> Folded:
+        children = tuple(
+            ReductionNode(p.label, p.index, p.tag, sub) for p, (sub, _) in zip(premises, subtrees)
+        )
+        subs = [stats for _, stats in subtrees]
+        folded[label] = children, TreeStats(
+            1 + max(s.height for s in subs),
+            1 + sum(s.node_count for s in subs),
+            sum(s.leaf_count for s in subs),
+            label_weight(label) + max(s.max_branch_weight for s in subs),
+        )
+        return folded[label]
+
     (children, stats), _ = fold_tree(
-        root, _by_open_part(rwbl_premises), complexity(formula), _fold_leaf, _fold_inner
+        root,
+        lambda label: () if label in folded else by_open_part(label),
+        limit,
+        lambda label: folded.get(label) or ((), TreeStats(0, 1, 1, label_weight(label))),
+        inner,
     )
+    # The walk does not enter a reused fold, so its depth guard misses one
+    # that sits deeper than its first occurrence allows; the root's height,
+    # the greatest depth plus subtree height over all occurrences, does not.
+    if stats.height > limit:
+        raise ReductionDepthError("reducible node at the depth limit")
     return ReductionTree(formula, ReductionNode(root, None, None, children), stats)
 
 

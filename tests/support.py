@@ -44,6 +44,7 @@ from blprover.formula import (
     Var,
     complexity,
     is_atomic,
+    parse,
     variables_in,
 )
 from blprover.hypersequent import (
@@ -256,6 +257,25 @@ def implication_chain(height: int) -> Formula:
     for _ in range(height):
         formula = Impl(Var(1), formula)
     return formula
+
+
+def deep_reuse_table(formula: Formula) -> dict[RelationalHypersequent, tuple[Premise, ...]]:
+    """A premise table whose label "again" recurs one level deeper than first.
+
+    From the root of formula, "again" is reached at depth 1 and at depth 2
+    (under "above"), and its subtree is two levels tall, so the tree is four
+    levels tall.  A tree builder that reuses the first fold of "again" must
+    still see that height.
+    """
+    again, above, mid, leaf = (
+        root_label(parse(text)) for text in ("p1 -> p1", "p2 -> p2", "p3 -> p3", "p1")
+    )
+    return {
+        root_label(formula): (Premise("x", 1, again), Premise("y", 2, above)),
+        above: (Premise("x", 1, again),),
+        again: (Premise("x", 1, mid),),
+        mid: (Premise("x", 1, leaf),),
+    }
 
 
 def odot_type(x: OmegaValue, y: OmegaValue) -> int:

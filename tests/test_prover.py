@@ -1,5 +1,7 @@
 """End-to-end provability decisions and the command line interface."""
 
+import gc
+import itertools
 import json
 import os
 import random
@@ -112,8 +114,8 @@ def test_formulas_built_past_the_parser_limits_are_refused(entry):
 
 def test_soundness_checks_survive_optimised_mode():
     # Under -O assert statements vanish, so a refutation that comes without a
-    # countermodel, and a broken leaf-check invariant, must still be stopped by
-    # an explicit raise.
+    # countermodel, a broken leaf-check invariant and a tree past its height
+    # limit must still be stopped by an explicit raise.
     script = textwrap.dedent(
         """
         import sys
@@ -144,10 +146,20 @@ def test_soundness_checks_survive_optimised_mode():
             except AssertionError:
                 continue
             sys.exit("a broken leaf-check invariant went unnoticed")
+        import blprover.reduction as reduction
+        from support import deep_reuse_table
+        formula = parse("p1 -> p2 -> p3 -> p4")
+        reduction.rwbl_premises = deep_reuse_table(formula).__getitem__
+        try:
+            reduction.build_rwbl_tree(formula)
+        except reduction.ReductionDepthError:
+            pass
+        else:
+            sys.exit("a reused fold deeper than the height limit went unnoticed")
         """
     )
     src = str(Path(blprover.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(Path(__file__).parent)])}
     done = subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
@@ -247,6 +259,30 @@ def test_pruned_search_matches_the_full_search():
         rwbl += 1
         result = check_tautology(formula)
         _assert_matches_reference(formula, result, _reference_search(formula))
+
+
+def test_the_search_keeps_only_its_branch(monkeypatch):
+    # Each frame of the branch holds its premises' labels, at most five, and
+    # the branch is at most n frames deep; a memo of seen labels would grow
+    # with the tree instead (1,639 live labels on this chain).
+    formula = parse("(p1 -> p2) * (p2 -> p3) * (p3 -> p4) -> (p1 -> p4)")
+    n = complexity(formula)
+
+    def live_labels():
+        return sum(type(o) is RelationalHypersequent for o in gc.get_objects())
+
+    before = live_labels()
+    calls = itertools.count(1)
+    samples = []
+
+    def sampling(leaf):
+        if next(calls) % 10 == 0:
+            samples.append(live_labels() - before)
+        return check_axiom(leaf)
+
+    monkeypatch.setattr(prover, "check_axiom", sampling)
+    assert check_tautology(formula).provable
+    assert samples and max(samples) <= 10 * n
 
 
 def test_pruned_settled_parts_are_valid_by_the_oracle(monkeypatch):

@@ -36,6 +36,7 @@ from blprover.reduction import (
 )
 from support import (
     branch_estimate,
+    deep_reuse_table,
     random_formula,
     recount_weight,
     rwbl_leaves,
@@ -219,8 +220,8 @@ def test_depth_limit_is_the_tree_height():
 
 
 def test_reused_label_still_trips_the_depth_guard():
-    # "again" is expanded first at depth 1, then reused at depth 2 under
-    # "above", which makes the tree three levels tall.
+    # "again" is expanded first at depth 1, then expanded again at depth 2
+    # under "above", which makes the tree three levels tall.
     root, again, above, leaf = (
         root_label(parse(text)) for text in ("p1 -> p2", "p1 -> p1", "p2 -> p2", "p1")
     )
@@ -236,6 +237,54 @@ def test_reused_label_still_trips_the_depth_guard():
     assert count_leaves(3) == (2, None)
     with pytest.raises(ReductionDepthError):
         count_leaves(2)
+
+
+def test_the_walker_keeps_no_memo():
+    # Every inner-node occurrence is expanded, a repeated label as often as it
+    # occurs: the walker holds its branch and nothing else.
+    repeated = 0
+    for text in REPEATED_LABELS:
+        formula = parse(text)
+        calls = []
+
+        def expand(label):
+            calls.append(label)
+            return rwbl_premises(label)
+
+        fold_tree(root_label(formula), expand, complexity(formula), lambda _: 0, lambda *_: 0)
+        stats = build_rwbl_tree(formula).stats
+        assert len(calls) == stats.node_count - stats.leaf_count
+        repeated += len(set(calls)) < len(calls)
+    assert repeated
+
+
+def test_equal_labels_share_one_children_tuple():
+    # ReductionNode promises this; a repeated inner label must be among them.
+    shared = 0
+    for text in REPEATED_LABELS:
+        first = {}
+        stack = [build_rwbl_tree(parse(text)).root]
+        while stack:
+            node = stack.pop()
+            if node.label in first:
+                assert node.children is first[node.label]
+                shared += not node.is_leaf
+            else:
+                first[node.label] = node.children
+            stack.extend(node.children)
+    assert shared
+
+
+def test_reused_fold_deeper_than_it_allows_trips_the_height_check(monkeypatch):
+    # "again" is folded first at depth 1 with height 2, then reused at depth 2
+    # under "above", where the walk does not enter it.  Only the root's
+    # height, 4, shows that the tree exceeds a limit of 3 connectives.
+    three, four = parse("p1 -> p2 -> p3 -> p4"), parse("p1 -> p2 -> p3 -> p4 -> p5")
+    table = {**deep_reuse_table(three), **deep_reuse_table(four)}
+    monkeypatch.setattr(reduction, "rwbl_premises", table.__getitem__)
+    assert build_rwbl_tree(four).stats.height == 4
+    with pytest.raises(ReductionDepthError):
+        build_rwbl_tree(three)
 
 
 def test_certificate_round_trip():
