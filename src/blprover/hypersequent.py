@@ -12,15 +12,17 @@ Sequents are hash-consed like formulas: the constructor returns the one live
 sequent for each pair of sorted sides and relation, so equality is identity
 and the hash is the identity hash.  Each sequent holds its weight,
 atomicity and shape flags as fields set at construction and computes its
-sort key on first use.  Labels share sequents: a substitution returns every
-sequent that does not contain its target as the same object, and ``union``
-joins the parts of a new label with one set union.
+sort key on first use.  The four substitutions are one sequent rewrite: a
+sequent holding the target loses every occurrence and, by the target's left
+and right counts, gains formulas on each side and a shift of its index.  Every
+other sequent comes back as the same object, so labels share sequents, and
+``union`` joins the parts of a new label with one set union.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .formula import (
     Formula,
@@ -221,28 +223,30 @@ def most_complex(g: RelationalHypersequent) -> Formula:
     return max(candidates, key=complexity_key)
 
 
-def _subst_side(
-    side: tuple[Formula, ...], target: Formula, replacement: tuple[Formula, ...]
-) -> tuple[Formula, ...]:
-    out: list[Formula] = []
-    for f in side:
-        if f is target:
-            out.extend(replacement)
-        else:
-            out.append(f)
-    return tuple(out)
+def _rewrite(
+    g: RelationalHypersequent,
+    target: Formula,
+    gains: Callable[[int, int], tuple[tuple[Formula, ...], int, tuple[Formula, ...]]],
+) -> RelationalHypersequent:
+    """Every sequent holding target loses each occurrence and takes its gains.
 
-
-def _subst_sequent(
-    s: RelationalSequent, target: Formula, replacement: tuple[Formula, ...]
-) -> RelationalSequent:
-    if not s.contains(target):
-        return s
-    return seq(
-        _subst_side(s.left, target, replacement),
-        s.kind,
-        _subst_side(s.right, target, replacement),
-    )
+    ``gains(l, r)``, for l left and r right occurrences, gives what the left
+    side gains, the index shift and what the right side gains.  Sides are
+    sorted, so the target's copies are adjacent and are cut as one slice.
+    Sequents without the target come back as the same objects.
+    """
+    out: list[RelationalSequent] = []
+    for s in g:
+        if not s.contains(target):
+            out.append(s)
+            continue
+        l, r = s.left.count(target), s.right.count(target)
+        i, j = s.left.index(target) if l else 0, s.right.index(target) if r else 0
+        gained_left, shift, gained_right = gains(l, r)
+        left = s.left[:i] + s.left[i + l :] + gained_left
+        right = s.right[:j] + s.right[j + r :] + gained_right
+        out.append(RelationalSequent(left, s.kind.shifted(shift) if shift else s.kind, right))
+    return RelationalHypersequent(out)
 
 
 def subst_all(
@@ -254,7 +258,7 @@ def subst_all(
     formula are not touched (the callers only substitute maximal formulas,
     which cannot occur nested).  Sequents without the target are unchanged.
     """
-    return RelationalHypersequent(_subst_sequent(s, target, (replacement,)) for s in g)
+    return _rewrite(g, target, lambda l, r: ((replacement,) * l, 0, (replacement,) * r))
 
 
 def subst_pair(
@@ -269,7 +273,7 @@ def subst_pair(
     for s in g:
         if s.kind.is_ll and s.contains(target):
             raise ValueError("pair substitution cannot target a << sequent")
-    return RelationalHypersequent(_subst_sequent(s, target, (a, b)) for s in g)
+    return _rewrite(g, target, lambda l, r: ((a, b) * l, 0, (a, b) * r))
 
 
 def subst_balanced_conj(
@@ -282,19 +286,9 @@ def subst_balanced_conj(
     (left count) - (right count).  Sequents without the target are unchanged.
     Raises ValueError if g contains a ``<<`` sequent.
     """
-    out: list[RelationalSequent] = []
-    for s in g:
-        if s.kind.is_ll:
-            raise ValueError("balanced substitution applies to fractional sequents only")
-        l = s.left.count(target)
-        r = s.right.count(target)
-        if l == 0 and r == 0:
-            out.append(s)
-            continue
-        left = tuple(f for f in s.left if f is not target) + (a, b)
-        right = tuple(f for f in s.right if f is not target) + (a, b)
-        out.append(seq(left, s.kind.shifted(l - r), right))
-    return RelationalHypersequent(out)
+    if any(s.kind.is_ll for s in g):
+        raise ValueError("balanced substitution applies to fractional sequents only")
+    return _rewrite(g, target, lambda l, r: ((a, b), l - r, (a, b)))
 
 
 def subst_impl(
@@ -307,19 +301,9 @@ def subst_impl(
     b, the right side gains l copies of a and r copies of b, and the index is
     unchanged.  Raises ValueError if g contains a ``<<`` sequent.
     """
-    out: list[RelationalSequent] = []
-    for s in g:
-        if s.kind.is_ll:
-            raise ValueError("implication substitution applies to fractional sequents only")
-        l = s.left.count(target)
-        r = s.right.count(target)
-        if l == 0 and r == 0:
-            out.append(s)
-            continue
-        left = tuple(f for f in s.left if f is not target) + (a,) * r + (b,) * l
-        right = tuple(f for f in s.right if f is not target) + (a,) * l + (b,) * r
-        out.append(seq(left, s.kind, right))
-    return RelationalHypersequent(out)
+    if any(s.kind.is_ll for s in g):
+        raise ValueError("implication substitution applies to fractional sequents only")
+    return _rewrite(g, target, lambda l, r: ((a,) * r + (b,) * l, 0, (a,) * l + (b,) * r))
 
 
 def decompose(

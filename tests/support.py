@@ -14,6 +14,9 @@ node, and ``rwbl_leaves`` lists a formula's leaves by expanding premises
 lazily, without building the tree.  ``reference_solve`` is the Fourier-Motzkin
 solver over ``Fraction`` rows that the integer ``linfeas.solve`` replaced; the
 differential test holds the two to the same verdicts and witnesses.
+Likewise ``reference_subst_all``, ``reference_subst_pair``,
+``reference_subst_balanced_conj`` and ``reference_subst_impl`` are the four
+substitutions as they were before one sequent rewrite served them all.
 ``variables`` collects a hypersequent's variable indices.
 """
 
@@ -738,3 +741,82 @@ def reference_solve(
         if not 0 <= witness[var] < 1:
             raise AssertionError("witness escapes the unit box, solver bug")
     return FeasibilityResult(True, witness)
+
+
+def _reference_subst_side(
+    side: tuple[Formula, ...], target: Formula, replacement: tuple[Formula, ...]
+) -> tuple[Formula, ...]:
+    out: list[Formula] = []
+    for f in side:
+        if f is target:
+            out.extend(replacement)
+        else:
+            out.append(f)
+    return tuple(out)
+
+
+def _reference_subst_sequent(
+    s: RelationalSequent, target: Formula, replacement: tuple[Formula, ...]
+) -> RelationalSequent:
+    if not s.contains(target):
+        return s
+    return seq(
+        _reference_subst_side(s.left, target, replacement),
+        s.kind,
+        _reference_subst_side(s.right, target, replacement),
+    )
+
+
+def reference_subst_all(
+    g: RelationalHypersequent, target: Formula, replacement: Formula
+) -> RelationalHypersequent:
+    """Reference: ``subst_all`` as it was, one replacement per position."""
+    return RelationalHypersequent(_reference_subst_sequent(s, target, (replacement,)) for s in g)
+
+
+def reference_subst_pair(
+    g: RelationalHypersequent, target: Formula, a: Formula, b: Formula
+) -> RelationalHypersequent:
+    """Reference: ``subst_pair`` as it was, one pair per position."""
+    for s in g:
+        if s.kind.is_ll and s.contains(target):
+            raise ValueError("pair substitution cannot target a << sequent")
+    return RelationalHypersequent(_reference_subst_sequent(s, target, (a, b)) for s in g)
+
+
+def reference_subst_balanced_conj(
+    g: RelationalHypersequent, target: Formula, a: Formula, b: Formula
+) -> RelationalHypersequent:
+    """Reference: ``subst_balanced_conj`` as it was, with its own loop."""
+    out: list[RelationalSequent] = []
+    for s in g:
+        if s.kind.is_ll:
+            raise ValueError("balanced substitution applies to fractional sequents only")
+        l = s.left.count(target)
+        r = s.right.count(target)
+        if l == 0 and r == 0:
+            out.append(s)
+            continue
+        left = tuple(f for f in s.left if f is not target) + (a, b)
+        right = tuple(f for f in s.right if f is not target) + (a, b)
+        out.append(seq(left, s.kind.shifted(l - r), right))
+    return RelationalHypersequent(out)
+
+
+def reference_subst_impl(
+    g: RelationalHypersequent, target: Formula, a: Formula, b: Formula
+) -> RelationalHypersequent:
+    """Reference: ``subst_impl`` as it was, with its own loop."""
+    out: list[RelationalSequent] = []
+    for s in g:
+        if s.kind.is_ll:
+            raise ValueError("implication substitution applies to fractional sequents only")
+        l = s.left.count(target)
+        r = s.right.count(target)
+        if l == 0 and r == 0:
+            out.append(s)
+            continue
+        left = tuple(f for f in s.left if f is not target) + (a,) * r + (b,) * l
+        right = tuple(f for f in s.right if f is not target) + (a,) * l + (b,) * r
+        out.append(seq(left, s.kind, right))
+    return RelationalHypersequent(out)

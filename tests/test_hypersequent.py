@@ -3,9 +3,11 @@
 import gc
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blprover import (
     BOT,
@@ -42,10 +44,18 @@ from blprover.hypersequent import (
     subst_pair,
     union,
 )
-from blprover import formula as formula_module, hypersequent
+from blprover import calculus, formula as formula_module, hypersequent
 from blprover.calculus import rwbl_premises
 from blprover.semantics import satisfies_sequent
-from support import abbreviation, random_formula, variables
+from support import (
+    abbreviation,
+    random_formula,
+    reference_subst_all,
+    reference_subst_balanced_conj,
+    reference_subst_impl,
+    reference_subst_pair,
+    variables,
+)
 
 A, B, C = Var(1), Var(2), Var(3)
 PIV = Conj(A, B)
@@ -176,6 +186,9 @@ def test_subst_all():
     assert subst_all(g, PIV, B) == hseq(
         seq((TOP,), preceq(), (B,)), seq((C,), LL, (B,))
     )
+    untouched = seq((A,), prec(), (C,))
+    twice = hseq(seq((PIV, PIV, C), preceq(1), (PIV,)), untouched)
+    assert subst_all(twice, PIV, B) == hseq(seq((B, B, C), preceq(1), (B,)), untouched)
 
 
 def test_subst_pair_splits_occurrences():
@@ -184,6 +197,13 @@ def test_subst_pair_splits_occurrences():
     bad = hseq(seq((C,), LL, (PIV,)))
     with pytest.raises(ValueError):
         subst_pair(bad, PIV, A, B)
+
+
+def test_subst_pair_doubles_each_occurrence():
+    g = hseq(seq((PIV,), prec(), (PIV, PIV, C)), seq((C,), LL, (A,)))
+    assert subst_pair(g, PIV, A, B) == hseq(
+        seq((A, B), prec(), (A, B, A, B, C)), seq((C,), LL, (A,))
+    )
 
 
 def test_subst_balanced_conj_shifts_index():
@@ -205,6 +225,94 @@ def test_subst_impl_swaps_sides():
     assert subst_impl(g, target, A, B) == hseq(seq((TOP, A), preceq(), (B,)))
     h = hseq(seq((target,), preceq(), (C,)))
     assert subst_impl(h, target, A, B) == hseq(seq((B,), preceq(), (A, C)))
+    # l = r = 1: each side gains one a, for the other side's occurrence, and
+    # one b, for its own.
+    both = hseq(seq((target, C), preceq(2), (target,)))
+    assert subst_impl(both, target, A, B) == hseq(seq((A, B, C), preceq(2), (A, B)))
+    # Any << sequent is refused, even one without the target.
+    with pytest.raises(ValueError):
+        subst_impl(both | hseq(seq((C,), LL, (A,))), target, A, B)
+
+
+_REFERENCE_SUBST = {
+    "subst_all": reference_subst_all,
+    "subst_pair": reference_subst_pair,
+    "subst_balanced_conj": reference_subst_balanced_conj,
+    "subst_impl": reference_subst_impl,
+}
+
+
+def _outcome(function, g, target, children):
+    try:
+        return function(g, target, *children)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _same_as_reference(name, g, target, children):
+    """The substitution's label, after checking it against the reference's."""
+    got = _outcome(getattr(hypersequent, name), g, target, children)
+    want = _outcome(_REFERENCE_SUBST[name], g, target, children)
+    assert type(got) is type(want), (name, g.render(), got, want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        # Sequents are interned: equal labels must hold the very same objects.
+        assert {id(s) for s in got} == {id(s) for s in want}, (name, g.render())
+    return got
+
+
+def test_substitutions_match_the_reference_on_every_calculus_call(monkeypatch):
+    """Each call the calculus makes while building 60 seeded trees, checked as it happens."""
+    calls = Counter()
+
+    def checked(name):
+        def substitute(g, target, *children):
+            calls[name] += 1
+            calls["both sides"] += any(target in s.left and target in s.right for s in g)
+            return _same_as_reference(name, g, target, children)
+
+        return substitute
+
+    for name in _REFERENCE_SUBST:
+        monkeypatch.setattr(calculus, name, checked(name))
+    rng = random.Random(20261019)
+    for i in range(60):
+        build_rwbl_tree(random_formula(rng, 1 + i % 6, 3))
+    assert all(calls[name] for name in _REFERENCE_SUBST), calls
+    assert calls["both sides"], calls
+
+
+_TARGETS = [(PIV, A, B), (Impl(A, B), A, B), (Impl(B, Conj(A, C)), B, Conj(A, C))]
+_NEIGHBOURS = [A, B, C, TOP, BOT, PIV, Impl(C, A), Conj(A, C)]
+
+
+@st.composite
+def _labels_with_target(draw):
+    """A label over 1-4 sequents of every relation, each holding the target 0-3 times a side."""
+    target, a, b = draw(st.sampled_from(_TARGETS))
+    neighbours = [f for f in _NEIGHBOURS if f is not target]
+    kinds = [LL] + [make(z) for make in (preceq, prec) for z in range(-2, 3)]
+    sequents = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(kinds))
+        most = 1 if kind.is_ll else 3
+        sides = []
+        for _ in range(2):
+            count = draw(st.integers(0, most))
+            rest = draw(st.lists(st.sampled_from(neighbours), max_size=min(2, most - count)))
+            sides.append((target,) * count + tuple(rest))
+        sequents.append(seq(sides[0], kind, sides[1]))
+    return hseq(*sequents), target, a, b
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_labels_with_target())
+def test_substitutions_match_the_reference_on_random_labels(drawn):
+    g, target, a, b = drawn
+    _same_as_reference("subst_all", g, target, (a,))
+    for name in ("subst_pair", "subst_balanced_conj", "subst_impl"):
+        _same_as_reference(name, g, target, (a, b))
 
 
 def test_decompose_partitions():

@@ -1,6 +1,9 @@
 """End-to-end provability decisions and the command line interface."""
 
+import contextlib
 import gc
+import hashlib
+import io
 import itertools
 import json
 import os
@@ -218,6 +221,44 @@ def test_outputs_do_not_depend_on_the_hash_seed():
         # Line numbers, not a diff: a diff of outputs this long takes minutes.
         differing = [i for i, (a, b) in enumerate(zip(first, other)) if a != b]
         assert (len(first), differing[:5]) == (len(other), [])
+
+
+GOLDEN_COMMANDS = [
+    ["prove", "--json", "--countermodel", "--certificate"],
+    ["tree"],
+    ["tree", "--emit", "json"],
+    ["tree", "--emit", "dot"],
+    ["tree", "--stats"],
+]
+
+# The sha256 of each formula's outputs from the commands above, in order, each
+# followed by its exit code.  A change that keeps every output keeps these;
+# only a change meant to alter outputs may record them again.  The last six
+# formulas come from the seed-1 corpus panels of the benchmark.
+GOLDEN_CLI_DIGESTS = [
+    ("p1 -> p1 * p1", "edf9332191ae66c180971ce53a0665ba85f28eef36a477428cf89e18d0302cfc"),
+    ("p1 * p1 -> p1", "4eb58d3ff3b738a4506f1df710a0b1d9fe8bc5c5559ee527bce77daea7687bcb"),
+    ("~~p1 -> p1", "9e9a1be576f07ca6af468f5a48928ebd97124631f69bdd8e9239cd842a84f525"),
+    ("0 -> p1", "9a4d5e9fd935256aa1fa1b04ba2e2ea8a049c252d148a086fca4baa0cb1b861e"),
+    ("(p1 -> p2) * (p2 -> p3) -> (p1 -> p3)", "42d1936142d178c77efa55a576ff6035fd5d4fa859769ec8f1898f3a07dfc7ef"),
+    ("(p1 <-> p2) -> (p2 <-> p1)", "b0fc446dfc5cb5dde949f975521e36b22be86e203b7aa6abeb7434b3e2e1f612"),
+    ("(p7 * (p9 -> p7))", "2e07962aec357774f71042ddbb5b18a2bcdb4ddf88420b2653df49fdd9b7ab53"),
+    ("(((p9 * p5) -> 0) -> p3)", "6e40e7adc30e154d26316fdca6d159a6a13343b6c8ae276f573bd7811cfc70a5"),
+    ("((p8 * (p6 -> p2)) * (0 -> 0))", "1bab2f196c0e9c6c49af1523a5fb22ff0b16cc1c862ff18b90c23bf63fdf6c35"),
+    ("(p2 -> ((p2 * (p1 * p5)) -> p2))", "c7ba8a6fd1e07fa9752a19e7288d1666bedfbd3bbee18edfef3dbfac2640dbac"),
+    ("(p4 * (p4 * ((p3 * p4) -> p4)))", "6d226da3f76194f1a20699a6b76f0a139fe9571b546331521b73570838675d93"),
+    ("((p4 -> 0) -> (((p8 * p8) -> (0 * p8)) -> p8))", "8f0cd192e89296e254128683ed5df62f371743e0de686e12b57b4a0d45d3cfb9"),
+]
+
+
+@pytest.mark.parametrize("text,digest", GOLDEN_CLI_DIGESTS, ids=[t for t, _ in GOLDEN_CLI_DIGESTS])
+def test_cli_outputs_match_their_recorded_digests(text, digest):
+    out = io.StringIO()
+    for command, *options in GOLDEN_COMMANDS:
+        with contextlib.redirect_stdout(out):
+            code = cli_main([command, text, *options])
+        out.write(f"exit {code}\n")
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 def _reference_search(formula):
