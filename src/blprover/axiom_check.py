@@ -230,34 +230,32 @@ def _least_escape(
     return escape, witness
 
 
-def _merge_escape(
-    clusters: tuple[frozenset[Formula], ...], escape: frozenset[int]
-) -> tuple[frozenset[Formula], ...]:
-    """Fold the escaping clusters into top's cluster, keeping the rest in order."""
-    merged: list[frozenset[Formula]] = []
+def build_countermodel(
+    clusters: tuple[frozenset[Formula], ...],
+    escape: AbstractSet[int],
+    witness: dict[int, Fraction],
+) -> tuple[tuple[frozenset[Formula], ...], Valuation]:
+    """The clusters with the escaping ones joined to top's, and the valuation refuting the leaf.
+
+    The other clusters keep their order.  A variable in top's cluster is
+    infinite; any other takes its cluster's position as its floor and its
+    witness value as its fraction, or 1/2, the midpoint of its interval, when
+    the witness does not mention it.
+    """
+    escaping = frozenset().union(*(clusters[i] for i in escape))
+    kept: list[frozenset[Formula]] = []
+    assignment: dict[int, OmegaValue] = {}
     for i, cluster in enumerate(clusters):
         if i in escape:
             continue
         if TOP in cluster:
-            cluster = cluster.union(*(clusters[j] for j in sorted(escape)))
-        merged.append(cluster)
-    return tuple(merged)
-
-
-def build_countermodel(
-    clusters: tuple[frozenset[Formula], ...], witness: dict[int, Fraction]
-) -> Valuation:
-    """Valuation refuting the leaf: floor from cluster position, fraction from witness.
-
-    A variable absent from the witness gets 1/2, the midpoint of its interval.
-    """
-    assignment: dict[int, OmegaValue] = {}
-    for pos, cluster in enumerate(clusters):
+            cluster |= escaping
         for atom in cluster:
             if isinstance(atom, Var):
                 frac = witness.get(atom.index, Fraction(1, 2))
-                assignment[atom.index] = INF if TOP in cluster else Finite(pos, frac)
-    return Valuation(assignment)
+                assignment[atom.index] = INF if TOP in cluster else Finite(len(kept), frac)
+        kept.append(cluster)
+    return tuple(kept), Valuation(assignment)
 
 
 def check_axiom(h: RelationalHypersequent) -> AxiomVerdict:
@@ -266,31 +264,28 @@ def check_axiom(h: RelationalHypersequent) -> AxiomVerdict:
     The leaf is split once (negate_leaf).  Its atoms and top, with one edge
     per negated ``<<``, form the floor graph; one closure gives its groups,
     their order and reach sets (contract_and_sort).  A clash of the falsum
-    and top pins is an axiom with the plain components as its clusters.
-    Otherwise returns an Axiom verdict when the negated leaf is unsatisfiable,
-    else a NotAxiom verdict carrying a countermodel from the witnesses of
-    _least_escape, always re-checked against the leaf before being returned.
-    Its infinite clusters form the least escape set, read off the same
-    closure, which every countermodel over these floors escapes too.
+    and top pins is an axiom with the plain components as its clusters, and
+    so is a leaf with no feasible escape set (_least_escape), with the pinned
+    groups.  Otherwise build_countermodel joins the least escape set, read
+    off the same closure and escaped by every countermodel over these floors,
+    to top's cluster and values the atoms from _least_escape's witness.  The
+    NotAxiom verdict carries those clusters and that countermodel, which is
+    always re-checked against the leaf before being returned.
     """
     floor_edges, fracs = negate_leaf(h)
     clusters, reaches, clash = contract_and_sort(
         {TOP}.union(*(s.left + s.right for s in h)), floor_edges
     )
-    if clash:
-        return AxiomVerdict(True, None, clusters)
-    least = _least_escape(fracs, clusters, reaches)
+    least = None if clash else _least_escape(fracs, clusters, reaches)
     if least is None:
         return AxiomVerdict(True, None, clusters)
-    escape, witness = least
-    trial = _merge_escape(clusters, escape) if escape else clusters
-    model = build_countermodel(trial, witness)
+    clusters, model = build_countermodel(clusters, *least)
     if satisfies(model, h):
         raise AssertionError(
             "countermodel construction failed its runtime check; "
             "the leaf violates the supported structural invariants"
         )
-    return AxiomVerdict(False, model, trial)
+    return AxiomVerdict(False, model, clusters)
 
 
 def verify_branch_countermodel(

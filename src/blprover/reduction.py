@@ -149,32 +149,6 @@ def fold_tree(
             return value, None
 
 
-def _by_open_part(expand: Expand) -> Expand:
-    """expand, called at most once per distinct open part over the result's life.
-
-    A label S ∪ U with a non-empty settled part S gets the premises of U, each
-    joined to S by one set union, with U's tags and indices; a label with no
-    settled part is its own open part and is expanded as it is.
-    """
-    memo: dict[frozenset[RelationalSequent], tuple[Premise, ...]] = {}
-
-    def by_open_part(label: RelationalHypersequent) -> tuple[Premise, ...]:
-        settled = frozenset(s for s in label if s.all_atomic)
-        open_part = label - settled if settled else label
-        premises = memo.get(open_part)
-        if premises is None:
-            premises = expand(RelationalHypersequent(open_part) if settled else label)
-            memo[open_part] = premises
-        if not settled:
-            return premises
-        return tuple(
-            Premise(p.tag, p.index, RelationalHypersequent(settled | p.label))
-            for p in premises
-        )
-
-    return by_open_part
-
-
 def label_weight(g: RelationalHypersequent) -> int:
     """Size of a label: connectives plus atoms plus relations, over its sequents.
 
@@ -196,16 +170,31 @@ def build_rwbl_tree(formula: Formula) -> ReductionTree:
     The depth limit is the connective count of the formula, which is a
     proven bound on the height; exceeding it raises ReductionDepthError.
     Formulas beyond the parser's size limits raise ValueError.  Premises of a
-    label S ∪ U with settled part S are S ∪ premises(U), so each distinct
-    open part U is expanded once.  The pass that builds the nodes also
-    computes the tree's statistics.  A label already folded is cut from the
-    walk and reuses its fold, so equal labels share one children tuple.
+    label S ∪ U with settled part S are S joined to each premise of U, with
+    U's tags and indices, so each distinct open part U is expanded once per
+    call; a label with no settled part is its own open part.  The pass that
+    builds the nodes also computes the tree's statistics.  A label already
+    folded is cut from the walk and reuses its fold, so equal labels share
+    one children tuple.
     """
     check_limits(formula)
     root = root_label(formula)
     limit = complexity(formula)
-    by_open_part = _by_open_part(rwbl_premises)
+    # Open part -> its premises, each joined back to a label's settled part.
+    by_open_part: dict[frozenset[RelationalSequent], tuple[Premise, ...]] = {}
     folded: dict[RelationalHypersequent, Folded] = {}
+
+    def expand(label: RelationalHypersequent) -> tuple[Premise, ...]:
+        if label in folded:
+            return ()
+        settled = frozenset(s for s in label if s.all_atomic)
+        open_part = label - settled
+        premises = by_open_part.get(open_part)
+        if premises is None:
+            premises = by_open_part[open_part] = rwbl_premises(RelationalHypersequent(open_part))
+        return tuple(
+            Premise(p.tag, p.index, RelationalHypersequent(settled | p.label)) for p in premises
+        )
 
     def inner(
         label: RelationalHypersequent, premises: tuple[Premise, ...], subtrees: Sequence[Folded]
@@ -224,7 +213,7 @@ def build_rwbl_tree(formula: Formula) -> ReductionTree:
 
     (children, stats), _ = fold_tree(
         root,
-        lambda label: () if label in folded else by_open_part(label),
+        expand,
         limit,
         lambda label: folded.get(label) or ((), TreeStats(0, 1, 1, label_weight(label))),
         inner,

@@ -345,6 +345,8 @@ class TestEscapeClosure:
         assert verdict.countermodel.value_of(1) == INF
         assert not verdict.countermodel.value_of(2).is_infinite
         assert not satisfies(verdict.countermodel, leaf)
+        # The escaping cluster joins top's, and the finite one keeps its place.
+        assert verdict.clusters == (frozenset({P2}), frozenset({P1, TOP}))
         _agree(leaf, verdict)
 
     @pytest.mark.parametrize(
@@ -365,6 +367,9 @@ class TestEscapeClosure:
         if not is_axiom:
             assert verdict.countermodel.value_of(1) == INF
             assert verdict.countermodel.value_of(2) == INF
+            # p1 and p2 join top's cluster; p3, where present, keeps its own before it.
+            finite = tuple(frozenset(s.right) for s in extra)
+            assert verdict.clusters == finite + (frozenset({P1, P2, TOP}),)
         _agree(leaf, verdict)
 
 

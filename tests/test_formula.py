@@ -9,6 +9,7 @@ from blprover import BOT, TOP, Bottom, Conj, Impl, ParseError, Var, complexity, 
 from blprover.formula import (
     MAX_CONNECTIVES,
     MAX_NESTING,
+    InternTable,
     check_limits,
     complexity_key,
     is_atomic,
@@ -138,6 +139,26 @@ def test_each_distinct_formula_is_one_object():
         formula.left = P1
     with pytest.raises(AttributeError):
         P1.index = 2
+
+
+class _Node:
+    """A weakly referenceable stand-in for an interned node."""
+
+
+def test_intern_table_keeps_the_first_live_node():
+    table = InternTable()
+    first = _Node()
+    assert table.add("key", first) is first
+    # While the first node lives, a second one entered under its key gets it back.
+    assert table.add("key", _Node()) is first
+    stale = table["key"]
+    del first
+    assert "key" not in table
+    # The key is free again, and the stale reference cannot drop the new entry.
+    newer = _Node()
+    assert table.add("key", newer) is newer
+    table._forget(stale)
+    assert table["key"]() is newer
 
 
 def test_formulas_past_the_limits_are_measured_but_not_rendered():

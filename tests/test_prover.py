@@ -76,7 +76,7 @@ def test_unprovable_formulas_come_with_evidence(text):
     outcome = check_no_tautology(formula, result.certificate)
     assert outcome.accepted
     assert outcome.reason == "leaf refuted"
-    assert outcome.countermodel is not None
+    assert outcome.countermodel == result.countermodel
 
 
 def test_branch_runs_from_root_to_a_leaf():
@@ -363,6 +363,10 @@ def test_decisions_agree_with_a_grid_of_ordinal_sums(formula):
     result = check_tautology(formula)
     if result.countermodel is not None:
         assert not eval_formula(result.countermodel, formula).is_infinite
+        # The refuted leaf binds every formula variable, and the certificate
+        # replays to the countermodel that prove reported.
+        assert {i for i, _ in result.countermodel.items()} == variables_in(formula)
+        assert check_no_tautology(formula, result.certificate).countermodel == result.countermodel
     indices = sorted(variables_in(formula))
     for point in range(len(_GRID) ** len(indices)):
         values = {}
