@@ -218,8 +218,8 @@ def _least_escape(
     forced = []
     witness: dict[int, Fraction] = {}
     for i, own in owned.items():
-        var_ids = sorted(f.index for f in clusters[i] if isinstance(f, Var))
-        outcome = solve(build_lp(own), var_ids)
+        # solve orders its variables itself.
+        outcome = solve(build_lp(own), [f.index for f in clusters[i] if isinstance(f, Var)])
         if outcome.feasible:
             witness.update(outcome.witness)
         else:

@@ -74,14 +74,13 @@ def solve(
     ordering = sorted(set(variables), key=repr)
     position = {var: k for k, var in enumerate(ordering)}
     width = len(ordering)
-    rows: list[tuple[tuple[int, ...], int, bool]] = []
-    seen: set[tuple[tuple[int, ...], int, bool]] = set()
+    # An insertion-ordered set: a row added again keeps its first place.
+    rows: dict[tuple[tuple[int, ...], int, bool], None] = {}
 
     def add_row(coeffs: tuple[int, ...], bound: int, strict: bool) -> None:
         row = _primitive(coeffs, bound, strict)
-        if row is not None and row not in seen:
-            seen.add(row)
-            rows.append(row)
+        if row is not None:
+            rows.setdefault(row)
 
     # Every row is checked before elimination starts, so a malformed row is
     # reported even when an earlier row is already infeasible.  type() and not
@@ -110,9 +109,8 @@ def solve(
 
         for k in range(width):
             involved = [r for r in rows if r[0][k]]
-            rows = [r for r in rows if not r[0][k]]
+            rows = dict.fromkeys(r for r in rows if not r[0][k])
             eliminated.append(involved)
-            seen = set(rows)
             lowers = [r for r in involved if r[0][k] < 0]
             uppers = [r for r in involved if r[0][k] > 0]
             for lo_c, lo_b, lo_s in lowers:

@@ -133,6 +133,7 @@ def _build_cli() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     prove = sub.add_parser("prove", help="decide whether a formula is provable")
+    prove.set_defaults(run=_cmd_prove)
     prove.add_argument("formula", help="formula text, e.g. '(p1 * p2) -> p1'")
     prove.add_argument(
         "--countermodel", action="store_true", help="print a countermodel when unprovable"
@@ -147,15 +148,18 @@ def _build_cli() -> argparse.ArgumentParser:
     )
 
     verify = sub.add_parser("verify", help="replay a certificate of unprovability")
+    verify.set_defaults(run=_cmd_verify)
     verify.add_argument("formula")
     verify.add_argument("--cert", required=True, help="path to a certificate JSON file")
 
     tree = sub.add_parser("tree", help="dump the reduction tree of a formula")
+    tree.set_defaults(run=_cmd_tree)
     tree.add_argument("formula")
     tree.add_argument("--emit", choices=("dot", "json"), help="output format")
     tree.add_argument("--stats", action="store_true", help="print tree statistics")
 
     evaluate = sub.add_parser("eval", help="evaluate a formula under a valuation")
+    evaluate.set_defaults(run=_cmd_eval)
     evaluate.add_argument("formula")
     evaluate.add_argument(
         "--valuation", required=True, help="path to a countermodel JSON file"
@@ -165,19 +169,17 @@ def _build_cli() -> argparse.ArgumentParser:
 
 def _cmd_prove(args, formula: Formula) -> int:
     result = check_tautology(formula)
+    evidence: dict = {}
+    if args.countermodel and result.countermodel is not None:
+        evidence["countermodel"] = result.countermodel.to_json()
+    if args.certificate and result.certificate is not None:
+        evidence["certificate"] = json.loads(result.certificate.to_json(formula))
     if args.as_json:
-        payload: dict = {"formula": render(formula), "provable": result.provable}
-        if args.countermodel and result.countermodel is not None:
-            payload["countermodel"] = result.countermodel.to_json()
-        if args.certificate and result.certificate is not None:
-            payload["certificate"] = json.loads(result.certificate.to_json(formula))
-        print(json.dumps(payload))
+        print(json.dumps({"formula": render(formula), "provable": result.provable, **evidence}))
     else:
         print("provable" if result.provable else "not provable")
-        if args.countermodel and result.countermodel is not None:
-            print(json.dumps(result.countermodel.to_json()))
-        if args.certificate and result.certificate is not None:
-            print(result.certificate.to_json(formula))
+        for item in evidence.values():
+            print(json.dumps(item))
     return 0 if result.provable else 1
 
 
@@ -262,11 +264,4 @@ def cli_main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "prove":
-        return _cmd_prove(args, formula)
-    if args.command == "verify":
-        return _cmd_verify(args, formula)
-    if args.command == "tree":
-        return _cmd_tree(args, formula)
-    assert args.command == "eval"
-    return _cmd_eval(args, formula)
+    return args.run(args, formula)

@@ -298,17 +298,15 @@ def follow_certificate(formula: Formula, certificate: Certificate) -> FollowResu
 def render_tree_lines(tree: ReductionTree) -> str:
     """Text dump, one node per line: id, depth, premise tag, label, child ids."""
     lines: list[str] = []
-    counter = [0]
 
     def walk(node: ReductionNode, depth: int) -> int:
-        node_id = counter[0]
-        counter[0] += 1
-        slot = len(lines)
+        # One line per node in pre-order, so a node's id is its line's index.
+        node_id = len(lines)
         lines.append("")
         child_ids = [walk(child, depth + 1) for child in node.children]
         tag = node.premise_tag if node.premise_tag is not None else "root"
         children = ",".join(str(c) for c in child_ids) if child_ids else "-"
-        lines[slot] = f"{node_id}\t{depth}\t{tag}\t{node.label.render()}\tchildren={children}"
+        lines[node_id] = f"{node_id}\t{depth}\t{tag}\t{node.label.render()}\tchildren={children}"
         return node_id
 
     walk(tree.root, 0)

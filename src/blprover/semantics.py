@@ -32,12 +32,6 @@ class OmegaValue:
     def __le__(self, other: OmegaValue) -> bool:
         return self._key() <= other._key()
 
-    def __gt__(self, other: OmegaValue) -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: OmegaValue) -> bool:
-        return self._key() >= other._key()
-
     @property
     def is_infinite(self) -> bool:
         return isinstance(self, Infinite)

@@ -402,6 +402,27 @@ class TestCliProve:
         assert "assignment" in payload["countermodel"]
         assert payload["certificate"]["formula"] == "p1 -> p2"
 
+    @pytest.mark.parametrize("text", ["p1 -> p2", "p1 -> p1 * p1", WEAKENING])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--countermodel"], ["--certificate"], ["--countermodel", "--certificate"]],
+        ids=["countermodel", "certificate", "both"],
+    )
+    def test_text_mode_prints_the_json_payloads_evidence(self, capsys, text, flags):
+        provable = text == WEAKENING
+        json_code = cli_main(["prove", text, "--json", *flags])
+        payload = json.loads(capsys.readouterr().out)
+        code = cli_main(["prove", text, *flags])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == json_code == (0 if provable else 1)
+        assert payload["provable"] is provable
+        if provable:
+            assert lines == ["provable"]
+        else:
+            keys = [key for key in ("countermodel", "certificate") if f"--{key}" in flags]
+            evidence = [payload[key] for key in keys]
+            assert lines == ["not provable", *map(json.dumps, evidence)]
+
     def test_parse_error(self, capsys):
         assert cli_main(["prove", "p1 ->"]) == 2
         assert capsys.readouterr().err.startswith("parse error:")

@@ -35,6 +35,16 @@ fractions = st.integers(min_value=0, max_value=7).map(lambda k: Fraction(k, 8))
 finites = st.builds(Finite, st.integers(min_value=0, max_value=3), fractions)
 values = st.one_of(st.just(INF), finites)
 
+# Value pairs and the sign of their order.
+COMPARISONS = {
+    "equal_floors": (Finite(1, Fraction(1, 4)), Finite(1, Fraction(1, 2)), -1),
+    "equal_values": (Finite(1, Fraction(1, 2)), Finite(1, Fraction(1, 2)), 0),
+    "different_floors": (Finite(0, Fraction(7, 8)), Finite(1, 0), -1),
+    "finite_against_inf": (Finite(5, Fraction(7, 8)), INF, -1),
+    "zero_against_inf": (ZERO, INF, -1),
+    "inf_against_inf": (INF, INF, 0),
+}
+
 
 class TestValueConstruction:
     def test_finite_validation(self):
@@ -49,6 +59,13 @@ class TestValueConstruction:
         assert Finite(5, Fraction(7, 8)) < INF
         assert INF <= INF
         assert not INF < INF
+
+    @pytest.mark.parametrize("x, y, sign", COMPARISONS.values(), ids=COMPARISONS.keys())
+    @pytest.mark.parametrize("swap", [False, True], ids=["forward", "swapped"])
+    def test_all_four_comparisons(self, x, y, sign, swap):
+        if swap:
+            x, y, sign = y, x, -sign
+        assert (x < y, x <= y, x > y, x >= y) == (sign < 0, sign <= 0, sign > 0, sign >= 0)
 
     def test_is_infinite(self):
         assert INF.is_infinite
