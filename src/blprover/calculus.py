@@ -11,18 +11,26 @@ are: 1, a has the smaller integer part; 2, b has; 3, equal finite integer
 parts with fractional sum at least 1; 4, the same with sum below 1; 5, both
 infinite.  For a -> b they are: 1, b has the smaller integer part; 2, equal
 finite integer parts with b < a; 3, a <= b.
+
+A sequent that holds the pivot has it as its own greatest compound formula,
+so the sequent alone fixes how each premise rewrites it.  ``rwbl_premises``
+takes a memo that its caller keeps for one search or tree build: it holds
+each pivot's antecedents and each pivot sequent's parts, so a sequent that
+sibling subtrees share is rewritten once per call, and the rewrites die
+with the call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
-from .formula import Conj, Formula, Impl, TOP, complexity_key
+from .formula import Conj, Formula, TOP, complexity_key
 from .hypersequent import (
     RelationalHypersequent,
+    RelationalSequent,
     decompose,
     expand_abbreviation,
+    hseq,
     most_complex,
     subst_all,
     subst_balanced_conj,
@@ -65,27 +73,33 @@ def _impl_antecedents(a: Formula, b: Formula) -> tuple[RelationalHypersequent, .
     )
 
 
-# The antecedent labels of each pivot, held only as long as the pivot lives.
-_ANTECEDENTS: WeakKeyDictionary[Formula, tuple[RelationalHypersequent, ...]] = (
-    WeakKeyDictionary()
-)
-
-
-def _antecedents(pivot: Formula) -> tuple[RelationalHypersequent, ...]:
-    found = _ANTECEDENTS.get(pivot)
-    if found is None:
-        expand = _conj_antecedents if isinstance(pivot, Conj) else _impl_antecedents
-        found = _ANTECEDENTS[pivot] = expand(pivot.left, pivot.right)
-    return found
-
-
 def _premises(kind: str, labels: list[RelationalHypersequent]) -> tuple[Premise, ...]:
     return tuple(
         Premise(f"{kind}{i}", i, label) for i, label in enumerate(labels, start=1)
     )
 
 
-def rwbl_premises(g: RelationalHypersequent) -> tuple[Premise, ...]:
+def _parts(s: RelationalSequent, pivot: Formula) -> tuple[tuple[RelationalSequent, ...], ...]:
+    """A sequent holding the pivot, as each premise rewrites it, in premise order.
+
+    Each part holds at most one sequent.  A ``<<`` sequent takes the smaller
+    child in the middle premises; the last premise substitutes bare top and
+    keeps only ``<<`` and unit sequents, as the rest become unsatisfiable.
+    """
+    a, b, one = pivot.left, pivot.right, hseq(s)
+    conj = isinstance(pivot, Conj)
+    first = [subst_all(one, pivot, x) for x in ((a, b) if conj else (b,))]
+    if s.kind.is_ll:
+        middle = [subst_all(one, pivot, smaller_child(a, b))] * (2 if conj else 1)
+    elif conj:
+        middle = [subst_pair(one, pivot, a, b), subst_balanced_conj(one, pivot, a, b)]
+    else:
+        middle = [subst_impl(one, pivot, a, b)]
+    top = subst_all(one, pivot, TOP) if s.kind.is_ll or s.is_unit_shape else ()
+    return tuple(tuple(part) for part in (*first, *middle, top))
+
+
+def rwbl_premises(g: RelationalHypersequent, memo: dict | None = None) -> tuple[Premise, ...]:
     """Whole-hypersequent rewriting step on the pivot of g.
 
     Returns five premises for a conjunction pivot and three for an
@@ -95,28 +109,23 @@ def rwbl_premises(g: RelationalHypersequent) -> tuple[Premise, ...]:
     fractional sequents, and the final premise substitutes bare top, under
     which fractional sequents that are not one-formula-each-side at index
     zero become unsatisfiable and are omitted.  Each label is one set union
-    of its antecedent and the rewritten parts.
+    of its antecedent, the sequents without the pivot and each pivot
+    sequent's part.  Antecedents and parts are looked up in memo, and made
+    and entered there on a miss; with no memo, they are made for this call.
     """
+    if memo is None:
+        memo = {}
     pivot = most_complex(g)
-    a, b = pivot.left, pivot.right
-    c = smaller_child(a, b)
-    free, g_ll, g_ord, g_unit = decompose(g, pivot)
-    ll_floor = subst_all(g_ll, pivot, c)
-    top_parts = (subst_all(g_ll, pivot, TOP), subst_all(g_unit, pivot, TOP), free)
-    antecedents = _antecedents(pivot)
-    if isinstance(pivot, Conj):
-        labels = [
-            union(antecedents[0], subst_all(g, pivot, a)),
-            union(antecedents[1], subst_all(g, pivot, b)),
-            union(antecedents[2], ll_floor, subst_pair(g_ord, pivot, a, b), free),
-            union(antecedents[3], ll_floor, subst_balanced_conj(g_ord, pivot, a, b), free),
-            union(antecedents[4], *top_parts),
-        ]
-        return _premises("conj", labels)
-    assert isinstance(pivot, Impl)
-    labels = [
-        union(antecedents[0], subst_all(g, pivot, b)),
-        union(antecedents[1], ll_floor, subst_impl(g_ord, pivot, a, b), free),
-        union(antecedents[2], *top_parts),
-    ]
-    return _premises("impl", labels)
+    free, g_ll, g_ord, _ = decompose(g, pivot)
+    antecedents = memo.get(pivot)
+    if antecedents is None:
+        expand = _conj_antecedents if isinstance(pivot, Conj) else _impl_antecedents
+        antecedents = memo[pivot] = expand(pivot.left, pivot.right)
+    held = []
+    for s in (*g_ll, *g_ord):
+        parts = memo.get(s)
+        if parts is None:
+            parts = memo[s] = _parts(s, pivot)
+        held.append(parts)
+    labels = [union(free, *column) for column in zip(antecedents, *held)]
+    return _premises("conj" if isinstance(pivot, Conj) else "impl", labels)

@@ -10,11 +10,13 @@ keeps the type; any other set operation gives a plain frozenset.
 
 Sequents are hash-consed like formulas: the constructor returns the one live
 sequent for each pair of sorted sides and relation, so equality is identity
-and the hash is the identity hash.  Each sequent holds its weight,
-atomicity and shape flags as fields set at construction and computes its
-sort key on first use.  The four substitutions are one sequent rewrite: a
-sequent holding the target loses every occurrence and, by the target's left
-and right counts, gains formulas on each side and a shift of its index.  Every
+and the hash is the identity hash.  Each sequent holds its pivot (its
+greatest compound formula), weight, atomicity and shape flags as fields set
+at construction and computes its sort key on first use.  A label's pivot is
+the greatest of its sequents' pivots, so it is the pivot of every sequent
+that holds it.  The four substitutions are one sequent rewrite: a sequent
+holding the target loses every occurrence and, by the target's left and
+right counts, gains formulas on each side and a shift of its index.  Every
 other sequent comes back as the same object, so labels share sequents, and
 ``union`` joins the parts of a new label with one set union.
 """
@@ -92,10 +94,11 @@ class RelationalSequent(Interned):
     tuple a canonical multiset representative.  The ``<<`` relation admits at
     most one formula per side.  Sequents are interned and immutable.
 
-    The fields set at construction: ``all_atomic``, every formula is falsum,
-    a variable or bare top; ``one_sided_pair``, two formulas on one side of
-    an index-zero fractional relation; ``is_unit_shape``, one formula on each
-    side of ``<=`` with index zero; ``weight``, one for the relation, one per
+    The fields set at construction: ``pivot``, the complexity-order maximum
+    of the compound formulas, or None; ``all_atomic``, every formula is
+    falsum, a variable or bare top; ``one_sided_pair``, two formulas on one
+    side of an index-zero fractional relation; ``is_unit_shape``, one formula
+    on each side of ``<=`` with index zero; ``weight``, one for the relation, one per
     bare top and 2c + 1 per other formula of c connectives, so a compound
     formula counts its connectives and its literal leaves.
     """
@@ -104,6 +107,7 @@ class RelationalSequent(Interned):
         "left",
         "kind",
         "right",
+        "pivot",
         "all_atomic",
         "one_sided_pair",
         "is_unit_shape",
@@ -115,6 +119,7 @@ class RelationalSequent(Interned):
     left: tuple[Formula, ...]
     kind: RelKind
     right: tuple[Formula, ...]
+    pivot: Formula | None
     all_atomic: bool
     one_sided_pair: bool
     is_unit_shape: bool
@@ -139,10 +144,14 @@ class RelationalSequent(Interned):
         formulas = left + right
         index_zero_ord = not kind.is_ll and kind.z == 0
         one_side = (len(left), len(right)) in ((2, 0), (0, 2))
+        # Not a side's last element: p1 * p2 sorts before bare top, an atom.
+        compounds = [f for f in formulas if not is_atomic(f)]
+        pivot = max(compounds, key=complexity_key) if compounds else None
         _set(node, "left", left)
         _set(node, "kind", kind)
         _set(node, "right", right)
-        _set(node, "all_atomic", all(is_atomic(f) for f in formulas))
+        _set(node, "pivot", pivot)
+        _set(node, "all_atomic", pivot is None)
         _set(node, "one_sided_pair", index_zero_ord and one_side)
         _set(
             node,
@@ -211,13 +220,11 @@ def is_irreducible(g: RelationalHypersequent) -> bool:
 
 
 def most_complex(g: RelationalHypersequent) -> Formula:
-    """The maximal non-atomic formula in the complexity order.
+    """The maximal non-atomic formula in the complexity order: the greatest pivot.
 
     Raises ValueError on irreducible hypersequents.
     """
-    candidates = {
-        f for s in g if not s.all_atomic for f in s.formulas() if not is_atomic(f)
-    }
+    candidates = {s.pivot for s in g if s.pivot is not None}
     if not candidates:
         raise ValueError("hypersequent is irreducible, no reduction pivot exists")
     return max(candidates, key=complexity_key)

@@ -62,7 +62,8 @@ def check_tautology(formula: Formula) -> ProveResult:
     keeps) is an axiom is not expanded: every leaf below contains that valid
     part, so the first invalid leaf and its path do not change.  Each
     settled part is classified once and keeps only that flag; the leaf that
-    ends the search is classified again if its part was met before.  The
+    ends the search is classified again if its part was met before.  One
+    memo of rewrites serves the whole search, as in build_rwbl_tree.  The
     countermodel is the refuted leaf's, unchanged, as in check_no_tautology;
     by acceptance criterion 8 (variable preservation) every leaf keeps the
     formula's variables, so it binds them all.  Raises ValueError on formulas
@@ -72,6 +73,7 @@ def check_tautology(formula: Formula) -> ProveResult:
     n = complexity(formula)
     # Settled part -> whether it is an axiom.  A leaf is its own settled part.
     valid: dict[frozenset[RelationalSequent], bool] = {}
+    memo: dict = {}
 
     def refutation(label: RelationalHypersequent) -> AxiomVerdict | None:
         settled = frozenset(s for s in label if s.all_atomic)
@@ -86,7 +88,7 @@ def check_tautology(formula: Formula) -> ProveResult:
         # A part known to fail is not checked again; it cannot prune.
         if settled and valid.get(settled) is not False and refutation(label) is None:
             return ()
-        return rwbl_premises(label)
+        return rwbl_premises(label, memo)
 
     verdict, path = fold_tree(
         root_label(formula), premises, n, refutation, lambda *_: None, lambda v: v is not None

@@ -14,12 +14,10 @@ label a leaf: that is how a client cuts a subtree it already knows.  The
 provability search does so for labels whose settled part is valid, and
 ``build_rwbl_tree`` for labels it has already folded.
 
-The all-atomic sequents of a label, its settled part S, never pivot, and the
-calculus carries them unchanged into every premise; the pivot and the
-rewritten occurrences lie in the rest, the open part U.  So the premises of
-S ∪ U are S joined to each premise of U, with the same tags and indices.
-``build_rwbl_tree`` relies on this identity to expand each distinct open
-part once per call.
+Sibling subtrees share most of their sequents, and the calculus rewrites a
+sequent the same way wherever it meets it.  So ``build_rwbl_tree``, like
+the provability search, hands ``rwbl_premises`` one memo per call, and each
+distinct sequent that holds a pivot is rewritten once per call.
 
 A certificate compresses one branch into the sequence of premise indices
 taken at each level, padded with zeros once a leaf is reached; its length is
@@ -36,7 +34,6 @@ from .calculus import Premise, rwbl_premises
 from .formula import TOP, Formula, check_limits, complexity, parse, render
 from .hypersequent import (
     RelationalHypersequent,
-    RelationalSequent,
     check_generated_shape,
     hseq,
     is_irreducible,
@@ -169,32 +166,21 @@ def build_rwbl_tree(formula: Formula) -> ReductionTree:
 
     The depth limit is the connective count of the formula, which is a
     proven bound on the height; exceeding it raises ReductionDepthError.
-    Formulas beyond the parser's size limits raise ValueError.  Premises of a
-    label S ∪ U with settled part S are S joined to each premise of U, with
-    U's tags and indices, so each distinct open part U is expanded once per
-    call; a label with no settled part is its own open part.  The pass that
-    builds the nodes also computes the tree's statistics.  A label already
+    Formulas beyond the parser's size limits raise ValueError.  One memo
+    of rewrites serves every expansion of the call, so each distinct
+    sequent that holds a pivot is rewritten once.  The pass that builds the
+    nodes also computes the tree's statistics.  A label already
     folded is cut from the walk and reuses its fold, so equal labels share
     one children tuple.
     """
     check_limits(formula)
     root = root_label(formula)
     limit = complexity(formula)
-    # Open part -> its premises, each joined back to a label's settled part.
-    by_open_part: dict[frozenset[RelationalSequent], tuple[Premise, ...]] = {}
+    memo: dict = {}
     folded: dict[RelationalHypersequent, Folded] = {}
 
     def expand(label: RelationalHypersequent) -> tuple[Premise, ...]:
-        if label in folded:
-            return ()
-        settled = frozenset(s for s in label if s.all_atomic)
-        open_part = label - settled
-        premises = by_open_part.get(open_part)
-        if premises is None:
-            premises = by_open_part[open_part] = rwbl_premises(RelationalHypersequent(open_part))
-        return tuple(
-            Premise(p.tag, p.index, RelationalHypersequent(settled | p.label)) for p in premises
-        )
+        return () if label in folded else rwbl_premises(label, memo)
 
     def inner(
         label: RelationalHypersequent, premises: tuple[Premise, ...], subtrees: Sequence[Folded]

@@ -296,15 +296,17 @@ def _chained_rhbl_labels(g, occurrence):
 def test_premises_match_the_chained_composition():
     labels = _reducible_labels(31, 20)
     assert len(labels) > 500
+    # One memo across the loop, as one search or tree build keeps it.
+    memo = {}
     for g in labels:
         kind = "conj" if isinstance(most_complex(g), Conj) else "impl"
         expected = _chained_rwbl_labels(g)
         tags = [f"{kind}{i}" for i in range(1, len(expected) + 1)]
         indices = list(range(1, len(expected) + 1))
-        premises = rwbl_premises(g)
-        assert [p.label for p in premises] == expected
-        assert [p.tag for p in premises] == tags
-        assert [p.index for p in premises] == indices
+        for premises in (rwbl_premises(g), rwbl_premises(g, memo)):
+            assert [p.label for p in premises] == expected
+            assert [p.tag for p in premises] == tags
+            assert [p.index for p in premises] == indices
         for occurrence in _occurrences(g):
             premises = rhbl_premises(g, occurrence)
             assert [p.label for p in premises] == _chained_rhbl_labels(g, occurrence)

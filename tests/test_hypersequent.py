@@ -23,6 +23,7 @@ from blprover import (
     Valuation,
     Var,
     build_rwbl_tree,
+    check_no_tautology,
     check_tautology,
     hseq,
     parse,
@@ -45,6 +46,7 @@ from blprover.hypersequent import (
     union,
 )
 from blprover import calculus, formula as formula_module, hypersequent
+from blprover.formula import complexity_key
 from blprover.calculus import rwbl_premises
 from blprover.semantics import satisfies_sequent
 from support import (
@@ -115,6 +117,48 @@ def test_intern_tables_forget_what_no_one_holds():
     del corpus, results
     gc.collect()
     assert _interned_counts() == before
+
+
+def test_no_sequent_outlives_a_call():
+    """A call's rewrites die with it, although its formulas and their subformulas live on."""
+    formulas = [parse(t) for t in ("(p1 -> p2) * (p2 -> p3) -> (p1 -> p3)", "p1 -> p1 * p1")]
+    gc.collect()
+    before = set(hypersequent._INTERNED)
+    for f in formulas:
+        results = [check_tautology(f), build_rwbl_tree(f)]
+        if not results[0].provable:
+            results.append(check_no_tautology(f, results[0].certificate))
+    assert not results[0].provable
+    del results
+    gc.collect()
+    assert set(hypersequent._INTERNED) <= before
+
+
+def test_pivot_is_the_greatest_compound_formula():
+    # p1 * p2 and bare top both have one connective, and the conjunction
+    # sorts first, so a side's last element need not be its pivot.
+    s = seq((PIV, TOP), preceq(), (A,))
+    assert s.left[-1] is TOP and s.pivot is PIV
+    rng = random.Random(20261019)
+    atoms = [A, B, C, TOP, BOT]
+    kinds = [LL, preceq(), preceq(1), prec(), prec(-1)]
+    atomic = 0
+    for _ in range(300):
+        kind = rng.choice(kinds)
+        sides = []
+        for _ in range(2):
+            pool = [rng.choice(atoms) for _ in range(3)]
+            pool += [random_formula(rng, rng.randint(1, 3), 3) for _ in range(3)]
+            sides.append(rng.sample(pool, rng.randint(0, 1 if kind.is_ll else 3)))
+        s = seq(sides[0], kind, sides[1])
+        compounds = [f for f in s.formulas() if f.complexity and f is not TOP]
+        if compounds:
+            assert s.pivot is max(compounds, key=complexity_key)
+        else:
+            atomic += 1
+            assert s.pivot is None
+        assert s.all_atomic == (s.pivot is None)
+    assert 10 <= atomic <= 290
 
 
 def test_unit_shape_flag():

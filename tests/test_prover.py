@@ -152,7 +152,8 @@ def test_soundness_checks_survive_optimised_mode():
         import blprover.reduction as reduction
         from support import deep_reuse_table
         formula = parse("p1 -> p2 -> p3 -> p4")
-        reduction.rwbl_premises = deep_reuse_table(formula).__getitem__
+        table = deep_reuse_table(formula)
+        reduction.rwbl_premises = lambda label, memo: table[label]
         try:
             reduction.build_rwbl_tree(formula)
         except reduction.ReductionDepthError:

@@ -3,11 +3,13 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from blprover import (
     Certificate,
+    Conj,
     TOP,
     Var,
     build_rwbl_tree,
@@ -18,10 +20,12 @@ from blprover import (
     seq,
     tree_stats,
 )
+import blprover.calculus as calculus
+import blprover.prover as prover
 import blprover.reduction as reduction
 from blprover.calculus import Premise, rwbl_premises
 from blprover.formula import complexity
-from blprover.hypersequent import is_irreducible
+from blprover.hypersequent import is_irreducible, most_complex
 from blprover.reduction import (
     ReductionDepthError,
     ReductionNode,
@@ -113,7 +117,7 @@ def _reference_tree(formula):
     return ReductionTree(formula, root, walk_stats(root))
 
 
-def test_trees_expanded_by_open_part_match_the_plain_calculus():
+def test_trees_built_with_the_memo_match_the_plain_calculus():
     rng = random.Random(27)
     formulas = [parse(text) for text in REPEATED_LABELS]
     formulas += [random_formula(rng, rng.randint(1, 4), 3) for _ in range(100)]
@@ -125,31 +129,42 @@ def test_trees_expanded_by_open_part_match_the_plain_calculus():
         assert tree == reference
 
 
-def test_each_open_part_is_expanded_once(monkeypatch):
-    calls = []
+def test_each_pivot_sequent_is_rewritten_once_per_call(monkeypatch):
+    # One rewrite of a sequent makes 4-5 substitution calls on a conjunction
+    # pivot and 2-3 on an implication, so a second one would exceed the bound.
+    rewrites = Counter()
 
-    def counting(label):
-        calls.append(label)
-        return rwbl_premises(label)
+    def counting(substitute):
+        def rewrite(g, target, *children):
+            rewrites.update(g)
+            return substitute(g, target, *children)
 
-    monkeypatch.setattr(reduction, "rwbl_premises", counting)
+        return rewrite
+
+    for name in ("subst_all", "subst_pair", "subst_balanced_conj", "subst_impl"):
+        monkeypatch.setattr(calculus, name, counting(getattr(calculus, name)))
+    expanded = []
+
+    def recording(label, memo):
+        expanded.append(label)
+        return rwbl_premises(label, memo)
+
+    monkeypatch.setattr(reduction, "rwbl_premises", recording)
+    monkeypatch.setattr(prover, "rwbl_premises", recording)
     rng = random.Random(28)
     formulas = [parse(text) for text in REPEATED_LABELS]
     formulas += [random_formula(rng, rng.randint(2, 5), 3) for _ in range(20)]
     shared = 0
     for formula in formulas:
-        calls.clear()
-        tree = build_rwbl_tree(formula)
-        inner = set()
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                inner.add(node.label)
-                stack.extend(node.children)
-        open_parts = {frozenset(s for s in label if not s.all_atomic) for label in inner}
-        assert len(calls) == len(open_parts)
-        shared += len(open_parts) < len(inner)
+        for call in (build_rwbl_tree, check_tautology):
+            rewrites.clear()
+            expanded.clear()
+            call(formula)
+            met = [s for g in expanded for s in g if s.pivot is most_complex(g)]
+            assert set(rewrites) == set(met)
+            for s, calls in rewrites.items():
+                assert (4 <= calls <= 5) if isinstance(s.pivot, Conj) else (2 <= calls <= 3)
+            shared += call is build_rwbl_tree and len(set(met)) < len(met)
     assert shared >= 10
 
 
@@ -281,7 +296,7 @@ def test_reused_fold_deeper_than_it_allows_trips_the_height_check(monkeypatch):
     # height, 4, shows that the tree exceeds a limit of 3 connectives.
     three, four = parse("p1 -> p2 -> p3 -> p4"), parse("p1 -> p2 -> p3 -> p4 -> p5")
     table = {**deep_reuse_table(three), **deep_reuse_table(four)}
-    monkeypatch.setattr(reduction, "rwbl_premises", table.__getitem__)
+    monkeypatch.setattr(reduction, "rwbl_premises", lambda label, memo: table[label])
     assert build_rwbl_tree(four).stats.height == 4
     with pytest.raises(ReductionDepthError):
         build_rwbl_tree(three)
