@@ -12,8 +12,10 @@ parts with fractional sum at least 1; 4, the same with sum below 1; 5, both
 infinite.  For a -> b they are: 1, b has the smaller integer part; 2, equal
 finite integer parts with b < a; 3, a <= b.
 
-A sequent that holds the pivot has it as its own greatest compound formula,
-so the sequent alone fixes how each premise rewrites it.  ``rwbl_premises``
+A step reads two parts of a label (``decompose``): the rest, which every
+premise keeps, and the sequents that hold the pivot.  Such a sequent has it
+as its own greatest compound formula, so the sequent alone fixes how each
+premise rewrites it.  ``rwbl_premises``
 takes a memo that its caller keeps for one search or tree build: it holds
 each pivot's antecedents and each pivot sequent's parts, so a sequent that
 sibling subtrees share is rewritten once per call, and the rewrites die
@@ -31,7 +33,6 @@ from .hypersequent import (
     decompose,
     expand_abbreviation,
     hseq,
-    most_complex,
     subst_all,
     subst_balanced_conj,
     subst_impl,
@@ -115,17 +116,13 @@ def rwbl_premises(g: RelationalHypersequent, memo: dict | None = None) -> tuple[
     """
     if memo is None:
         memo = {}
-    pivot = most_complex(g)
-    free, g_ll, g_ord, _ = decompose(g, pivot)
+    pivot, free, held = decompose(g)
     antecedents = memo.get(pivot)
     if antecedents is None:
         expand = _conj_antecedents if isinstance(pivot, Conj) else _impl_antecedents
         antecedents = memo[pivot] = expand(pivot.left, pivot.right)
-    held = []
-    for s in (*g_ll, *g_ord):
-        parts = memo.get(s)
-        if parts is None:
-            parts = memo[s] = _parts(s, pivot)
-        held.append(parts)
-    labels = [union(free, *column) for column in zip(antecedents, *held)]
+    for s in held:
+        if s not in memo:
+            memo[s] = _parts(s, pivot)
+    labels = [union(free, *column) for column in zip(antecedents, *(memo[s] for s in held))]
     return _premises("conj" if isinstance(pivot, Conj) else "impl", labels)

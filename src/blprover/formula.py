@@ -9,8 +9,8 @@ stores only the four primitive constructors.
 Formulas are hash-consed: the constructors return the one live node for each
 structurally distinct formula, so equality is identity and the hash is the
 identity hash.  A node's connective count and height are fields set from its
-children at construction; its serialization key and variable set are
-computed on first use and kept on the node.
+children at construction; its serialization key is computed on first use
+and kept on the node.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class Formula(Interned):
     of connectives from the root.
     """
 
-    __slots__ = ("complexity", "height", "_key", "_variables")
+    __slots__ = ("complexity", "height", "_key")
 
     complexity: int
     height: int
@@ -117,7 +117,6 @@ def _enter(key: tuple, node: N, complexity: int, height: int) -> N:
     _set(node, "complexity", complexity)
     _set(node, "height", height)
     _set(node, "_key", None)
-    _set(node, "_variables", None)
     return _INTERNED.add(key, node)
 
 
@@ -210,58 +209,37 @@ def complexity(formula: Formula) -> int:
     return formula.complexity
 
 
-def _fill(formula: Formula, slot: str, value) -> object:
-    """formula's entry in a cached slot, set with those of its descendants that lack it.
-
-    value(node) makes a node's entry from its children's, which an explicit
-    stack sets first, so a deep formula does not recurse.
-    """
-    stack = [(formula, False)]
-    while stack:
-        node, ready = stack.pop()
-        if getattr(node, slot) is None:
-            if ready or not isinstance(node, _Connective):
-                _set(node, slot, value(node))
-            else:
-                stack += ((node, True), (node.right, False), (node.left, False))
-    return getattr(formula, slot)
-
-
-def _serial(node: Formula) -> bytes:
-    if isinstance(node, Bottom):
-        return b"B"
-    if isinstance(node, Var):
-        return b"v%d;" % node.index
-    return (b"*" if isinstance(node, Conj) else b">") + node.left._key + node.right._key
-
-
 def serialize_key(formula: Formula) -> bytes:
     """Canonical prefix serialization, used as a deterministic tie-breaker.
 
     The encoding is injective: two formulas serialize equally iff they are
-    structurally equal.  It is computed once per node.
+    structurally equal.  It is computed once per node and kept there; an
+    explicit stack sets the keys of a node's children before its own, so a
+    deep formula does not recurse.
     """
     key = formula._key
-    return _fill(formula, "_key", _serial) if key is None else key
+    if key is not None:
+        return key
+    stack = [(formula, False)]
+    while stack:
+        node, ready = stack.pop()
+        if node._key is not None:
+            continue
+        if isinstance(node, Bottom):
+            _set(node, "_key", b"B")
+        elif isinstance(node, Var):
+            _set(node, "_key", b"v%d;" % node.index)
+        elif ready:
+            tag = b"*" if isinstance(node, Conj) else b">"
+            _set(node, "_key", tag + node.left._key + node.right._key)
+        else:
+            stack += ((node, True), (node.right, False), (node.left, False))
+    return formula._key
 
 
 def complexity_key(formula: Formula) -> tuple[int, bytes]:
     """Sort key realizing the total order used for pivot selection."""
     return (formula.complexity, serialize_key(formula))
-
-
-def _variables(node: Formula) -> frozenset[int]:
-    if isinstance(node, Bottom):
-        return frozenset()
-    if isinstance(node, Var):
-        return frozenset({node.index})
-    return node.left._variables | node.right._variables
-
-
-def variables_in(formula: Formula) -> frozenset[int]:
-    """Indices of the variables occurring in the formula, computed once per node."""
-    found = formula._variables
-    return _fill(formula, "_variables", _variables) if found is None else found
 
 
 _TOKEN_RE = re.compile(
@@ -300,7 +278,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # The deepest formula (in connectives) and the deepest parser nesting (in
 # brackets, ``~`` and right operands) that parse accepts.  The parser, render
 # and the prover recurse once per level, and so stay far below the default
-# recursion limit; serialize_key, variables_in and repr do not recurse.
+# recursion limit; serialize_key and repr do not recurse.
 MAX_NESTING = 100
 
 # The most connectives a parsed formula may have.  ``A <-> B`` copies both

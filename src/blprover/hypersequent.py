@@ -14,11 +14,13 @@ and the hash is the identity hash.  Each sequent holds its pivot (its
 greatest compound formula), weight, atomicity and shape flags as fields set
 at construction and computes its sort key on first use.  A label's pivot is
 the greatest of its sequents' pivots, so it is the pivot of every sequent
-that holds it.  The four substitutions are one sequent rewrite: a sequent
-holding the target loses every occurrence and, by the target's left and
-right counts, gains formulas on each side and a shift of its index.  Every
-other sequent comes back as the same object, so labels share sequents, and
-``union`` joins the parts of a new label with one set union.
+that holds it, and ``decompose`` splits a label by that field alone into
+its pivot, the sequents without it and those that hold it.  The four
+substitutions are one sequent rewrite: a sequent holding the target loses
+every occurrence and, by the target's left and right counts, gains formulas
+on each side and a shift of its index.  Every other sequent comes back as
+the same object, so labels share sequents, and ``union`` joins the parts of
+a new label with one set union.
 """
 
 from __future__ import annotations
@@ -314,41 +316,22 @@ def subst_impl(
 
 
 def decompose(
-    g: RelationalHypersequent, pivot: Formula
-) -> tuple[
-    RelationalHypersequent,
-    RelationalHypersequent,
-    RelationalHypersequent,
-    RelationalHypersequent,
-]:
-    """Split g by where the pivot occurs.
+    g: RelationalHypersequent,
+) -> tuple[Formula, RelationalHypersequent, RelationalHypersequent]:
+    """Split g by its pivot: (pivot, the sequents without it, those that hold it).
 
-    Returns (pivot-free part, << part, fractional part, unit part), where the
-    unit part is the subset of the fractional part consisting of the
-    one-formula-each-side ``<=`` sequents with index zero.  Raises ValueError
-    if the pivot occurs nowhere.
+    A sequent holds the pivot exactly when its ``pivot`` field is the pivot.
+    Its own pivot, its greatest compound formula, is then at least the
+    label's, and at most, since the label's pivot is the greatest of its
+    sequents' pivots; ``complexity_key`` orders interned formulas totally,
+    so the two are one formula.  Raises ValueError on irreducible labels.
     """
+    pivot = most_complex(g)
     free: list[RelationalSequent] = []
-    ll_part: list[RelationalSequent] = []
-    ord_part: list[RelationalSequent] = []
-    unit_part: list[RelationalSequent] = []
+    held: list[RelationalSequent] = []
     for s in g:
-        if not s.contains(pivot):
-            free.append(s)
-        elif s.kind.is_ll:
-            ll_part.append(s)
-        else:
-            ord_part.append(s)
-            if s.is_unit_shape:
-                unit_part.append(s)
-    if not ll_part and not ord_part:
-        raise ValueError("pivot does not occur in the hypersequent")
-    return (
-        RelationalHypersequent(free),
-        RelationalHypersequent(ll_part),
-        RelationalHypersequent(ord_part),
-        RelationalHypersequent(unit_part),
-    )
+        (held if s.pivot is pivot else free).append(s)
+    return pivot, RelationalHypersequent(free), RelationalHypersequent(held)
 
 
 def expand_abbreviation(name: str, a: Formula, b: Formula) -> RelationalHypersequent:

@@ -65,10 +65,6 @@ class ReductionNode:
     premise_tag: str | None
     children: tuple[ReductionNode, ...]
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
 
 @dataclass(frozen=True)
 class TreeStats:
@@ -223,6 +219,11 @@ class Certificate:
 
     moves: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        # type() and not isinstance(): True and False are bool, a subclass of int.
+        if not all(type(m) is int for m in self.moves):
+            raise ValueError("certificate moves must be a list of integers")
+
     def to_json(self, formula: Formula) -> str:
         return json.dumps({"formula": render(formula), "moves": list(self.moves)})
 
@@ -230,8 +231,8 @@ class Certificate:
     def from_json(cls, text: str) -> tuple[Formula, Certificate]:
         data = json.loads(text)
         moves = data["moves"]
-        # type() and not isinstance(): JSON true and false are bool, a subclass of int.
-        if not isinstance(moves, list) or not all(type(m) is int for m in moves):
+        # A dict or a string would iterate into moves too.
+        if not isinstance(moves, list):
             raise ValueError("certificate moves must be a list of integers")
         return parse(data["formula"]), cls(tuple(moves))
 

@@ -16,8 +16,11 @@ solver over ``Fraction`` rows that the integer ``linfeas.solve`` replaced; the
 differential test holds the two to the same verdicts and witnesses.
 Likewise ``reference_subst_all``, ``reference_subst_pair``,
 ``reference_subst_balanced_conj`` and ``reference_subst_impl`` are the four
-substitutions as they were before one sequent rewrite served them all.
-``variables`` collects a hypersequent's variable indices.
+substitutions as they were before one sequent rewrite served them all, and
+``reference_decompose`` is the four-way split by ``contains`` that the split
+by each sequent's ``pivot`` field replaced.  ``variables_in`` and
+``variables`` collect the variable indices of a formula and of a
+hypersequent.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from blprover.formula import (
     complexity,
     is_atomic,
     parse,
-    variables_in,
 )
 from blprover.hypersequent import (
     LL,
@@ -67,6 +69,24 @@ from blprover.hypersequent import (
 from blprover.linfeas import FeasibilityResult, LinConstraint, solve
 from blprover.reduction import ReductionNode, TreeStats, root_label
 from blprover.semantics import Finite, INF, Infinite, OmegaValue, Valuation, satisfies
+
+
+def variables_in(formula: Formula) -> frozenset[int]:
+    """Indices of the variables occurring in the formula.
+
+    An explicit stack visits each distinct node once, so neither a deep
+    formula nor one that shares subformulas (``<->`` copies its operands)
+    makes the walk recurse or repeat.
+    """
+    seen: set[Formula] = set()
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            if isinstance(node, (Conj, Impl)):
+                stack += (node.left, node.right)
+    return frozenset(node.index for node in seen if isinstance(node, Var))
 
 
 def variables(g: RelationalHypersequent) -> frozenset[int]:
@@ -458,11 +478,12 @@ def _balanced_no_shift(
 def _corrupted_rwbl_premises(g: RelationalHypersequent) -> tuple[Premise, ...]:
     """rwbl_premises with a deliberately wrong fourth conjunction premise."""
     premises = list(rwbl_premises(g))
-    pivot = most_complex(g)
+    pivot, free, held = decompose(g)
     if not isinstance(pivot, Conj):
         return tuple(premises)
     a, b = pivot.left, pivot.right
-    free, ll_part, ord_part, _ = decompose(g, pivot)
+    ll_part = hseq(*(s for s in held if s.kind.is_ll))
+    ord_part = hseq(*(s for s in held if not s.kind.is_ll))
     label = (
         expand_abbreviation("neg_pair_prec_minus1", a, b)
         | subst_all(ll_part, pivot, smaller_child(a, b))
@@ -619,7 +640,7 @@ def walk_stats(root: ReductionNode) -> TreeStats:
         node, depth, weight_above = stack.pop()
         nodes += 1
         weight = weight_above + recount_weight(node.label)
-        if node.is_leaf:
+        if not node.children:
             leaves += 1
             height = max(height, depth)
             max_weight = max(max_weight, weight)
@@ -820,3 +841,41 @@ def reference_subst_impl(
         right = tuple(f for f in s.right if f is not target) + (a,) * l + (b,) * r
         out.append(seq(left, s.kind, right))
     return RelationalHypersequent(out)
+
+
+def reference_decompose(
+    g: RelationalHypersequent, pivot: Formula
+) -> tuple[
+    RelationalHypersequent,
+    RelationalHypersequent,
+    RelationalHypersequent,
+    RelationalHypersequent,
+]:
+    """Reference: ``decompose`` as it was, a four-way split by ``contains``.
+
+    Returns (pivot-free part, << part, fractional part, unit part), where the
+    unit part is the subset of the fractional part consisting of the
+    one-formula-each-side ``<=`` sequents with index zero.  Raises ValueError
+    if the pivot occurs nowhere.
+    """
+    free: list[RelationalSequent] = []
+    ll_part: list[RelationalSequent] = []
+    ord_part: list[RelationalSequent] = []
+    unit_part: list[RelationalSequent] = []
+    for s in g:
+        if not s.contains(pivot):
+            free.append(s)
+        elif s.kind.is_ll:
+            ll_part.append(s)
+        else:
+            ord_part.append(s)
+            if s.is_unit_shape:
+                unit_part.append(s)
+    if not ll_part and not ord_part:
+        raise ValueError("pivot does not occur in the hypersequent")
+    return (
+        RelationalHypersequent(free),
+        RelationalHypersequent(ll_part),
+        RelationalHypersequent(ord_part),
+        RelationalHypersequent(unit_part),
+    )

@@ -24,7 +24,6 @@ from blprover import (
     verify_branch_countermodel,
 )
 from blprover.axiom_check import check_axiom
-from blprover.formula import variables_in
 from blprover.hypersequent import LL, hseq, preceq, prec, seq
 from blprover.reduction import build_rwbl_tree
 from support import (
@@ -34,6 +33,7 @@ from support import (
     random_formula,
     rwbl_leaves,
     variables,
+    variables_in,
     weight_bound,
 )
 

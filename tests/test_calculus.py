@@ -191,10 +191,12 @@ def _rebuild(g, target, replacement):
 
 def _chained_rwbl_labels(g):
     """Reference: the rewriting premises joined by chained ``|``, one sort per join."""
-    pivot = most_complex(g)
+    pivot, free, held = decompose(g)
     a, b = pivot.left, pivot.right
     c = smaller_child(a, b)
-    free, g_ll, g_ord, g_unit = decompose(g, pivot)
+    g_ll = hseq(*(s for s in held if s.kind.is_ll))
+    g_ord = hseq(*(s for s in held if not s.kind.is_ll))
+    g_unit = hseq(*(s for s in g_ord if s.is_unit_shape))
     top_part = _rebuild(g_ll, pivot, (TOP,)) | _rebuild(g_unit, pivot, (TOP,)) | free
     if isinstance(pivot, Conj):
         antecedents = _conj_antecedents(a, b)
@@ -233,7 +235,7 @@ def _reducible_labels(seed, count):
         stack = [build_rwbl_tree(formula).root]
         while stack:
             node = stack.pop()
-            if not node.is_leaf:
+            if node.children:
                 labels.add(node.label)
                 stack.extend(node.children)
         label = root_label(formula)

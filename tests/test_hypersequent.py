@@ -52,6 +52,7 @@ from blprover.semantics import satisfies_sequent
 from support import (
     abbreviation,
     random_formula,
+    reference_decompose,
     reference_subst_all,
     reference_subst_balanced_conj,
     reference_subst_impl,
@@ -186,7 +187,7 @@ def test_every_label_operation_returns_a_label():
     labels = [hseq(), hseq(s1) | hseq(s2), union(hseq(s1), hseq(s2), g), g]
     labels += [subst_all(g, PIV, A), subst_pair(hseq(s2), PIV, A, B)]
     labels += [subst_balanced_conj(hseq(s2), PIV, A, B), subst_impl(hseq(s2), PIV, A, B)]
-    labels += decompose(g, PIV)
+    labels += decompose(g)[1:]
     labels += [p.label for root in (g, hseq(s2)) for p in rwbl_premises(root)]
     for label in labels:
         assert type(label) is RelationalHypersequent
@@ -361,19 +362,31 @@ def test_substitutions_match_the_reference_on_random_labels(drawn):
 
 def test_decompose_partitions():
     free = seq((C,), preceq(), (B,))
+    # A smaller compound formula does not make its sequent hold the pivot.
+    smaller = seq((Conj(A, A),), prec(), (C,))
     ll_part = seq((C,), LL, (PIV,))
-    ord_part = seq((PIV,), prec(1), (A,))
+    ord_part = seq((PIV, Conj(A, A)), prec(1), (A,))
     unit_part = seq((TOP,), preceq(), (PIV,))
-    g = hseq(free, ll_part, ord_part, unit_part)
-    got_free, got_ll, got_ord, got_unit = decompose(g, PIV)
-    assert got_free == hseq(free)
-    assert got_ll == hseq(ll_part)
-    # the unit-shaped sequents stay inside the fractional part and are also
-    # reported separately
-    assert got_ord == hseq(ord_part, unit_part)
-    assert got_unit == hseq(unit_part)
-    with pytest.raises(ValueError):
-        decompose(hseq(free), PIV)
+    g = hseq(free, smaller, ll_part, ord_part, unit_part)
+    pivot, got_free, held = decompose(g)
+    assert pivot is PIV
+    assert got_free == hseq(free, smaller)
+    assert held == hseq(ll_part, ord_part, unit_part)
+    with pytest.raises(ValueError, match="irreducible"):
+        decompose(hseq(free))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_labels_with_target())
+def test_decompose_matches_the_reference_on_random_labels(drawn):
+    g = drawn[0]
+    if is_irreducible(g):
+        with pytest.raises(ValueError):
+            decompose(g)
+        return
+    pivot = most_complex(g)
+    free, ll_part, ord_part, _ = reference_decompose(g, pivot)
+    assert decompose(g) == (pivot, free, ll_part | ord_part)
 
 
 def test_expand_abbreviation_rejects_unknown():

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from blprover import Conj, INF, TOP, Var, complexity, hseq, prec, preceq, render, satisfies, seq
-from blprover.formula import variables_in
 from blprover.hypersequent import LL
 from blprover.semantics import Finite, Valuation
 from support import (
@@ -16,6 +15,7 @@ from support import (
     oracle_leaf_satisfiable,
     random_formula,
     random_valuation,
+    variables_in,
 )
 
 P1, P2 = Var(1), Var(2)

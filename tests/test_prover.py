@@ -31,7 +31,7 @@ from blprover import (
 )
 from blprover.axiom_check import check_axiom
 from blprover.calculus import rwbl_premises
-from blprover.formula import BOT, Conj, Impl, Var, variables_in
+from blprover.formula import BOT, Conj, Impl, Var
 from blprover.hypersequent import RelationalHypersequent, is_irreducible
 from blprover.reduction import build_rwbl_tree, fold_tree, follow_certificate, root_label
 from blprover.semantics import INF, Finite, Valuation, eval_formula
@@ -40,6 +40,7 @@ from support import (
     implication_chain,
     oracle_leaf_satisfiable,
     random_formula,
+    variables_in,
     walk_stats,
 )
 

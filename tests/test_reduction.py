@@ -13,6 +13,7 @@ from blprover import (
     TOP,
     Var,
     build_rwbl_tree,
+    check_no_tautology,
     check_tautology,
     hseq,
     parse,
@@ -25,7 +26,7 @@ import blprover.prover as prover
 import blprover.reduction as reduction
 from blprover.calculus import Premise, rwbl_premises
 from blprover.formula import complexity
-from blprover.hypersequent import is_irreducible, most_complex
+from blprover.hypersequent import decompose, is_irreducible, most_complex
 from blprover.reduction import (
     ReductionDepthError,
     ReductionNode,
@@ -43,6 +44,7 @@ from support import (
     deep_reuse_table,
     random_formula,
     recount_weight,
+    reference_decompose,
     rwbl_leaves,
     walk_stats,
     weight_bound,
@@ -57,7 +59,7 @@ def test_root_label():
 
 def test_atomic_formula_tree_is_a_single_leaf():
     tree = build_rwbl_tree(P1)
-    assert tree.root.is_leaf
+    assert not tree.root.children
     assert tree.root.premise_index is None
     assert tree_stats(tree).node_count == 1
     assert tree_stats(tree).max_branch_weight == 3
@@ -66,10 +68,10 @@ def test_atomic_formula_tree_is_a_single_leaf():
 def test_identity_implication_tree_shape():
     tree = build_rwbl_tree(parse("p1 -> p1"))
     root = tree.root
-    assert not root.is_leaf
+    assert root.children
     assert [child.premise_tag for child in root.children] == ["impl1", "impl2", "impl3"]
     assert [child.premise_index for child in root.children] == [1, 2, 3]
-    assert all(child.is_leaf for child in root.children)
+    assert not any(child.children for child in root.children)
     stats = tree_stats(tree)
     assert stats.height == 1
     assert stats.node_count == 4
@@ -103,6 +105,21 @@ def test_stats_variants_agree():
             stack.extend(node.children)
         repeated += len(set(labels)) < len(labels)
     assert repeated >= len(REPEATED_LABELS)
+
+
+def test_decompose_matches_the_reference_on_repeated_label_trees():
+    reducible = 0
+    for text in REPEATED_LABELS:
+        stack = [build_rwbl_tree(parse(text)).root]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children)
+            if not is_irreducible(node.label):
+                reducible += 1
+                pivot = most_complex(node.label)
+                free, ll_part, ord_part, _ = reference_decompose(node.label, pivot)
+                assert decompose(node.label) == (pivot, free, ll_part | ord_part)
+    assert reducible >= 10
 
 
 def _reference_tree(formula):
@@ -283,7 +300,7 @@ def test_equal_labels_share_one_children_tuple():
             node = stack.pop()
             if node.label in first:
                 assert node.children is first[node.label]
-                shared += not node.is_leaf
+                shared += bool(node.children)
             else:
                 first[node.label] = node.children
             stack.extend(node.children)
@@ -309,9 +326,15 @@ def test_certificate_round_trip():
     loaded_formula, loaded_cert = Certificate.from_json(text)
     assert loaded_formula == formula
     assert loaded_cert == cert
-    for moves in (["x"], [True]):
+    for moves in (["x"], [True], {}, ""):
         with pytest.raises(ValueError, match="certificate moves must be a list of integers"):
             Certificate.from_json(json.dumps({"formula": "p1 -> p2", "moves": moves}))
+    # A certificate built through the API is checked the same way: True is
+    # not move 1, and a float does not reach the replay.
+    with pytest.raises(ValueError, match="certificate moves must be a list of integers"):
+        follow_certificate(formula, Certificate((True, 3)))
+    with pytest.raises(ValueError, match="certificate moves must be a list of integers"):
+        check_no_tautology(formula, Certificate((2.0, 3)))
 
 
 def test_follow_certificate_accepts_real_branches():
