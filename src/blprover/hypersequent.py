@@ -102,7 +102,9 @@ class RelationalSequent(Interned):
     side of an index-zero fractional relation; ``is_unit_shape``, one formula
     on each side of ``<=`` with index zero; ``weight``, one for the relation, one per
     bare top and 2c + 1 per other formula of c connectives, so a compound
-    formula counts its connectives and its literal leaves.
+    formula counts its connectives and its literal leaves.  ``void``, None
+    until the leaf check sets it, says whether the negated row of an
+    all-atomic fractional sequent without top has no solution in the unit box.
     """
 
     __slots__ = (
@@ -114,6 +116,7 @@ class RelationalSequent(Interned):
         "one_sided_pair",
         "is_unit_shape",
         "weight",
+        "void",
         "_sort_key",
     )
     _fields = ("left", "kind", "right")
@@ -126,6 +129,7 @@ class RelationalSequent(Interned):
     one_sided_pair: bool
     is_unit_shape: bool
     weight: int
+    void: bool | None
 
     def __new__(
         cls, left: tuple[Formula, ...], kind: RelKind, right: tuple[Formula, ...]
@@ -163,6 +167,7 @@ class RelationalSequent(Interned):
         _set(
             node, "weight", 1 + sum(1 if f is TOP else 2 * f.complexity + 1 for f in formulas)
         )
+        _set(node, "void", None)
         _set(node, "_sort_key", None)
         return _INTERNED.add(key, node)
 

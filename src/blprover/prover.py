@@ -63,11 +63,12 @@ def check_tautology(formula: Formula) -> ProveResult:
     part, so the first invalid leaf and its path do not change.  Each
     settled part is classified once and keeps only that flag; the leaf that
     ends the search is classified again if its part was met before.  One
-    memo of rewrites serves the whole search, as in build_rwbl_tree.  The
-    countermodel is the refuted leaf's, unchanged, as in check_no_tautology;
-    by acceptance criterion 8 (variable preservation) every leaf keeps the
-    formula's variables, so it binds them all.  Raises ValueError on formulas
-    beyond the parser's size limits.
+    memo of rewrites serves the whole search, as in build_rwbl_tree.  A
+    prune check reads only the verdict, so no countermodel is built unless
+    a leaf ends the search.  The countermodel is the refuted leaf's,
+    unchanged, as in check_no_tautology; by acceptance criterion 8 (variable
+    preservation) every leaf keeps the formula's variables, so it binds them
+    all.  Raises ValueError on formulas beyond the parser's size limits.
     """
     check_limits(formula)
     n = complexity(formula)

@@ -18,7 +18,10 @@ Likewise ``reference_subst_all``, ``reference_subst_pair``,
 ``reference_subst_balanced_conj`` and ``reference_subst_impl`` are the four
 substitutions as they were before one sequent rewrite served them all, and
 ``reference_decompose`` is the four-way split by ``contains`` that the split
-by each sequent's ``pivot`` field replaced.  ``variables_in`` and
+by each sequent's ``pivot`` field replaced, and ``reference_check_axiom`` is
+the leaf check over frozensets that solved every owning cluster and built
+each countermodel at once, before void rows, skipped solves and lazy
+verdicts.  ``variables_in`` and
 ``variables`` collect the variable indices of a formula and of a
 hypersequent.
 """
@@ -29,9 +32,12 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import gcd
-from typing import Hashable, Iterable, Iterator, Sequence
+from operator import or_
+from typing import AbstractSet, Hashable, Iterable, Iterator, Sequence
 
+from blprover.axiom_check import _atom_key, build_lp
 from blprover.calculus import (
     Premise,
     _conj_antecedents,
@@ -879,3 +885,149 @@ def reference_decompose(
         RelationalHypersequent(ord_part),
         RelationalHypersequent(unit_part),
     )
+
+
+def _reference_negate_leaf(
+    h: RelationalHypersequent,
+) -> tuple[set[tuple[Formula, Formula]], list[RelationalSequent]]:
+    """Reference: ``negate_leaf`` as it was, floor edges and fractional sequents."""
+    compound = [s for s in h if not s.all_atomic]
+    if compound:
+        s = min(compound, key=RelationalSequent.sort_key)
+        f = next(f for f in s.formulas() if not is_atomic(f))
+        raise ValueError(f"leaf expected, found compound formula {f!r}")
+    edges: set[tuple[Formula, Formula]] = set()
+    fracs: list[RelationalSequent] = []
+    for s in h:
+        if s.kind.is_ll:
+            if len(s.left) != 1 or len(s.right) != 1:
+                raise ValueError("a << sequent in a leaf must have one formula per side")
+            edges.add((s.right[0], s.left[0]))
+        elif s.is_unit_shape or (TOP not in s.left and TOP not in s.right):
+            fracs.append(s)
+    return edges, fracs
+
+
+def reference_contract_and_sort(
+    vertices: AbstractSet[Formula], edges: AbstractSet[tuple[Formula, Formula]]
+) -> tuple[tuple[frozenset[Formula], ...], tuple[frozenset[int], ...], bool]:
+    """Reference: ``contract_and_sort`` as it was, over frozensets.
+
+    Returns the ordered groups, their reach sets as positions in that order
+    (each its own included) and the clash flag.
+    """
+    verts = sorted(vertices, key=_atom_key)
+    position = {v: i for i, v in enumerate(verts)}
+    n = len(verts)
+    reach = [1 << i for i in range(n)]
+    for tail, head in edges:
+        reach[position[tail]] |= 1 << position[head]
+    for k in range(n):
+        bit, row = 1 << k, reach[k]
+        reach = [r | row if r & bit else r for r in reach]
+    falsum = 1 << position[BOT] if BOT in position else 0
+    low = sum(1 << i for i in range(n) if reach[i] & falsum)
+    high = reach[position[TOP]]
+    clash = bool(high & falsum)
+    if clash:
+        low = high = 0
+    beyond: dict[int, int] = {}
+    placed = 0
+    for i in range(n):
+        if placed >> i & 1:
+            continue
+        if low >> i & 1:
+            group = low
+        elif high >> i & 1:
+            group = high
+        else:
+            group = sum(1 << j for j in range(n) if reach[i] >> j & 1 and reach[j] >> i & 1)
+        placed |= group
+        beyond[group] = reduce(or_, (reach[j] for j in range(n) if group >> j & 1)) & ~group
+    order: list[int] = []
+    rest = dict(beyond)
+    while rest:
+        blocked = reduce(or_, rest.values())
+        order.append(next(group for group in rest if not group & blocked))
+        del rest[order[-1]]
+    return (
+        tuple(frozenset(v for j, v in enumerate(verts) if g >> j & 1) for g in order),
+        tuple(frozenset(p for p, h in enumerate(order) if (g | beyond[g]) & h) for g in order),
+        clash,
+    )
+
+
+def _reference_least_escape(
+    fracs: Sequence[RelationalSequent],
+    clusters: tuple[frozenset[Formula], ...],
+    reaches: tuple[frozenset[int], ...],
+) -> tuple[frozenset[int], dict[int, Fraction]] | None:
+    """Reference: ``_least_escape`` as it was, one solve per owning cluster."""
+    cluster_of = {atom: i for i, cluster in enumerate(clusters) for atom in cluster}
+    top_at = cluster_of[TOP]
+    kept = [{cluster_of[BOT]}] if BOT in cluster_of else []
+    owned: dict[int, list[RelationalSequent]] = {}
+    for s in fracs:
+        spots = {cluster_of[a] for a in s.formulas()}
+        if s.is_unit_shape:
+            if spots == {top_at}:
+                return None
+            kept.append(spots - {top_at})
+        if len(spots) == 1 and top_at not in spots:
+            owned.setdefault(next(iter(spots)), []).append(s)
+    forced = []
+    witness: dict[int, Fraction] = {}
+    for i, own in owned.items():
+        outcome = solve(build_lp(own), [f.index for f in clusters[i] if isinstance(f, Var)])
+        if outcome.feasible:
+            witness.update(outcome.witness)
+        else:
+            forced.append(i)
+    escape = frozenset().union(*(reaches[i] for i in forced)) - {top_at}
+    if any(group <= escape for group in kept):
+        return None
+    return escape, witness
+
+
+def _reference_build_countermodel(
+    clusters: tuple[frozenset[Formula], ...],
+    escape: AbstractSet[int],
+    witness: dict[int, Fraction],
+) -> tuple[tuple[frozenset[Formula], ...], Valuation]:
+    escaping = frozenset().union(*(clusters[i] for i in escape))
+    kept: list[frozenset[Formula]] = []
+    assignment: dict[int, OmegaValue] = {}
+    for i, cluster in enumerate(clusters):
+        if i in escape:
+            continue
+        if TOP in cluster:
+            cluster |= escaping
+        for atom in cluster:
+            if isinstance(atom, Var):
+                frac = witness.get(atom.index, Fraction(1, 2))
+                assignment[atom.index] = INF if TOP in cluster else Finite(len(kept), frac)
+        kept.append(cluster)
+    return tuple(kept), Valuation(assignment)
+
+
+def reference_check_axiom(
+    h: RelationalHypersequent,
+) -> tuple[bool, tuple[frozenset[Formula], ...], Valuation | None]:
+    """Reference: ``check_axiom`` as it was, (is_axiom, clusters, countermodel).
+
+    The leaf is negated, its floor graph grouped and ordered over frozensets,
+    every cluster that owns rows is solved, and the countermodel is built
+    and re-checked at once.  A sequent with no formulas is never owned, so
+    it is ignored.
+    """
+    floor_edges, fracs = _reference_negate_leaf(h)
+    clusters, reaches, clash = reference_contract_and_sort(
+        {TOP}.union(*(s.left + s.right for s in h)), floor_edges
+    )
+    least = None if clash else _reference_least_escape(fracs, clusters, reaches)
+    if least is None:
+        return True, clusters, None
+    clusters, model = _reference_build_countermodel(clusters, *least)
+    if satisfies(model, h):
+        raise AssertionError("countermodel construction failed its runtime check")
+    return False, clusters, model

@@ -1,10 +1,19 @@
 """Leaf classification: negation, floor graph, clustering and feasibility."""
 
+import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import blprover
+import blprover.prover as prover
 from blprover import (
     BOT,
     INF,
@@ -25,8 +34,14 @@ from blprover import (
 from blprover import axiom_check
 from blprover.axiom_check import build_lp, contract_and_sort, negate_leaf
 from blprover.linfeas import solve
-from blprover.semantics import Valuation
-from support import oracle_leaf_satisfiable, random_formula, rwbl_leaves
+from blprover.semantics import Finite, Valuation
+from support import (
+    branch_estimate,
+    oracle_leaf_satisfiable,
+    random_formula,
+    reference_check_axiom,
+    rwbl_leaves,
+)
 
 P1, P2, P3 = Var(1), Var(2), Var(3)
 
@@ -35,6 +50,20 @@ def _agree(leaf, verdict):
     """Cross-check one verdict against exhaustive enumeration."""
     countermodel = oracle_leaf_satisfiable(leaf)
     assert (countermodel is None) == verdict.is_axiom
+
+
+def _grouped(vertices, edges):
+    """contract_and_sort's groups and reach sets as frozensets, with the clash flag."""
+    verts, groups, reaches, clash = contract_and_sort(vertices, edges)
+
+    def members(bits, items):
+        return frozenset(x for j, x in enumerate(items) if bits >> j & 1)
+
+    return (
+        tuple(members(g, verts) for g in groups),
+        tuple(members(r, range(len(groups))) for r in reaches),
+        clash,
+    )
 
 
 class TestNegation:
@@ -105,14 +134,14 @@ class TestFloorGraph:
         assert not verdict.countermodel.value_of(1).is_infinite
 
     def test_mutual_edges_cluster(self):
-        clusters, reaches, _ = contract_and_sort(
+        clusters, reaches, _ = _grouped(
             frozenset({P1, P2, TOP}), frozenset({(P1, P2), (P2, P1)})
         )
         assert clusters == (frozenset({P1, P2}), frozenset({TOP}))
         assert reaches == (frozenset({0}), frozenset({1}))
 
     def test_topological_order_respects_edges(self):
-        clusters, reaches, _ = contract_and_sort(
+        clusters, reaches, _ = _grouped(
             frozenset({BOT, P1, P2, TOP}), frozenset({(BOT, P1), (P2, P1)})
         )
         assert clusters == (frozenset({BOT}), frozenset({P2}), frozenset({P1}), frozenset({TOP}))
@@ -120,7 +149,7 @@ class TestFloorGraph:
 
     def test_top_cluster_need_not_come_last(self):
         # p1 joins top's cluster, whose least member then sorts it before p2.
-        clusters, reaches, _ = contract_and_sort(
+        clusters, reaches, _ = _grouped(
             frozenset({P1, P2, TOP}), frozenset({(TOP, P1)})
         )
         assert clusters == (frozenset({P1, TOP}), frozenset({P2}))
@@ -163,7 +192,7 @@ def _least_key_order(clusters, reaches):
 @given(_floor_graphs())
 def test_contract_and_sort_agrees_with_a_plain_closure(graph):
     vertices, graph_edges = graph
-    clusters, reaches, clash = contract_and_sort(vertices, graph_edges)
+    clusters, reaches, clash = _grouped(vertices, graph_edges)
     reach = {v: _reachable(graph_edges, v) for v in vertices}
     position = {v: i for i, cluster in enumerate(clusters) for v in cluster}
     assert sum(map(len, clusters)) == len(position) and position.keys() == vertices
@@ -276,7 +305,7 @@ class TestVerdicts:
         is forced to escape, which falsum's cluster may not, whatever it reaches."""
         leaf = hseq(seq((BOT,), LL, (P1,)), seq((P2,), LL, (P1,)), seq((P1, P1), preceq(1), ()))
         assert leaf.render() == "0 << p1 | p2 << p1 | p1,p1 <=_1"
-        clusters, reaches, clash = contract_and_sort(
+        clusters, reaches, clash = _grouped(
             frozenset({BOT, P1, P2, TOP}), negate_leaf(leaf)[0]
         )
         assert not clash
@@ -284,6 +313,30 @@ class TestVerdicts:
         assert reaches[0] == frozenset({0, 1})
         verdict = check_axiom(leaf)
         assert verdict.is_axiom and verdict.clusters == clusters
+        _agree(leaf, verdict)
+
+    @pytest.mark.parametrize(
+        "sequents, is_axiom",
+        [
+            ((seq((), preceq(), ()),), True),
+            ((seq((), prec(1), ()),), True),
+            ((seq((), preceq(-1), ()),), False),
+            ((seq((), preceq(), ()), seq((P1,), LL, (P2,))), True),
+            ((seq((), preceq(-1), ()), seq((P1,), LL, (P2,))), False),
+        ],
+        ids=["empty_leq", "empty_lt_1", "empty_leq_minus_1", "mixed_leq", "mixed_leq_minus_1"],
+    )
+    def test_formula_free_sequents(self, sequents, is_axiom):
+        # A sequent with no formulas holds iff 0 <= z (0 < z when strict).
+        # It lies in no cluster: its row is void exactly when it always
+        # holds, which makes the leaf an axiom; otherwise it is dropped.
+        leaf = hseq(*sequents)
+        verdict = check_axiom(leaf)
+        assert verdict.is_axiom == is_axiom
+        if not is_axiom:
+            assert not satisfies(verdict.countermodel, leaf)
+            if len(sequents) == 1:
+                assert verdict.countermodel == Valuation({})
         _agree(leaf, verdict)
 
     def test_constant_only_leaves(self):
@@ -301,11 +354,16 @@ class TestVerdicts:
 
 class TestEscapeClosure:
     def test_wide_leaf_needs_few_solves(self, monkeypatch):
-        # 40 singleton clusters: enumerating escape sets would try all 2^40 of
-        # them, the closure solves each cluster that owns rows once.
+        # 40 finite clusters: enumerating escape sets would try all 2^40 of
+        # them, the closure solves each cluster that owns rows once.  The
+        # rows of p1 and p2's cluster are infeasible only together, so no
+        # void row settles it without a solve.
         leaf = hseq(
-            seq((P1,), preceq(), (P1,)),
-            *(seq((Var(i),), LL, (Var(i),)) for i in range(2, 41)),
+            seq((P1,), LL, (P2,)),
+            seq((P2,), LL, (P1,)),
+            seq((P1,), preceq(), (P2,)),
+            seq((P2,), preceq(), (P1,)),
+            *(seq((Var(i),), LL, (Var(i),)) for i in range(3, 42)),
         )
         calls = []
         solve = axiom_check.solve
@@ -318,7 +376,8 @@ class TestEscapeClosure:
         assert 1 <= len(calls) <= len(verdict.clusters)
 
     def test_refuted_leaf_solves_each_owning_cluster_once(self, monkeypatch):
-        # p1 and p2 each own rows; those two solves decide the leaf and give
+        # p1 and p2 each own rows.  p1's row from p1,p1 <=_1 is void, so p1
+        # escapes with no solve; p2's one solve decides the leaf and gives
         # its countermodel
         leaf = hseq(
             seq((P1,), LL, (P1,)),
@@ -331,7 +390,60 @@ class TestEscapeClosure:
             axiom_check, "solve", lambda rows, ids: calls.append(ids) or solve(rows, ids)
         )
         assert not check_axiom(leaf).is_axiom
-        assert sorted(calls) == [[1], [2]]
+        assert calls == [[2]]
+
+    def test_cluster_inside_the_escape_set_is_not_solved(self, monkeypatch):
+        # p1,p1 <=_1 is void, so p1 escapes with no solve and takes p2 up its
+        # floor edge; p2's own row is then never solved.
+        leaf = hseq(seq((P2,), LL, (P1,)), seq((P1, P1), preceq(1), ()), seq((P2,), prec(), (P2,)))
+        calls = []
+        solve = axiom_check.solve
+        monkeypatch.setattr(
+            axiom_check, "solve", lambda rows, ids: calls.append(ids) or solve(rows, ids)
+        )
+        verdict = check_axiom(leaf)
+        assert not verdict.is_axiom and calls == []
+        assert verdict.clusters == (frozenset({P1, P2, TOP}),)
+        _agree(leaf, verdict)
+        # The same skip after a solve: p1 and p3 share a cluster whose two
+        # rows are infeasible only together, and it reaches p2.  Solved
+        # first, it sends p2 to infinity unsolved; solved second, after p2.
+        together = [seq((P1, P1), preceq(), (P3, P3)), seq((P3, P3), preceq(), (P1, P1))]
+        own = seq((P2,), prec(), (P2,))
+        edges = [seq((P1,), LL, (P3,)), seq((P3,), LL, (P1,)), seq((P2,), LL, (P1,))]
+        leaf = hseq(*edges, *together, own)
+        verts, groups, reaches, clash = contract_and_sort({P1, P2, P3, TOP}, negate_leaf(leaf)[0])
+        assert verts == [P1, P2, P3, TOP] and groups == [0b0101, 0b0010, 0b1000]
+        assert not clash
+        for fracs, solved in ((together + [own], [[1, 3]]), ([own] + together, [[2], [1, 3]])):
+            calls.clear()
+            assert axiom_check._least_escape(fracs, verts, groups, reaches)[0] == 0b011
+            assert calls == solved
+        assert not check_axiom(leaf).is_axiom
+
+    def test_no_solve_after_a_kept_group_is_covered(self, monkeypatch):
+        # Falsum's cluster {0, p1, p3} has rows infeasible only together, so
+        # it must escape, which it may not: the solve that finds this is the
+        # last, whatever the order of p2's and p4's clusters.
+        together = [seq((P1, P1), preceq(), (P3, P3)), seq((P3, P3), preceq(), (P1, P1))]
+        own = [seq((P2,), prec(), (P2,)), seq((Var(4),), prec(), (Var(4),))]
+        leaf = hseq(seq((BOT,), LL, (P1,)), seq((BOT,), LL, (P3,)), *together, *own)
+        calls = []
+        solve = axiom_check.solve
+        monkeypatch.setattr(
+            axiom_check, "solve", lambda rows, ids: calls.append(ids) or solve(rows, ids)
+        )
+        verdict = check_axiom(leaf)
+        assert verdict.is_axiom
+        assert calls[-1] == [1, 3] and len(calls) <= 3
+        _agree(leaf, verdict)
+        # Falsum's cluster first: no other cluster is solved.
+        verts, groups, reaches, _ = contract_and_sort(
+            {BOT, P1, P2, P3, Var(4), TOP}, negate_leaf(leaf)[0]
+        )
+        calls.clear()
+        assert axiom_check._least_escape(together + own, verts, groups, reaches) is None
+        assert calls == [[1, 3]]
 
     def test_partial_escape(self):
         # p1's own rows need a fraction above 1, so p1 alone goes to infinity
@@ -371,6 +483,51 @@ class TestEscapeClosure:
             finite = tuple(frozenset(s.right) for s in extra)
             assert verdict.clusters == finite + (frozenset({P1, P2, TOP}),)
         _agree(leaf, verdict)
+
+
+class TestLazyVerdict:
+    def test_countermodel_that_satisfies_the_leaf_is_refused_when_read(self, monkeypatch):
+        leaf = hseq(seq((P1,), LL, (P2,)))
+        satisfying = Valuation({1: Finite(0, Fraction(0)), 2: Finite(1, Fraction(0))})
+        assert satisfies(satisfying, leaf)
+        monkeypatch.setattr(axiom_check, "build_countermodel", lambda *state: ((), satisfying))
+        verdict = check_axiom(leaf)
+        assert not verdict.is_axiom
+        for read in ("countermodel", "clusters"):
+            with pytest.raises(AssertionError, match="failed its runtime check"):
+                getattr(verdict, read)
+
+    def test_the_runtime_check_survives_optimised_mode(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            from fractions import Fraction
+            import blprover.axiom_check as axiom_check
+            from blprover import LL, Var, check_axiom, hseq, seq
+            from blprover.semantics import Finite, Valuation
+
+            if __debug__:
+                sys.exit("assertions are still enabled")
+            model = Valuation({1: Finite(0, Fraction(0)), 2: Finite(1, Fraction(0))})
+            axiom_check.build_countermodel = lambda *state: ((), model)
+            verdict = check_axiom(hseq(seq((Var(1),), LL, (Var(2),))))
+            try:
+                verdict.countermodel
+            except AssertionError:
+                sys.exit(0)
+            sys.exit("a countermodel that satisfies the leaf was returned")
+            """
+        )
+        src = str(Path(blprover.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
 
 
 class TestBranchVerification:
@@ -424,3 +581,60 @@ def test_pipeline_agrees_with_enumeration_on_random_leaves():
             checked += 1
             if checked >= 60:
                 break
+
+
+def _matches_the_reference(leaf, verdict):
+    got = (verdict.is_axiom, verdict.clusters, verdict.countermodel)
+    assert got == reference_check_axiom(leaf), leaf.render()
+
+
+def test_check_matches_the_reference_on_the_search_classifications(monkeypatch):
+    """Every leaf and settled part the search classifies, read after the search."""
+    seen = []
+
+    def recording(leaf):
+        verdict = check_axiom(leaf)
+        seen.append((leaf, verdict))
+        return verdict
+
+    monkeypatch.setattr(prover, "check_axiom", recording)
+    rng = random.Random(28)
+    formulas = 0
+    while formulas < 60:
+        formula = random_formula(rng, rng.randint(1, 6), 3)
+        if branch_estimate(formula) <= 2000:
+            formulas += 1
+            check_tautology(formula)
+    for leaf, verdict in seen:
+        _matches_the_reference(leaf, verdict)
+    refuted = sum(not verdict.is_axiom for _, verdict in seen)
+    assert refuted > 250 and len(seen) - refuted > 1000
+
+
+def test_check_matches_the_reference_on_random_leaves():
+    rng = random.Random(29)
+    refuted = leaves = 0
+    for _ in range(100):
+        formula = random_formula(rng, rng.randint(1, 4), 3)
+        for leaf in rwbl_leaves(formula):
+            verdict = check_axiom(leaf)
+            _matches_the_reference(leaf, verdict)
+            leaves += 1
+            refuted += not verdict.is_axiom
+    assert refuted > 350 and leaves - refuted > 4000
+
+
+def test_void_rows_are_exactly_the_infeasible_single_rows():
+    """Every fractional sequent over falsum and p1..p3, sides of up to three
+    atoms, index -3..3: void exactly when its row alone has no solution."""
+    atoms = (BOT, P1, P2, P3)
+    sides = [c for k in range(4) for c in itertools.combinations_with_replacement(atoms, k)]
+    void = 0
+    for left, right, kind, z in itertools.product(sides, sides, (preceq, prec), range(-3, 4)):
+        s = seq(left, kind(z), right)
+        variables = sorted({a.index for a in s.formulas() if isinstance(a, Var)})
+        feasible = solve(build_lp([s]), variables).feasible
+        assert axiom_check._is_void(s) == (not feasible), s.render()
+        assert s.void is not None
+        void += s.void
+    assert void == 6551

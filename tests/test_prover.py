@@ -29,6 +29,7 @@ from blprover import (
     parse,
     verify_branch_countermodel,
 )
+from blprover import axiom_check
 from blprover.axiom_check import check_axiom
 from blprover.calculus import rwbl_premises
 from blprover.formula import BOT, Conj, Impl, Var
@@ -128,7 +129,7 @@ def test_soundness_checks_survive_optimised_mode():
 
         if __debug__:
             sys.exit("assertions are still enabled")
-        prover.check_axiom = lambda leaf: AxiomVerdict(False, None, ())
+        prover.check_axiom = lambda leaf: AxiomVerdict(False, lambda: ((), None))
         formula = parse("p1 -> p2")
         for decide in (
             lambda: prover.check_tautology(formula),
@@ -290,6 +291,40 @@ def _assert_matches_reference(formula, result, reference):
     padded = moves + (0,) * (complexity(formula) - len(moves))
     assert result.certificate == Certificate(padded)
     assert result.countermodel.to_json() == verdict.countermodel.to_json()
+
+
+@pytest.mark.parametrize(
+    "text, provable",
+    [
+        ("(p1 -> p2) * (p2 -> p3) -> (p1 -> p3)", True),
+        ("((p1 -> p2) -> p3) -> ((p2 -> p1) -> p3) -> p3", True),
+        ("(p1 -> p2) * (p2 -> p3) -> (p3 -> p1)", False),
+    ],
+)
+def test_the_search_builds_one_countermodel_per_refuted_formula(monkeypatch, text, provable):
+    # Every refuted settled part used to get a countermodel, built and
+    # re-checked, that the search threw away.  Now only the refuted leaf
+    # that ends the search is read, and so is the one certificate replay.
+    built, refuted = [], []
+    build = axiom_check.build_countermodel
+    monkeypatch.setattr(
+        axiom_check, "build_countermodel", lambda *state: built.append(1) or build(*state)
+    )
+
+    def counting(leaf):
+        verdict = check_axiom(leaf)
+        refuted.append(not verdict.is_axiom)
+        return verdict
+
+    monkeypatch.setattr(prover, "check_axiom", counting)
+    formula = parse(text)
+    result = check_tautology(formula)
+    assert result.provable == provable
+    assert sum(refuted) > 1
+    assert len(built) == (0 if provable else 1)
+    if not provable:
+        assert check_no_tautology(formula, result.certificate).accepted
+        assert len(built) == 2
 
 
 def test_pruned_search_matches_the_full_search():
