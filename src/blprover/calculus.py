@@ -32,7 +32,6 @@ from .hypersequent import (
     RelationalSequent,
     decompose,
     expand_abbreviation,
-    hseq,
     subst_all,
     subst_balanced_conj,
     subst_impl,
@@ -83,21 +82,22 @@ def _premises(kind: str, labels: list[RelationalHypersequent]) -> tuple[Premise,
 def _parts(s: RelationalSequent, pivot: Formula) -> tuple[tuple[RelationalSequent, ...], ...]:
     """A sequent holding the pivot, as each premise rewrites it, in premise order.
 
-    Each part holds at most one sequent.  A ``<<`` sequent takes the smaller
-    child in the middle premises; the last premise substitutes bare top and
-    keeps only ``<<`` and unit sequents, as the rest become unsatisfiable.
+    Each part is a tuple of at most one sequent, the rewrite of s alone.  A
+    ``<<`` sequent takes the smaller child in the middle premises; the last
+    premise substitutes bare top and keeps only ``<<`` and unit sequents, as
+    the rest become unsatisfiable.
     """
-    a, b, one = pivot.left, pivot.right, hseq(s)
+    a, b = pivot.left, pivot.right
     conj = isinstance(pivot, Conj)
-    first = [subst_all(one, pivot, x) for x in ((a, b) if conj else (b,))]
+    first = [subst_all(s, pivot, x) for x in ((a, b) if conj else (b,))]
     if s.kind.is_ll:
-        middle = [subst_all(one, pivot, smaller_child(a, b))] * (2 if conj else 1)
+        middle = [subst_all(s, pivot, smaller_child(a, b))] * (2 if conj else 1)
     elif conj:
-        middle = [subst_pair(one, pivot, a, b), subst_balanced_conj(one, pivot, a, b)]
+        middle = [subst_pair(s, pivot, a, b), subst_balanced_conj(s, pivot, a, b)]
     else:
-        middle = [subst_impl(one, pivot, a, b)]
-    top = subst_all(one, pivot, TOP) if s.kind.is_ll or s.is_unit_shape else ()
-    return tuple(tuple(part) for part in (*first, *middle, top))
+        middle = [subst_impl(s, pivot, a, b)]
+    top = (subst_all(s, pivot, TOP),) if s.kind.is_ll or s.is_unit_shape else ()
+    return tuple((part,) for part in first + middle) + (top,)
 
 
 def rwbl_premises(g: RelationalHypersequent, memo: dict | None = None) -> tuple[Premise, ...]:
@@ -110,9 +110,10 @@ def rwbl_premises(g: RelationalHypersequent, memo: dict | None = None) -> tuple[
     fractional sequents, and the final premise substitutes bare top, under
     which fractional sequents that are not one-formula-each-side at index
     zero become unsatisfiable and are omitted.  Each label is one set union
-    of its antecedent, the sequents without the pivot and each pivot
-    sequent's part.  Antecedents and parts are looked up in memo, and made
-    and entered there on a miss; with no memo, they are made for this call.
+    of its antecedent, the sequents without the pivot, which every premise
+    shares as the same objects, and each pivot sequent's part.  Antecedents
+    and parts are looked up in memo, and made and entered there on a miss;
+    with no memo, they are made for this call.
     """
     if memo is None:
         memo = {}

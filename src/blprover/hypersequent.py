@@ -16,11 +16,12 @@ at construction and computes its sort key on first use.  A label's pivot is
 the greatest of its sequents' pivots, so it is the pivot of every sequent
 that holds it, and ``decompose`` splits a label by that field alone into
 its pivot, the sequents without it and those that hold it.  The four
-substitutions are one sequent rewrite: a sequent holding the target loses
-every occurrence and, by the target's left and right counts, gains formulas
-on each side and a shift of its index.  Every other sequent comes back as
-the same object, so labels share sequents, and ``union`` joins the parts of
-a new label with one set union.
+substitutions are one sequent rewrite: they take a sequent that holds the
+target, and it loses every occurrence and, by the target's left and right
+counts, gains formulas on each side and a shift of its index.  They never
+see a label: the calculus rewrites only the sequents that hold the pivot,
+and ``union`` joins a new label's parts, the parent's untouched sequents
+among them, with one set union, so labels share sequents.
 """
 
 from __future__ import annotations
@@ -187,9 +188,6 @@ class RelationalSequent(Interned):
         yield from self.left
         yield from self.right
 
-    def contains(self, target: Formula) -> bool:
-        return target in self.left or target in self.right
-
     def render(self) -> str:
         lhs = ",".join(render_formula(f) for f in self.left)
         rhs = ",".join(render_formula(f) for f in self.right)
@@ -238,86 +236,73 @@ def most_complex(g: RelationalHypersequent) -> Formula:
 
 
 def _rewrite(
-    g: RelationalHypersequent,
+    s: RelationalSequent,
     target: Formula,
     gains: Callable[[int, int], tuple[tuple[Formula, ...], int, tuple[Formula, ...]]],
-) -> RelationalHypersequent:
-    """Every sequent holding target loses each occurrence and takes its gains.
+) -> RelationalSequent:
+    """The sequent s with each occurrence of target cut out and its gains added.
 
     ``gains(l, r)``, for l left and r right occurrences, gives what the left
     side gains, the index shift and what the right side gains.  Sides are
     sorted, so the target's copies are adjacent and are cut as one slice.
-    Sequents without the target come back as the same objects.
+    Raises ValueError when s does not hold the target.
     """
-    out: list[RelationalSequent] = []
-    for s in g:
-        if not s.contains(target):
-            out.append(s)
-            continue
-        l, r = s.left.count(target), s.right.count(target)
-        i, j = s.left.index(target) if l else 0, s.right.index(target) if r else 0
-        gained_left, shift, gained_right = gains(l, r)
-        left = s.left[:i] + s.left[i + l :] + gained_left
-        right = s.right[:j] + s.right[j + r :] + gained_right
-        out.append(RelationalSequent(left, s.kind.shifted(shift) if shift else s.kind, right))
-    return RelationalHypersequent(out)
+    l, r = s.left.count(target), s.right.count(target)
+    if not l and not r:
+        raise ValueError("the sequent does not hold the target")
+    i, j = s.left.index(target) if l else 0, s.right.index(target) if r else 0
+    gained_left, shift, gained_right = gains(l, r)
+    left = s.left[:i] + s.left[i + l :] + gained_left
+    right = s.right[:j] + s.right[j + r :] + gained_right
+    return RelationalSequent(left, s.kind.shifted(shift) if shift else s.kind, right)
 
 
-def subst_all(
-    g: RelationalHypersequent, target: Formula, replacement: Formula
-) -> RelationalHypersequent:
-    """Replace every occurrence of target by a single replacement formula.
+def subst_all(s: RelationalSequent, target: Formula, replacement: Formula) -> RelationalSequent:
+    """Replace every occurrence of target in s by a single replacement formula.
 
     Only sequent-side elements are replaced; targets nested inside a larger
     formula are not touched (the callers only substitute maximal formulas,
-    which cannot occur nested).  Sequents without the target are unchanged.
+    which cannot occur nested).  Any relation is rewritten.
     """
-    return _rewrite(g, target, lambda l, r: ((replacement,) * l, 0, (replacement,) * r))
+    return _rewrite(s, target, lambda l, r: ((replacement,) * l, 0, (replacement,) * r))
 
 
-def subst_pair(
-    g: RelationalHypersequent, target: Formula, a: Formula, b: Formula
-) -> RelationalHypersequent:
-    """Replace every occurrence of target by the two formulas a, b.
+def subst_pair(s: RelationalSequent, target: Formula, a: Formula, b: Formula) -> RelationalSequent:
+    """Replace every occurrence of target in s by the two formulas a, b.
 
-    Only meaningful for the fractional relations; raises ValueError if the
-    target occurs in a ``<<`` sequent.  Sequents without the target are
-    unchanged.
+    Only meaningful for the fractional relations; raises ValueError on a
+    ``<<`` sequent.
     """
-    for s in g:
-        if s.kind.is_ll and s.contains(target):
-            raise ValueError("pair substitution cannot target a << sequent")
-    return _rewrite(g, target, lambda l, r: ((a, b) * l, 0, (a, b) * r))
+    if s.kind.is_ll:
+        raise ValueError("pair substitution cannot target a << sequent")
+    return _rewrite(s, target, lambda l, r: ((a, b) * l, 0, (a, b) * r))
 
 
 def subst_balanced_conj(
-    g: RelationalHypersequent, target: Formula, a: Formula, b: Formula
-) -> RelationalHypersequent:
+    s: RelationalSequent, target: Formula, a: Formula, b: Formula
+) -> RelationalSequent:
     """Conjunction substitution for valuations where the pivot's value is its floor.
 
-    In every sequent containing the target, all its occurrences are deleted,
-    one copy of a, b is added to each side, and the index grows by
-    (left count) - (right count).  Sequents without the target are unchanged.
-    Raises ValueError if g contains a ``<<`` sequent.
+    Every occurrence of the target in s is deleted, one copy of a, b is
+    added to each side, and the index grows by (left count) - (right
+    count).  Raises ValueError on a ``<<`` sequent.
     """
-    if any(s.kind.is_ll for s in g):
+    if s.kind.is_ll:
         raise ValueError("balanced substitution applies to fractional sequents only")
-    return _rewrite(g, target, lambda l, r: ((a, b), l - r, (a, b)))
+    return _rewrite(s, target, lambda l, r: ((a, b), l - r, (a, b)))
 
 
-def subst_impl(
-    g: RelationalHypersequent, target: Formula, a: Formula, b: Formula
-) -> RelationalHypersequent:
+def subst_impl(s: RelationalSequent, target: Formula, a: Formula, b: Formula) -> RelationalSequent:
     """Implication substitution for valuations of the residual type.
 
-    In every sequent with l left and r right occurrences of the target, the
-    occurrences are deleted, the left side gains r copies of a and l copies of
-    b, the right side gains l copies of a and r copies of b, and the index is
-    unchanged.  Raises ValueError if g contains a ``<<`` sequent.
+    With l left and r right occurrences of the target in s, the occurrences
+    are deleted, the left side gains r copies of a and l copies of b, the
+    right side gains l copies of a and r copies of b, and the index is
+    unchanged.  Raises ValueError on a ``<<`` sequent.
     """
-    if any(s.kind.is_ll for s in g):
+    if s.kind.is_ll:
         raise ValueError("implication substitution applies to fractional sequents only")
-    return _rewrite(g, target, lambda l, r: ((a,) * r + (b,) * l, 0, (a,) * l + (b,) * r))
+    return _rewrite(s, target, lambda l, r: ((a,) * r + (b,) * l, 0, (a,) * l + (b,) * r))
 
 
 def decompose(

@@ -16,8 +16,10 @@ solver over ``Fraction`` rows that the integer ``linfeas.solve`` replaced; the
 differential test holds the two to the same verdicts and witnesses.
 Likewise ``reference_subst_all``, ``reference_subst_pair``,
 ``reference_subst_balanced_conj`` and ``reference_subst_impl`` are the four
-substitutions as they were before one sequent rewrite served them all, and
-``reference_decompose`` is the four-way split by ``contains`` that the split
+substitutions as they were before one sequent rewrite served them all, when
+they rewrote whole labels; the tests hold each sequent rewrite to the
+reference's label of that sequent alone.  ``reference_decompose`` is the
+four-way split by which sequents hold the pivot on either side that the split
 by each sequent's ``pivot`` field replaced, and ``reference_check_axiom`` is
 the leaf check over frozensets that solved every owning cluster and built
 each countermodel at once, before void rows, skipped solves and lazy
@@ -69,7 +71,6 @@ from blprover.hypersequent import (
     most_complex,
     preceq,
     seq,
-    subst_all,
     union,
 )
 from blprover.linfeas import FeasibilityResult, LinConstraint, solve
@@ -365,7 +366,7 @@ def choose_occurrence(g: RelationalHypersequent, pivot: Formula | None = None) -
     """
     if pivot is None:
         pivot = most_complex(g)
-    hosts = [s for s in g if s.contains(pivot)]
+    hosts = [s for s in g if pivot in s.left or pivot in s.right]
     if not hosts:
         raise ValueError("pivot does not occur in the hypersequent")
     s = min(hosts, key=RelationalSequent.sort_key)
@@ -472,7 +473,7 @@ def _balanced_no_shift(
     """The balanced conjunction substitution with its index bump removed."""
     out = []
     for s in g:
-        if not s.contains(target):
+        if not (target in s.left or target in s.right):
             out.append(s)
             continue
         left = tuple(f for f in s.left if f != target) + (a, b)
@@ -492,7 +493,7 @@ def _corrupted_rwbl_premises(g: RelationalHypersequent) -> tuple[Premise, ...]:
     ord_part = hseq(*(s for s in held if not s.kind.is_ll))
     label = (
         expand_abbreviation("neg_pair_prec_minus1", a, b)
-        | subst_all(ll_part, pivot, smaller_child(a, b))
+        | reference_subst_all(ll_part, pivot, smaller_child(a, b))
         | _balanced_no_shift(ord_part, pivot, a, b)
         | free
     )
@@ -785,7 +786,7 @@ def _reference_subst_side(
 def _reference_subst_sequent(
     s: RelationalSequent, target: Formula, replacement: tuple[Formula, ...]
 ) -> RelationalSequent:
-    if not s.contains(target):
+    if not (target in s.left or target in s.right):
         return s
     return seq(
         _reference_subst_side(s.left, target, replacement),
@@ -806,7 +807,7 @@ def reference_subst_pair(
 ) -> RelationalHypersequent:
     """Reference: ``subst_pair`` as it was, one pair per position."""
     for s in g:
-        if s.kind.is_ll and s.contains(target):
+        if s.kind.is_ll and (target in s.left or target in s.right):
             raise ValueError("pair substitution cannot target a << sequent")
     return RelationalHypersequent(_reference_subst_sequent(s, target, (a, b)) for s in g)
 
@@ -857,7 +858,7 @@ def reference_decompose(
     RelationalHypersequent,
     RelationalHypersequent,
 ]:
-    """Reference: ``decompose`` as it was, a four-way split by ``contains``.
+    """Reference: ``decompose`` as it was, a four-way split by side membership.
 
     Returns (pivot-free part, << part, fractional part, unit part), where the
     unit part is the subset of the fractional part consisting of the
@@ -869,7 +870,7 @@ def reference_decompose(
     ord_part: list[RelationalSequent] = []
     unit_part: list[RelationalSequent] = []
     for s in g:
-        if not s.contains(pivot):
+        if not (pivot in s.left or pivot in s.right):
             free.append(s)
         elif s.kind.is_ll:
             ll_part.append(s)

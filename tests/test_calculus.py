@@ -16,10 +16,6 @@ from blprover.hypersequent import (
     expand_abbreviation,
     is_irreducible,
     most_complex,
-    subst_all,
-    subst_balanced_conj,
-    subst_impl,
-    subst_pair,
 )
 from blprover.reduction import build_rwbl_tree, root_label
 from support import (
@@ -27,6 +23,8 @@ from support import (
     choose_occurrence,
     random_formula,
     random_valuation,
+    reference_subst_balanced_conj,
+    reference_subst_impl,
     rhbl_premises,
     variables,
 )
@@ -206,14 +204,17 @@ def _chained_rwbl_labels(g):
             antecedents[2] | _rebuild(g_ll, pivot, (c,)) | _rebuild(g_ord, pivot, (a, b)) | free,
             antecedents[3]
             | _rebuild(g_ll, pivot, (c,))
-            | subst_balanced_conj(g_ord, pivot, a, b)
+            | reference_subst_balanced_conj(g_ord, pivot, a, b)
             | free,
             antecedents[4] | top_part,
         ]
     antecedents = _impl_antecedents(a, b)
     return [
         antecedents[0] | _rebuild(g, pivot, (b,)),
-        antecedents[1] | _rebuild(g_ll, pivot, (c,)) | subst_impl(g_ord, pivot, a, b) | free,
+        antecedents[1]
+        | _rebuild(g_ll, pivot, (c,))
+        | reference_subst_impl(g_ord, pivot, a, b)
+        | free,
         antecedents[2] | top_part,
     ]
 
@@ -317,10 +318,9 @@ def test_premises_match_the_chained_composition():
 
 
 def test_substitutions_share_untouched_sequents():
-    pivot = Conj(A, B)
-    untouched = [seq((A,), preceq(), (B,)), seq((C,), LL, (A,)), seq((A, C), prec(1), ())]
-    g = hseq(seq((TOP,), preceq(), (pivot, C)), *untouched)
-    for result in (subst_all(g, pivot, A), subst_pair(g, pivot, A, B)):
-        assert len(result) == len(g)
-        for s in untouched:
-            assert any(r is s for r in result)
+    """Every premise label holds the parent's pivot-free sequents themselves."""
+    for g in _reducible_labels(31, 20):
+        free = decompose(g)[1]
+        for premise in rwbl_premises(g):
+            kept = {id(s) for s in premise.label}
+            assert all(id(s) in kept for s in free)

@@ -152,9 +152,9 @@ def test_each_pivot_sequent_is_rewritten_once_per_call(monkeypatch):
     rewrites = Counter()
 
     def counting(substitute):
-        def rewrite(g, target, *children):
-            rewrites.update(g)
-            return substitute(g, target, *children)
+        def rewrite(s, target, *children):
+            rewrites[s] += 1
+            return substitute(s, target, *children)
 
         return rewrite
 
