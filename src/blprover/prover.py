@@ -62,32 +62,46 @@ def check_tautology(formula: Formula) -> ProveResult:
     keeps) is an axiom is not expanded: every leaf below contains that valid
     part, so the first invalid leaf and its path do not change.  Each
     settled part is classified once and keeps only that flag; the leaf that
-    ends the search is classified again if its part was met before.  One
-    memo of rewrites serves the whole search, as in build_rwbl_tree.  A
-    prune check reads only the verdict, so no countermodel is built unless
-    a leaf ends the search.  The countermodel is the refuted leaf's,
-    unchanged, as in check_no_tautology; by acceptance criterion 8 (variable
-    preservation) every leaf keeps the formula's variables, so it binds them
-    all.  Raises ValueError on formulas beyond the parser's size limits.
+    ends the search is classified again if its part was met before.  The
+    flags are keyed not by sets of sequents but by sorted numbers, which the
+    call gives each all-atomic sequent when it first meets it, and each
+    label's settled part is read once.  One memo of rewrites serves the
+    whole search, as in build_rwbl_tree.  A prune check reads only the
+    verdict, so no countermodel is built unless a leaf ends the search.
+    The countermodel is the refuted leaf's, unchanged, as in
+    check_no_tautology; by acceptance criterion 8 (variable preservation)
+    every leaf keeps the formula's variables, so it binds them all.  Raises
+    ValueError on formulas beyond the parser's size limits.
     """
     check_limits(formula)
     n = complexity(formula)
-    # Settled part -> whether it is an axiom.  A leaf is its own settled part.
-    valid: dict[frozenset[RelationalSequent], bool] = {}
+    # Settled part, as the sorted numbers of its sequents -> whether it is an
+    # axiom.  A leaf is its own settled part.
+    number: dict[RelationalSequent, int] = {}
+    valid: dict[tuple[int, ...], bool] = {}
     memo: dict = {}
+    # The last label keyed: fold_tree values a pruned label right after expanding it.
+    last: tuple = (None, ())
+
+    def settled_key(label: RelationalHypersequent) -> tuple[int, ...]:
+        nonlocal last
+        if last[0] is not label:
+            numbers = (number.setdefault(s, len(number)) for s in label if s.all_atomic)
+            last = label, tuple(sorted(numbers))
+        return last[1]
 
     def refutation(label: RelationalHypersequent) -> AxiomVerdict | None:
-        settled = frozenset(s for s in label if s.all_atomic)
-        if valid.get(settled):
+        key = settled_key(label)
+        if valid.get(key):
             return None
-        verdict = check_axiom(RelationalHypersequent(settled))
-        valid[settled] = verdict.is_axiom
+        verdict = check_axiom(RelationalHypersequent(s for s in label if s.all_atomic))
+        valid[key] = verdict.is_axiom
         return None if verdict.is_axiom else verdict
 
     def premises(label: RelationalHypersequent) -> tuple[Premise, ...]:
-        settled = frozenset(s for s in label if s.all_atomic)
+        key = settled_key(label)
         # A part known to fail is not checked again; it cannot prune.
-        if settled and valid.get(settled) is not False and refutation(label) is None:
+        if key and valid.get(key) is not False and refutation(label) is None:
             return ()
         return rwbl_premises(label, memo)
 

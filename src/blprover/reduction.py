@@ -42,7 +42,6 @@ from .hypersequent import (
 )
 
 V = TypeVar("V")
-Expand = Callable[[RelationalHypersequent], tuple[Premise, ...]]
 # Premise indices from the root, and the labels from the root to the leaf.
 LeafPath = tuple[tuple[int, ...], tuple[RelationalHypersequent, ...]]
 
@@ -96,7 +95,7 @@ def root_label(formula: Formula) -> RelationalHypersequent:
 
 def fold_tree(
     root: RelationalHypersequent,
-    expand: Expand,
+    expand: Callable[[RelationalHypersequent], tuple[Premise, ...]],
     limit: int,
     leaf: Callable[[RelationalHypersequent], V],
     inner: Callable[[RelationalHypersequent, tuple[Premise, ...], Sequence[V]], V],

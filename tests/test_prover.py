@@ -363,6 +363,82 @@ def test_the_search_keeps_only_its_branch(monkeypatch):
     assert samples and max(samples) <= 10 * n
 
 
+def test_the_memo_holds_no_sequent_sets(monkeypatch):
+    # The memo of settled parts keys each by the sorted numbers of its
+    # sequents; keys that held the parts as sets would grow with the tree
+    # instead (1,051 live sets on this chain).  Labels are not counted.
+    formula = parse("(p1 -> p2) * (p2 -> p3) * (p3 -> p4) -> (p1 -> p4)")
+    n = complexity(formula)
+
+    def live_sets():
+        return sum(type(o) is frozenset for o in gc.get_objects())
+
+    before = live_sets()
+    calls = itertools.count(1)
+    samples = []
+
+    def sampling(leaf):
+        if next(calls) % 10 == 0:
+            samples.append(live_sets() - before)
+        return check_axiom(leaf)
+
+    monkeypatch.setattr(prover, "check_axiom", sampling)
+    assert check_tautology(formula).provable
+    assert samples and max(samples) <= 10 * n
+
+
+@pytest.mark.parametrize(
+    "text, provable, calls",
+    [
+        ("(p1 -> p2) * (p2 -> p3) * (p3 -> p4) -> (p1 -> p4)", True, 1054),
+        ("p1 -> (p2 -> (p3 -> (p4 -> (p5 -> (p6 -> p1)))))", True, 157),
+        (
+            "((p1 -> (p2 -> p3)) -> (p1 * p2 -> p3)) * ((p1 * p2 -> p3) -> (p1 -> (p2 -> p3)))",
+            True,
+            602,
+        ),
+        ("(p1 -> p2) * (p2 -> p3) * (p3 -> p4) * (p4 -> p5) -> (p5 -> p1)", False, 253),
+    ],
+    ids=["chain3", "nested_weakening6", "residuation", "reversed_chain4"],
+)
+def test_the_memo_keeps_every_hit(monkeypatch, text, provable, calls):
+    # Each distinct settled part is classified once, plus the refuted leaf
+    # that ends the search; a memo that lost hits would classify more.
+    count = itertools.count()
+
+    def counting(leaf):
+        next(count)
+        return check_axiom(leaf)
+
+    monkeypatch.setattr(prover, "check_axiom", counting)
+    assert check_tautology(parse(text)).provable == provable
+    assert next(count) == calls
+
+
+def test_a_reimport_frees_the_earlier_copy():
+    # perfbench imports the package afresh for each set-up.  typing caches
+    # a subscripted alias built at import with strong references to its
+    # arguments, so such an alias would keep every earlier copy alive.
+    script = textwrap.dedent(
+        """
+        import gc, importlib, sys, weakref
+        ref = weakref.ref(importlib.import_module("blprover").hypersequent.RelationalSequent)
+        for _ in range(3):
+            for name in [m for m in sys.modules if m == "blprover" or m.startswith("blprover.")]:
+                del sys.modules[name]
+            importlib.import_module("blprover")
+        gc.collect()
+        sys.exit("an earlier copy of blprover is still alive" if ref() is not None else 0)
+        """
+    )
+    src = str(Path(blprover.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
 def test_pruned_settled_parts_are_valid_by_the_oracle(monkeypatch):
     pruned = set()
 
