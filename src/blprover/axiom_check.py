@@ -10,12 +10,13 @@ The decision has three stages:
    these become edges of a graph over the leaf's atoms and top (passed to
    contract_and_sort as a vertex set and an edge set), and one reachability
    closure of that graph, in bit sets, settles every floor constraint.  If
-   top's floor reaches falsum's, the two pins clash and the negation is
-   refuted.  Otherwise vertices that reach falsum share its floor 0,
-   vertices top reaches share its infinite floor, and the remaining strongly
-   connected components each get their own floor.  Joined per group, the
-   closure rows give each group's reach set and an order of the groups that
-   realizes all remaining floor constraints with distinct integers.
+   top's floor reaches falsum's, the two pins clash, the negation is refuted
+   and the leaf is an axiom.  Otherwise vertices that reach falsum share its
+   floor 0, vertices top reaches share its infinite floor, and the remaining
+   strongly connected components each get their own floor.  Joined per
+   group, the closure rows give each group's reach set and an order of the
+   groups that realizes all remaining floor constraints with distinct
+   integers.
 2. Fractional parts.  Negated fractional sequents whose atoms share a
    (finite) cluster contribute linear rows over the fractional variables;
    sequents whose atoms are spread over distinct clusters are vacuously
@@ -27,8 +28,9 @@ The decision has three stages:
    holds.  Every other cluster that owns rows and does not escape yet is
    solved once by the exact Fourier-Motzkin solver, until the leaf is
    settled as an axiom.  The feasible clusters' witnesses give the
-   countermodel (floor = cluster position, fraction = witness), which a
-   verdict builds on first read and re-checks against the leaf always.
+   countermodel (floor = position among the clusters that do not escape,
+   fraction = witness), which a verdict builds on first read and re-checks
+   against the leaf always.
 
 Floors alone do not determine the whole search space: a countermodel may
 also park an upward-closed set of clusters at infinity alongside top.  Every
@@ -52,23 +54,23 @@ from .semantics import Finite, INF, OmegaValue, Valuation, eval_formula, satisfi
 
 
 class AxiomVerdict:
-    """Outcome for one leaf, whose ``clusters`` and ``countermodel`` are built on first read.
+    """Outcome for one leaf, whose ``countermodel`` is built on first read.
 
-    ``build`` returns both, the countermodel None for an axiom; it runs again only if it raised.
+    ``build`` returns it, None for an axiom; it runs again only if it raised.
     """
 
-    __slots__ = ("is_axiom", "_build", "clusters", "countermodel")
+    __slots__ = ("is_axiom", "_build", "countermodel")
 
-    def __init__(self, is_axiom: bool, build: Callable[[], tuple]) -> None:
+    def __init__(self, is_axiom: bool, build: Callable[[], Valuation | None]) -> None:
         self.is_axiom = is_axiom
         self._build = build
 
     def __getattr__(self, name: str) -> object:
         # Reached only for an unset slot, so at most once for a good build.
-        if name not in ("clusters", "countermodel"):
+        if name != "countermodel":
             raise AttributeError(name)
-        self.clusters, self.countermodel = self._build()
-        return getattr(self, name)
+        self.countermodel = self._build()
+        return self.countermodel
 
 
 def negate_leaf(
@@ -114,24 +116,23 @@ def _atom_key(atom: Formula) -> tuple:
 
 def contract_and_sort(
     vertices: AbstractSet[Formula], edges: Iterable[tuple[Formula, Formula]]
-) -> tuple[list[Formula], list[int], list[int], bool]:
+) -> tuple[list[Formula], list[int], list[int]] | None:
     """Group the floor graph's vertices and order the groups, all from one closure.
 
     The vertices are atoms, top among them; an edge (tail, head) asserts
-    floor(tail) <= floor(head).  The clash flag is set when top's floor
-    reaches falsum's, which refutes the negated leaf outright; the groups are
-    then the strongly connected components (mutually reachable vertices, whose
-    floors are squeezed equal).  Otherwise every vertex that reaches falsum
-    joins falsum's group (floor pinned to 0), every vertex top reaches joins
-    top's group (floor pinned to infinity), and each remaining vertex joins
-    its component.  A group's reach set joins its members' closure rows; as
-    no edge enters falsum's group and none leaves top's, it holds exactly the
-    groups that a path from the group ends in.  The order takes, each time,
-    the group with the least member (falsum first, variables by index, top
-    last) that no other unplaced group reaches, so every edge points forward.
-    Returns the vertices in that key order, the ordered groups as bit sets
-    over them, their reach sets as bit sets over group positions (each its
-    own included) and the clash flag.
+    floor(tail) <= floor(head).  When top's floor reaches falsum's, the two
+    pins clash, which refutes the negated leaf outright: the result is None.
+    Otherwise every vertex that reaches falsum joins falsum's group (floor
+    pinned to 0), every vertex top reaches joins top's group (floor pinned to
+    infinity), and each remaining vertex joins its strongly connected
+    component (mutually reachable vertices, whose floors are squeezed equal).
+    A group's reach set joins its members' closure rows; as no edge enters
+    falsum's group and none leaves top's, it holds exactly the groups that a
+    path from the group ends in.  The order takes, each time, the group with
+    the least member (falsum first, variables by index, top last) that no
+    other unplaced group reaches, so every edge points forward.  Returns the
+    vertices in that key order, the ordered groups as bit sets over them and
+    their reach sets as bit sets over group positions (each its own included).
     """
     verts = sorted(vertices, key=_atom_key)
     n = len(verts)
@@ -145,11 +146,10 @@ def contract_and_sort(
         if row != bit:
             reach = [r | row if r & bit else r for r in reach]
     # Falsum sorts first and top last.
-    low, high, clash = 0, reach[-1], verts[0] is BOT and bool(reach[-1] & 1)
-    if clash:
-        # An axiom: no pins, and the verdict reports the plain components.
-        high = 0
-    elif verts[0] is BOT:
+    low, high = 0, reach[-1]
+    if verts[0] is BOT:
+        if high & 1:
+            return None
         low = sum(1 << i for i, row in enumerate(reach) if row & 1)
     # Each group as a bit set over verts, by least member, mapped to the
     # vertices outside it that its members reach.
@@ -176,7 +176,7 @@ def contract_and_sort(
         order.append(next(group for group in rest if not group & blocked))
         del rest[order[-1]]
     reaches = [sum(1 << p for p, h in enumerate(order) if (g | beyond[g]) & h) for g in order]
-    return verts, order, reaches, clash
+    return verts, order, reaches
 
 
 def _add_frac(coeffs: dict[int, int], atom: Formula, sign: int) -> None:
@@ -268,35 +268,29 @@ def _least_escape(
     return escape & ~top, witness
 
 
-def _clusters(verts: list[Formula], groups: Iterable[int]) -> tuple[frozenset[Formula], ...]:
-    return tuple(frozenset(v for j, v in enumerate(verts) if g >> j & 1) for g in groups)
-
-
 def build_countermodel(
     verts: list[Formula], groups: list[int], escape: int, witness: dict[int, Fraction]
-) -> tuple[tuple[frozenset[Formula], ...], Valuation]:
-    """The clusters with the escaping ones joined to top's, and the valuation refuting the leaf.
+) -> Valuation:
+    """The valuation refuting the leaf.
 
     The groups are bit sets over verts, top last, and the escape set a bit
-    set over their positions.  The other clusters keep their order.  A
-    variable in top's cluster is infinite; any other takes its cluster's
-    position as its floor and its witness value as its fraction, or 1/2, the
-    midpoint of its interval, when the witness does not mention it.
+    set over their positions.  A variable in top's cluster or in an escaping
+    one is infinite.  Any other takes as its floor the number of clusters
+    before its own that do not escape, top's included, and as its fraction
+    its witness value, or 1/2, the midpoint of its interval, when the witness
+    does not mention it.
     """
-    escaping = sum(group for p, group in enumerate(groups) if escape >> p & 1)
     top = 1 << len(verts) - 1
-    kept: list[int] = []
+    floor = 0
     assignment: dict[int, OmegaValue] = {}
     for p, group in enumerate(groups):
-        if escape >> p & 1:
-            continue
-        group |= escaping if group & top else 0
+        escapes = escape >> p & 1
         for j, atom in enumerate(verts):
             if group >> j & 1 and isinstance(atom, Var):
                 frac = witness.get(atom.index, Fraction(1, 2))
-                assignment[atom.index] = INF if group & top else Finite(len(kept), frac)
-        kept.append(group)
-    return _clusters(verts, kept), Valuation(assignment)
+                assignment[atom.index] = INF if escapes or group & top else Finite(floor, frac)
+        floor += not escapes
+    return Valuation(assignment)
 
 
 def check_axiom(h: RelationalHypersequent) -> AxiomVerdict:
@@ -305,31 +299,30 @@ def check_axiom(h: RelationalHypersequent) -> AxiomVerdict:
     The leaf is split once (negate_leaf).  Its atoms and top, with one edge
     per negated ``<<``, form the floor graph; one closure gives its groups,
     their order and reach sets (contract_and_sort).  A clash of the falsum
-    and top pins is an axiom with the plain components as its clusters, and
-    so is a leaf with no feasible escape set (_least_escape), with the pinned
-    groups.  Only the verdict is decided here.  On first read of a NotAxiom
-    verdict, build_countermodel joins the least escape set, read off the
-    same closure and escaped by every countermodel over these floors, to
-    top's cluster and values the atoms from _least_escape's witness; that
-    countermodel is always re-checked against the leaf before it is returned.
+    and top pins is an axiom, and so is a leaf with no feasible escape set
+    (_least_escape).  Only the verdict is decided here.  On first read of a
+    NotAxiom verdict, build_countermodel sends the least escape set, read off
+    the same closure and escaped by every countermodel over these floors, to
+    infinity with top's cluster and values the other atoms from
+    _least_escape's witness; that countermodel is always re-checked against
+    the leaf before it is returned.
     """
     floor_edges, fracs = negate_leaf(h)
-    verts, groups, reaches, clash = contract_and_sort(
-        {TOP}.union(*(s.left + s.right for s in h)), floor_edges
-    )
-    least = None if clash else _least_escape(fracs, verts, groups, reaches)
+    grouped = contract_and_sort({TOP}.union(*(s.left + s.right for s in h)), floor_edges)
+    least = None if grouped is None else _least_escape(fracs, *grouped)
     if least is None:
-        return AxiomVerdict(True, lambda: (_clusters(verts, groups), None))
-    return AxiomVerdict(False, lambda: _checked(h, *build_countermodel(verts, groups, *least)))
+        return AxiomVerdict(True, lambda: None)
+    verts, groups, _ = grouped
+    return AxiomVerdict(False, lambda: _checked(h, build_countermodel(verts, groups, *least)))
 
 
-def _checked(h: RelationalHypersequent, clusters: tuple, model: Valuation) -> tuple:
+def _checked(h: RelationalHypersequent, model: Valuation) -> Valuation:
     if satisfies(model, h):
         raise AssertionError(
             "countermodel construction failed its runtime check; "
             "the leaf violates the supported structural invariants"
         )
-    return clusters, model
+    return model
 
 
 def verify_branch_countermodel(

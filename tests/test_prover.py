@@ -129,7 +129,7 @@ def test_soundness_checks_survive_optimised_mode():
 
         if __debug__:
             sys.exit("assertions are still enabled")
-        prover.check_axiom = lambda leaf: AxiomVerdict(False, lambda: ((), None))
+        prover.check_axiom = lambda leaf: AxiomVerdict(False, lambda: None)
         formula = parse("p1 -> p2")
         for decide in (
             lambda: prover.check_tautology(formula),
