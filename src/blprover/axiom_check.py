@@ -1,22 +1,21 @@
 """Deciding irreducible hypersequents: axiom or explicit countermodel.
 
 An irreducible label is valid exactly when the conjunction of the negations
-of its sequents admits no valuation.  negate_leaf reads the leaf in one
-pass: each ``<<`` sequent becomes one floor edge, and each fractional
-``<=_z`` or ``<_z`` sequent whose negation can constrain is kept as it is.
-The decision has three stages:
+of its sequents admits no valuation.  negate_leaf says what each negation
+asserts: a ``<<`` sequent becomes one floor edge, and a fractional sequent
+whose negation can constrain is kept.  A LeafCache, one per search, numbers
+the atoms and compiles each sequent on its first read into bit sets, so a
+check is one pass that ORs them.  The decision has three stages:
 
-1. Integer parts.  Each negated ``<<`` sequent asserts one floor inequality;
-   these become edges of a graph over the leaf's atoms and top (passed to
-   contract_and_sort as a vertex set and an edge set), and one reachability
-   closure of that graph, in bit sets, settles every floor constraint.  If
-   top's floor reaches falsum's, the two pins clash, the negation is refuted
-   and the leaf is an axiom.  Otherwise vertices that reach falsum share its
-   floor 0, vertices top reaches share its infinite floor, and the remaining
-   strongly connected components each get their own floor.  Joined per
-   group, the closure rows give each group's reach set and an order of the
-   groups that realizes all remaining floor constraints with distinct
-   integers.
+1. Integer parts.  The edges form a graph over the leaf's atoms and top, and
+   one reachability closure of it, in bit sets, settles every floor
+   constraint (contract_and_sort).  If top's floor reaches falsum's, the two
+   pins clash, the negation is refuted and the leaf is an axiom.  Otherwise
+   vertices that reach falsum share its floor 0, vertices top reaches share
+   its infinite floor, and the remaining strongly connected components each
+   get their own floor.  Joined per group, the closure rows give each group's
+   reach set and an order of the groups that realizes all remaining floor
+   constraints with distinct integers.
 2. Fractional parts.  Negated fractional sequents whose atoms share a
    (finite) cluster contribute linear rows over the fractional variables;
    sequents whose atoms are spread over distinct clusters are vacuously
@@ -26,18 +25,17 @@ The decision has three stages:
    by itself is void (each sequent works that out once): a cluster owning
    one cannot keep a finite floor, and a void sequent with no atoms always
    holds.  Every other cluster that owns rows and does not escape yet is
-   solved once by the exact Fourier-Motzkin solver, until the leaf is
-   settled as an axiom.  The feasible clusters' witnesses give the
-   countermodel (floor = position among the clusters that do not escape,
-   fraction = witness), which a verdict builds on first read and re-checks
-   against the leaf always.
+   solved in cluster order, once per search, by the exact Fourier-Motzkin
+   solver, until the leaf is settled.  The feasible clusters' witnesses give
+   the countermodel (floor = position among the clusters that do not escape,
+   fraction = witness), built on first read and always re-checked.
 
-Floors alone do not determine the whole search space: a countermodel may
-also park an upward-closed set of clusters at infinity alongside top.  Every
-constraint on that escape set is a Horn clause, so the upward closure of the
-clusters forced to escape, the union of their reach sets, is the least escape
-set, feasible whenever any is; _least_escape reads it off the closure and
-takes the witness from the per-cluster solves, so no further solve is made.
+Floors alone do not fix the search space: a countermodel may also park an
+upward-closed set of clusters at infinity alongside top.  Every constraint on
+that escape set is a Horn clause, so the union of the reach sets of the
+clusters forced to escape is the least escape set, feasible whenever any is;
+_least_escape reads it off the closure and takes the witness from the
+per-cluster solves.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import AbstractSet, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .formula import BOT, Bottom, Formula, TOP, Var, is_atomic
 from .hypersequent import RelationalHypersequent, RelationalSequent
@@ -74,7 +72,7 @@ class AxiomVerdict:
 
 
 def negate_leaf(
-    h: RelationalHypersequent,
+    h: Iterable[RelationalSequent], leaf: Iterable[RelationalSequent] = ()
 ) -> tuple[set[tuple[Formula, Formula]], list[RelationalSequent]]:
     """Split an irreducible hypersequent into floor edges and fractional sequents.
 
@@ -83,15 +81,15 @@ def negate_leaf(
     share one finite floor, so the sequent itself is kept.  One with bare top
     is dead unless it has the unit shape: never satisfied, its negation holds
     vacuously, so it is dropped.  Raises ValueError on non-atomic formulas,
-    naming the first one in the compound sequent with the least sort key, or
-    else on a ``<<`` sequent missing a side.
+    naming the first one in the compound sequent of ``leaf`` (h by default)
+    with the least sort key, or else on a ``<<`` sequent missing a side.
     """
     edges: set[tuple[Formula, Formula]] = set()
     fracs: list[RelationalSequent] = []
     for s in h:
         left, right, ll = s.left, s.right, s.kind.tag == "ll"
         if not s.all_atomic or (ll and (len(left) != 1 or len(right) != 1)):
-            compound = [s for s in h if not s.all_atomic]
+            compound = [s for s in leaf or h if not s.all_atomic]
             if compound:
                 s = min(compound, key=RelationalSequent.sort_key)
                 f = next(f for f in s.formulas() if not is_atomic(f))
@@ -114,69 +112,127 @@ def _atom_key(atom: Formula) -> tuple:
     return (1, 0)
 
 
+def _bits(mask: int) -> list[int]:
+    """The one-bit parts of mask, lowest first."""
+    bits = []
+    while mask:
+        bits.append(mask & -mask)
+        mask &= mask - 1
+    return bits
+
+
+class LeafCache:
+    """What one search's leaf checks share: atom numbers, sequent records and memos.
+
+    Atoms are numbered in ``_atom_key`` order: falsum 0, the given formulas'
+    variables by index, top last.  A sequent's record is its atom bits, with
+    a ``<<``'s edge bit above them (``edges`` holds each edge's tail and head
+    bits), and its row when its negation is kept: (atom bits, sequent, unit
+    flag, void flag, number).  ``groupings`` memoizes contract_and_sort by the
+    OR-ed bits, ``solves`` a cluster's witness (None if infeasible) by its
+    rows' numbers and its group.
+    """
+
+    __slots__ = ("atoms", "number", "records", "edges", "groupings", "solves")
+
+    def __init__(self, formulas: Iterable[Formula]) -> None:
+        # An explicit stack over the shared subformulas: deep formulas do not recurse.
+        seen, stack = {BOT, TOP}, list(formulas)
+        while stack:
+            f = stack.pop()
+            if f not in seen:
+                seen.add(f)
+                stack += (f.left, f.right) if f.complexity else ()
+        self.atoms = sorted((f for f in seen if is_atomic(f)), key=_atom_key)
+        self.number = {atom: j for j, atom in enumerate(self.atoms)}
+        self.records, self.edges, self.groupings, self.solves = {}, [], {}, {}
+
+    def compile(self, s: RelationalSequent, h: RelationalHypersequent) -> tuple:
+        """Record s, a sequent of the leaf h; raises as negate_leaf(h) does."""
+        edges, fracs = negate_leaf((s,), h)
+        bits, row = 0, None
+        for atom in s.left + s.right:
+            if atom not in self.number:
+                raise AssertionError(f"leaf atom {atom!r} is outside the search's numbering")
+            bits |= 1 << self.number[atom]
+        mask = bits
+        for tail, head in edges:
+            mask |= 1 << len(self.atoms) + len(self.edges)
+            self.edges.append((1 << self.number[tail], 1 << self.number[head]))
+        if fracs:
+            # Only rows without top are ever owned by a cluster and read as void.
+            void = not bits >> len(self.atoms) - 1 and _is_void(s)
+            row = bits, s, s.is_unit_shape, void, len(self.records)
+        self.records[s] = mask, row
+        return mask, row
+
+
 def contract_and_sort(
-    vertices: AbstractSet[Formula], edges: Iterable[tuple[Formula, Formula]]
-) -> tuple[list[Formula], list[int], list[int]] | None:
+    vertices: int, edges: Iterable[tuple[int, int]]
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Group the floor graph's vertices and order the groups, all from one closure.
 
-    The vertices are atoms, top among them; an edge (tail, head) asserts
-    floor(tail) <= floor(head).  When top's floor reaches falsum's, the two
-    pins clash, which refutes the negated leaf outright: the result is None.
-    Otherwise every vertex that reaches falsum joins falsum's group (floor
-    pinned to 0), every vertex top reaches joins top's group (floor pinned to
-    infinity), and each remaining vertex joins its strongly connected
-    component (mutually reachable vertices, whose floors are squeezed equal).
-    A group's reach set joins its members' closure rows; as no edge enters
-    falsum's group and none leaves top's, it holds exactly the groups that a
-    path from the group ends in.  The order takes, each time, the group with
-    the least member (falsum first, variables by index, top last) that no
-    other unplaced group reaches, so every edge points forward.  Returns the
-    vertices in that key order, the ordered groups as bit sets over them and
-    their reach sets as bit sets over group positions (each its own included).
+    The vertices are a bit set over a LeafCache's atom numbers, top (the
+    highest bit) among them; an edge (tail, head) of their bits asserts
+    floor(tail) <= floor(head).  When top's floor reaches falsum's (bit 0),
+    the two pins clash, which refutes the negated leaf outright: the result
+    is None.  Otherwise the vertices that reach falsum form falsum's group
+    (floor 0), those top reaches form top's (floor infinity), and each other
+    vertex joins its strongly connected component.  A group's reach set
+    joins its members' closure rows: the groups a path from it ends in.  The
+    order takes, each time, the group with the least member that no other
+    unplaced group reaches, so every edge points forward.  Returns the
+    ordered groups, as bit sets over the atoms, and their reach sets, as bit
+    sets over group positions.
     """
-    verts = sorted(vertices, key=_atom_key)
-    n = len(verts)
-    position = dict(zip(verts, range(n)))
-    # Bit j of reach[i] is set when floor(verts[i]) <= floor(verts[j]) is forced.
-    reach = [1 << i for i in range(n)]
+    # Only tails lie on paths between vertices, so the closure runs over them.
+    reach: dict[int, int] = {}
     for tail, head in edges:
-        reach[position[tail]] |= 1 << position[head]
-    for k in range(n):
-        bit, row = 1 << k, reach[k]
-        if row != bit:
-            reach = [r | row if r & bit else r for r in reach]
-    # Falsum sorts first and top last.
-    low, high = 0, reach[-1]
-    if verts[0] is BOT:
+        reach[tail] = reach.get(tail, tail) | head
+    for k in reach:
+        row = reach[k]
+        for tail, r in reach.items():
+            if r & k:
+                reach[tail] = r | row
+    top = 1 << vertices.bit_length() - 1
+    low, high = 0, reach.get(top, top)
+    if vertices & 1:
         if high & 1:
             return None
-        low = sum(1 << i for i, row in enumerate(reach) if row & 1)
-    # Each group as a bit set over verts, by least member, mapped to the
-    # vertices outside it that its members reach.
+        low = sum(tail for tail, r in reach.items() if r & 1) | 1
+    # Each group, by least member, mapped to the atoms outside it that its members reach.
     beyond: dict[int, int] = {}
     placed = 0
-    for i, row in enumerate(reach):
-        bit = 1 << i
+    for bit in _bits(vertices):
         if placed & bit:
             continue
+        row = reach.get(bit, bit)
         if low & bit:
             group = low
         elif high & bit:
             group = high
         else:
-            group = sum(1 << j for j in range(n) if row >> j & 1 and reach[j] & bit)
+            group = sum(tail for tail, r in reach.items() if row & tail and r & bit) | bit
         placed |= group
         if group != bit:
-            row = reduce(or_, (reach[j] for j in range(n) if group >> j & 1))
+            row = reduce(or_, [r for tail, r in reach.items() if group & tail], row)
         beyond[group] = row & ~group
     order: list[int] = []
-    rest = dict(beyond)
-    while rest:
-        blocked = reduce(or_, rest.values())
-        order.append(next(group for group in rest if not group & blocked))
-        del rest[order[-1]]
-    reaches = [sum(1 << p for p, h in enumerate(order) if (g | beyond[g]) & h) for g in order]
-    return verts, order, reaches
+    unplaced = dict(beyond)
+    while unplaced:
+        blocked = reduce(or_, unplaced.values())
+        for group in unplaced:
+            if not group & blocked:
+                break
+        order.append(group)
+        del unplaced[group]
+    reaches = []
+    for g in order:
+        row, spots = g | beyond[g], 0
+        for p, h in enumerate(order):
+            spots |= row & h and 1 << p
+        reaches.append(spots)
+    return tuple(order), tuple(reaches)
 
 
 def _add_frac(coeffs: dict[int, int], atom: Formula, sign: int) -> None:
@@ -217,75 +273,85 @@ def _is_void(s: RelationalSequent) -> bool:
 
 
 def _least_escape(
-    fracs: Sequence[RelationalSequent], verts: list[Formula], groups: list[int], reaches: list[int]
+    fracs: Sequence[tuple], groups: Sequence[int], reaches: Sequence[int], cache: LeafCache
 ) -> tuple[int, dict[int, Fraction]] | None:
     """The least feasible set of finite clusters sent to infinity, and a witness.
 
-    A finite cluster that owns a void row, or rows the solver finds
-    infeasible (each solved once, unless it already escapes), must escape,
-    and its reach set with it, top's cluster aside.  Falsum's cluster, and
-    the finite clusters of each negated unit ``<=``, may not all escape; such
-    a ``<=`` inside top's cluster, or a void sequent with no atoms, makes the
-    leaf an axiom outright (None, as when no escape set is feasible).  The
-    escape set is a bit set over cluster positions.
+    ``fracs`` are the leaf's rows.  A finite cluster that owns a void row, or
+    rows the solver finds infeasible (solved in cluster order, unless it
+    already escapes), must escape, and its reach set with it, top's cluster
+    aside.  Falsum's cluster, and the finite clusters of each negated unit
+    ``<=``, may not all escape; such a ``<=`` inside top's cluster, or a void
+    sequent with no atoms, makes the leaf an axiom outright (None, as when no
+    escape set is feasible).  The escape set is a bit set over positions.
     """
-    bit_of = {v: 1 << p for p, g in enumerate(groups) for j, v in enumerate(verts) if g >> j & 1}
-    top = bit_of[TOP]
-    kept = [bit_of[BOT]] if BOT in bit_of else []
+    top_atom, spot_of, kept = 1 << len(cache.atoms) - 1, [], []
+    for p, group in enumerate(groups):
+        spot_of.append((group, 1 << p))
+        if group & top_atom:
+            top = 1 << p
+        if group & 1:
+            kept.append(1 << p)
     escape = 0
-    owned: dict[int, list[RelationalSequent]] = {}
-    for s in fracs:
+    owned: dict[int, list[tuple]] = {}
+    for frac in fracs:
+        bits, _, is_unit, void, _ = frac
         spots = 0
-        for atom in s.left + s.right:
-            spots |= bit_of[atom]
-        if s.is_unit_shape:
+        for group, spot in spot_of:
+            if group & bits:
+                spots |= spot
+        if is_unit:
             if spots == top:
                 return None
             kept.append(spots & ~top)
         if spots & (spots - 1) == 0 and spots != top:
-            if not _is_void(s):
-                owned.setdefault(spots, []).append(s)
+            if not void:
+                owned.setdefault(spots, []).append(frac)
             elif spots:
                 escape |= reaches[spots.bit_length() - 1]
             else:
                 return None
-    witness: dict[int, Fraction] = {}
-    for spot, own in owned.items():
-        if any(not group & ~escape for group in kept):
+    for group in kept:
+        if not group & ~escape:
             return None
+    witness: dict[int, Fraction] = {}
+    for spot, own in sorted(owned.items()):
         if spot & escape:
             continue
         group = groups[spot.bit_length() - 1]
-        # solve orders its variables itself.
-        ids = [v.index for j, v in enumerate(verts) if group >> j & 1 and isinstance(v, Var)]
-        outcome = solve(build_lp(own), ids)
-        if outcome.feasible:
-            witness.update(outcome.witness)
-        else:
-            escape |= reaches[spot.bit_length() - 1]
-    if any(not group & ~escape for group in kept):
-        return None
+        key = tuple(sorted([frac[4] for frac in own])), group
+        if key not in cache.solves:
+            # solve orders its variables itself.
+            atoms = [cache.atoms[bit.bit_length() - 1] for bit in _bits(group)]
+            ids = [atom.index for atom in atoms if isinstance(atom, Var)]
+            cache.solves[key] = solve(build_lp([frac[1] for frac in own]), ids).witness
+        if cache.solves[key] is not None:
+            witness.update(cache.solves[key])
+            continue
+        escape |= reaches[spot.bit_length() - 1]
+        if any(not group & ~escape for group in kept):
+            return None
     return escape & ~top, witness
 
 
 def build_countermodel(
-    verts: list[Formula], groups: list[int], escape: int, witness: dict[int, Fraction]
+    atoms: Sequence[Formula], groups: Sequence[int], escape: int, witness: dict[int, Fraction]
 ) -> Valuation:
     """The valuation refuting the leaf.
 
-    The groups are bit sets over verts, top last, and the escape set a bit
+    The groups are bit sets over atoms, top last, and the escape set a bit
     set over their positions.  A variable in top's cluster or in an escaping
     one is infinite.  Any other takes as its floor the number of clusters
     before its own that do not escape, top's included, and as its fraction
     its witness value, or 1/2, the midpoint of its interval, when the witness
     does not mention it.
     """
-    top = 1 << len(verts) - 1
+    top = 1 << len(atoms) - 1
     floor = 0
     assignment: dict[int, OmegaValue] = {}
     for p, group in enumerate(groups):
         escapes = escape >> p & 1
-        for j, atom in enumerate(verts):
+        for j, atom in enumerate(atoms):
             if group >> j & 1 and isinstance(atom, Var):
                 frac = witness.get(atom.index, Fraction(1, 2))
                 assignment[atom.index] = INF if escapes or group & top else Finite(floor, frac)
@@ -293,27 +359,36 @@ def build_countermodel(
     return Valuation(assignment)
 
 
-def check_axiom(h: RelationalHypersequent) -> AxiomVerdict:
+def check_axiom(h: RelationalHypersequent, cache: LeafCache | None = None) -> AxiomVerdict:
     """Classify an irreducible hypersequent.
 
-    The leaf is split once (negate_leaf).  Its atoms and top, with one edge
-    per negated ``<<``, form the floor graph; one closure gives its groups,
-    their order and reach sets (contract_and_sort).  A clash of the falsum
-    and top pins is an axiom, and so is a leaf with no feasible escape set
-    (_least_escape).  Only the verdict is decided here.  On first read of a
-    NotAxiom verdict, build_countermodel sends the least escape set, read off
-    the same closure and escaped by every countermodel over these floors, to
-    infinity with top's cluster and values the other atoms from
-    _least_escape's witness; that countermodel is always re-checked against
-    the leaf before it is returned.
+    ``cache`` is shared by one search's checks (check_tautology passes one
+    per call); without one, a cache is made from the leaf's atoms.  One pass
+    ORs the records of the leaf's sequents; the floor graph they give is
+    grouped once per search (contract_and_sort).  A clash of the falsum and
+    top pins is an axiom, and so is a leaf with no feasible escape set
+    (_least_escape).  Only the verdict is decided here; the countermodel,
+    built on first read from the least escape set and the witness, is always
+    re-checked against the leaf before it is returned.
     """
-    floor_edges, fracs = negate_leaf(h)
-    grouped = contract_and_sort({TOP}.union(*(s.left + s.right for s in h)), floor_edges)
-    least = None if grouped is None else _least_escape(fracs, *grouped)
+    if cache is None:
+        cache = LeafCache(f for s in h for f in s.left + s.right)
+    records, n = cache.records, len(cache.atoms)
+    mask, fracs = 1 << n - 1, []
+    for s in h:
+        record = records.get(s) or cache.compile(s, h)
+        mask |= record[0]
+        if record[1] is not None:
+            fracs.append(record[1])
+    if mask not in cache.groupings:
+        edges = [cache.edges[bit.bit_length() - 1] for bit in _bits(mask >> n)]
+        cache.groupings[mask] = contract_and_sort(mask & (1 << n) - 1, edges)
+    grouped = cache.groupings[mask]
+    least = None if grouped is None else _least_escape(fracs, *grouped, cache)
     if least is None:
         return AxiomVerdict(True, lambda: None)
-    verts, groups, _ = grouped
-    return AxiomVerdict(False, lambda: _checked(h, build_countermodel(verts, groups, *least)))
+    atoms, groups = cache.atoms, grouped[0]
+    return AxiomVerdict(False, lambda: _checked(h, build_countermodel(atoms, groups, *least)))
 
 
 def _checked(h: RelationalHypersequent, model: Valuation) -> Valuation:

@@ -35,7 +35,6 @@ from .formula import (
     InternTable,
     TOP,
     complexity_key,
-    is_atomic,
     render as render_formula,
     serialize_key,
 )
@@ -145,15 +144,20 @@ class RelationalSequent(Interned):
         node = ref and ref()
         if node is not None:
             return node
-        if kind.is_ll and (len(left) > 1 or len(right) > 1):
+        ll = kind.tag == "ll"
+        if ll and (len(left) > 1 or len(right) > 1):
             raise ValueError("a << sequent takes at most one formula per side")
         node = object.__new__(cls)
-        formulas = left + right
-        index_zero_ord = not kind.is_ll and kind.z == 0
+        index_zero_ord = not ll and kind.z == 0
         one_side = (len(left), len(right)) in ((2, 0), (0, 2))
-        # Not a side's last element: p1 * p2 sorts before bare top, an atom.
-        compounds = [f for f in formulas if not is_atomic(f)]
-        pivot = max(compounds, key=complexity_key) if compounds else None
+        # One pass for the weight and the pivot, which need not be a side's
+        # last element: p1 * p2 sorts before bare top, an atom.
+        pivot, weight = None, 1
+        for f in left + right:
+            compound = f.complexity and f is not TOP
+            weight += 2 * f.complexity + 1 if compound else 1
+            if compound and (pivot is None or complexity_key(f) > complexity_key(pivot)):
+                pivot = f
         _set(node, "left", left)
         _set(node, "kind", kind)
         _set(node, "right", right)
@@ -165,9 +169,7 @@ class RelationalSequent(Interned):
             "is_unit_shape",
             index_zero_ord and kind.tag == "preceq" and len(left) == len(right) == 1,
         )
-        _set(
-            node, "weight", 1 + sum(1 if f is TOP else 2 * f.complexity + 1 for f in formulas)
-        )
+        _set(node, "weight", weight)
         _set(node, "void", None)
         _set(node, "_sort_key", None)
         return _INTERNED.add(key, node)

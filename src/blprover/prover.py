@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-from .axiom_check import AxiomVerdict, check_axiom, verify_branch_countermodel
+from .axiom_check import AxiomVerdict, LeafCache, check_axiom, verify_branch_countermodel
 from .calculus import Premise, rwbl_premises
 from .formula import Formula, ParseError, check_limits, complexity, parse, render
 from .hypersequent import RelationalHypersequent, RelationalSequent
@@ -65,9 +65,10 @@ def check_tautology(formula: Formula) -> ProveResult:
     ends the search is classified again if its part was met before.  The
     flags are keyed not by sets of sequents but by sorted numbers, which the
     call gives each all-atomic sequent when it first meets it, and each
-    label's settled part is read once.  One memo of rewrites serves the
-    whole search, as in build_rwbl_tree.  A prune check reads only the
-    verdict, so no countermodel is built unless a leaf ends the search.
+    label's settled part is read once.  One memo of rewrites, as in
+    build_rwbl_tree, and one LeafCache of the leaf checks' work serve the
+    whole search.  A prune check reads only the verdict, so no countermodel
+    is built unless a leaf ends the search.
     The countermodel is the refuted leaf's, unchanged, as in
     check_no_tautology; by acceptance criterion 8 (variable preservation)
     every leaf keeps the formula's variables, so it binds them all.  Raises
@@ -80,21 +81,22 @@ def check_tautology(formula: Formula) -> ProveResult:
     number: dict[RelationalSequent, int] = {}
     valid: dict[tuple[int, ...], bool] = {}
     memo: dict = {}
-    # The last label keyed: fold_tree values a pruned label right after expanding it.
-    last: tuple = (None, ())
+    cache = LeafCache((formula,))
+    # The last label read, its settled part's key and sequents: fold_tree reads a label twice.
+    last: tuple = (None, (), [])
 
     def settled_key(label: RelationalHypersequent) -> tuple[int, ...]:
         nonlocal last
         if last[0] is not label:
-            numbers = (number.setdefault(s, len(number)) for s in label if s.all_atomic)
-            last = label, tuple(sorted(numbers))
+            part = [s for s in label if s.all_atomic]
+            last = label, tuple(sorted([number.setdefault(s, len(number)) for s in part])), part
         return last[1]
 
     def refutation(label: RelationalHypersequent) -> AxiomVerdict | None:
         key = settled_key(label)
         if valid.get(key):
             return None
-        verdict = check_axiom(RelationalHypersequent(s for s in label if s.all_atomic))
+        verdict = check_axiom(RelationalHypersequent(last[2]), cache)
         valid[key] = verdict.is_axiom
         return None if verdict.is_axiom else verdict
 

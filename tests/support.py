@@ -20,7 +20,9 @@ substitutions as they were before one sequent rewrite served them all, when
 they rewrote whole labels; the tests hold each sequent rewrite to the
 reference's label of that sequent alone.  ``reference_decompose`` is the
 four-way split by which sequents hold the pivot on either side that the split
-by each sequent's ``pivot`` field replaced, and ``reference_check_axiom`` is
+by each sequent's ``pivot`` field replaced, ``reference_sequent_fields``
+recomputes the fields a sequent's constructor sets in one pass, and
+``reference_check_axiom`` is
 the leaf check over frozensets that solved every owning cluster and built
 each countermodel at once, before void rows, skipped solves and lazy
 verdicts.  ``variables_in`` and
@@ -57,6 +59,7 @@ from blprover.formula import (
     TOP,
     Var,
     complexity,
+    complexity_key,
     is_atomic,
     parse,
 )
@@ -848,6 +851,25 @@ def reference_subst_impl(
         right = tuple(f for f in s.right if f is not target) + (a,) * l + (b,) * r
         out.append(seq(left, s.kind, right))
     return RelationalHypersequent(out)
+
+
+def reference_sequent_fields(
+    left: tuple[Formula, ...], kind, right: tuple[Formula, ...]
+) -> dict[str, object]:
+    """Reference: the fields a sequent's constructor sets, each recomputed on its own."""
+    formulas = left + right
+    compounds = [f for f in formulas if not is_atomic(f)]
+    index_zero_ord = kind.tag != "ll" and kind.z == 0
+    return {
+        "left": tuple(sorted(left, key=complexity_key)),
+        "kind": kind,
+        "right": tuple(sorted(right, key=complexity_key)),
+        "pivot": max(compounds, key=complexity_key) if compounds else None,
+        "all_atomic": all(is_atomic(f) for f in formulas),
+        "one_sided_pair": index_zero_ord and sorted([len(left), len(right)]) == [0, 2],
+        "is_unit_shape": index_zero_ord and kind.tag == "preceq" and len(left) == len(right) == 1,
+        "weight": 1 + sum(1 if is_atomic(f) else 2 * complexity(f) + 1 for f in formulas),
+    }
 
 
 def reference_decompose(

@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -20,6 +21,7 @@ from blprover import (
     LL,
     TOP,
     Conj,
+    Impl,
     Var,
     check_axiom,
     check_tautology,
@@ -27,12 +29,13 @@ from blprover import (
     parse,
     prec,
     preceq,
+    render,
     satisfies,
     seq,
     verify_branch_countermodel,
 )
 from blprover import axiom_check
-from blprover.axiom_check import build_lp, contract_and_sort, negate_leaf
+from blprover.axiom_check import LeafCache, build_lp, contract_and_sort, negate_leaf
 from blprover.linfeas import solve
 from blprover.semantics import Finite, Valuation
 from support import (
@@ -52,18 +55,26 @@ def _agree(leaf, verdict):
     assert (countermodel is None) == verdict.is_axiom
 
 
+def _graph(vertices, edges):
+    """A cache numbering the vertices, and their bit set and edges over its numbers."""
+    cache = LeafCache(vertices)
+    bit = {atom: 1 << j for atom, j in cache.number.items()}
+    return cache, sum(bit[v] for v in vertices), [(bit[t], bit[h]) for t, h in edges]
+
+
 def _grouped(vertices, edges):
     """contract_and_sort's groups and reach sets as frozensets, or None on a clash."""
-    grouped = contract_and_sort(vertices, edges)
+    cache, mask, edges = _graph(vertices, edges)
+    grouped = contract_and_sort(mask, edges)
     if grouped is None:
         return None
-    verts, groups, reaches = grouped
+    groups, reaches = grouped
 
     def members(bits, items):
         return frozenset(x for j, x in enumerate(items) if bits >> j & 1)
 
     return (
-        tuple(members(g, verts) for g in groups),
+        tuple(members(g, cache.atoms) for g in groups),
         tuple(members(r, range(len(groups))) for r in reaches),
     )
 
@@ -413,18 +424,24 @@ class TestEscapeClosure:
         assert reference_check_axiom(leaf)[1] == (frozenset({P1, P2, TOP}),)
         _agree(leaf, verdict)
         # The same skip after a solve: p1 and p3 share a cluster whose two
-        # rows are infeasible only together, and it reaches p2.  Solved
-        # first, it sends p2 to infinity unsolved; solved second, after p2.
+        # rows are infeasible only together, and it reaches p2.  Clusters are
+        # solved in cluster order, where a cluster precedes every cluster it
+        # reaches, so whatever the order of the rows it is solved first and
+        # sends p2 to infinity unsolved.
         together = [seq((P1, P1), preceq(), (P3, P3)), seq((P3, P3), preceq(), (P1, P1))]
         own = seq((P2,), prec(), (P2,))
         edges = [seq((P1,), LL, (P3,)), seq((P3,), LL, (P1,)), seq((P2,), LL, (P1,))]
         leaf = hseq(*edges, *together, own)
-        verts, groups, reaches = contract_and_sort({P1, P2, P3, TOP}, negate_leaf(leaf)[0])
-        assert verts == [P1, P2, P3, TOP] and groups == [0b0101, 0b0010, 0b1000]
-        for fracs, solved in ((together + [own], [[1, 3]]), ([own] + together, [[2], [1, 3]])):
+        cache, mask, edges = _graph({P1, P2, P3, TOP}, negate_leaf(leaf)[0])
+        groups, reaches = contract_and_sort(mask, edges)
+        # Bits over falsum, p1, p2, p3 and top: {p1, p3}, {p2}, {top}.
+        assert cache.atoms == [BOT, P1, P2, P3, TOP] and groups == (0b01010, 0b00100, 0b10000)
+        for fracs in (together + [own], [own] + together):
             calls.clear()
-            assert axiom_check._least_escape(fracs, verts, groups, reaches)[0] == 0b011
-            assert calls == solved
+            cache.solves.clear()
+            fracs = [cache.compile(s, leaf)[1] for s in fracs]
+            assert axiom_check._least_escape(fracs, groups, reaches, cache)[0] == 0b011
+            assert calls == [[1, 3]]
         assert not check_axiom(leaf).is_axiom
 
     def test_no_solve_after_a_kept_group_is_covered(self, monkeypatch):
@@ -444,11 +461,11 @@ class TestEscapeClosure:
         assert calls[-1] == [1, 3] and len(calls) <= 3
         _agree(leaf, verdict)
         # Falsum's cluster first: no other cluster is solved.
-        verts, groups, reaches = contract_and_sort(
-            {BOT, P1, P2, P3, Var(4), TOP}, negate_leaf(leaf)[0]
-        )
+        cache, mask, edges = _graph({BOT, P1, P2, P3, Var(4), TOP}, negate_leaf(leaf)[0])
+        groups, reaches = contract_and_sort(mask, edges)
+        fracs = [cache.compile(s, leaf)[1] for s in together + own]
         calls.clear()
-        assert axiom_check._least_escape(together + own, verts, groups, reaches) is None
+        assert axiom_check._least_escape(fracs, groups, reaches, cache) is None
         assert calls == [[1, 3]]
 
     def test_partial_escape(self):
@@ -599,8 +616,8 @@ def test_check_matches_the_reference_on_the_search_classifications(monkeypatch):
     """Every leaf and settled part the search classifies, read after the search."""
     seen = []
 
-    def recording(leaf):
-        verdict = check_axiom(leaf)
+    def recording(leaf, cache=None):
+        verdict = check_axiom(leaf, cache)
         seen.append((leaf, verdict))
         return verdict
 
@@ -645,3 +662,101 @@ def test_void_rows_are_exactly_the_infeasible_single_rows():
         assert s.void is not None
         void += s.void
     assert void == 6551
+
+
+def _theorems_panel():
+    """The benchmark's theorems panel: the seven BL axiom schemes, two
+    transitivity chains and nested weakening of depth 4 to 8."""
+    texts = [
+        "(p1 -> p2) -> ((p2 -> p3) -> (p1 -> p3))",
+        "(p1 * p2) -> p1",
+        "(p1 * p2) -> (p2 * p1)",
+        "(p1 * (p1 -> p2)) -> (p2 * (p2 -> p1))",
+        "(p1 -> (p2 -> p3)) <-> ((p1 * p2) -> p3)",
+        "((p1 -> p2) -> p3) -> (((p2 -> p1) -> p3) -> p3)",
+        "0 -> p1",
+    ]
+    formulas = [parse(text) for text in texts]
+    for n in (2, 3):
+        links = [Impl(Var(i), Var(i + 1)) for i in range(1, n + 1)]
+        premise = links[0]
+        for link in links[1:]:
+            premise = Conj(premise, link)
+        formulas.append(Impl(premise, Impl(P1, Var(n + 1))))
+    for k in range(4, 9):
+        formula = P1
+        for i in range(k, 0, -1):
+            formula = Impl(Var(i), formula)
+        formulas.append(formula)
+    return formulas
+
+
+def test_solve_counts_do_not_depend_on_the_process():
+    """Owning clusters are solved in cluster order, not in the leaf's set
+    order, which follows sequent addresses; so the solve count of a search
+    is the same under any hash seed and allocator.  The panel is searched
+    under two of the benchmark's variable renamings (its seed-1 rounds 2
+    and 3), where the set order once moved the count."""
+    script = textwrap.dedent(
+        """
+        import sys
+        import blprover.axiom_check as axiom_check
+        from blprover import check_tautology, parse
+
+        calls = []
+        solve = axiom_check.solve
+        axiom_check.solve = lambda rows, ids: calls.append(1) or solve(rows, ids)
+        for text in sys.argv[1:]:
+            assert check_tautology(parse(text)).provable
+        print(len(calls))
+        """
+    )
+    renamings = [(5, 7, 2, 8, 4, 9, 3, 6), (1, 9, 7, 6, 5, 3, 8, 2)]
+    texts = [
+        re.sub(r"p(\d+)", lambda m: f"p{names[int(m[1]) - 1]}", render(f))
+        for names in renamings
+        for f in _theorems_panel()
+    ]
+    src = str(Path(blprover.__file__).resolve().parents[1])
+    counts = []
+    for extra in ({"PYTHONHASHSEED": "1"}, {"PYTHONHASHSEED": "2"}, {"PYTHONMALLOC": "malloc"}):
+        env = {**os.environ, "PYTHONPATH": src, **extra}
+        done = subprocess.run(
+            [sys.executable, "-c", script, *texts],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        counts.append(int(done.stdout))
+    assert counts[0] > 0 and counts == [counts[0]] * 3
+
+
+def test_the_search_cache_agrees_with_a_fresh_check_and_the_reference(monkeypatch):
+    """Every settled part the searches classify, checked again with the
+    search's own cache (its records, groupings and solves), with a fresh
+    cache and by the reference, gives one verdict and one countermodel."""
+    seen = []
+
+    def recording(leaf, cache=None):
+        seen.append((leaf, cache))
+        return check_axiom(leaf, cache)
+
+    monkeypatch.setattr(prover, "check_axiom", recording)
+    formulas = _theorems_panel()
+    rng = random.Random(39)
+    while len(formulas) < 80:
+        formula = random_formula(rng, rng.randint(2, 7), 3)
+        if branch_estimate(formula) <= 2000:
+            formulas.append(formula)
+    for formula in formulas:
+        check_tautology(formula)
+    refuted = 0
+    for leaf, cache in seen:
+        shared, fresh = check_axiom(leaf, cache), check_axiom(leaf)
+        is_axiom, _, countermodel = reference_check_axiom(leaf)
+        assert shared.is_axiom == fresh.is_axiom == is_axiom, leaf.render()
+        assert shared.countermodel == fresh.countermodel == countermodel, leaf.render()
+        refuted += not is_axiom
+    assert refuted > 200 and len(seen) - refuted > 1000

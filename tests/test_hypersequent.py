@@ -53,6 +53,7 @@ from support import (
     abbreviation,
     random_formula,
     reference_decompose,
+    reference_sequent_fields,
     reference_subst_all,
     reference_subst_balanced_conj,
     reference_subst_impl,
@@ -160,6 +161,29 @@ def test_pivot_is_the_greatest_compound_formula():
             assert s.pivot is None
         assert s.all_atomic == (s.pivot is None)
     assert 10 <= atomic <= 290
+
+
+_SIDE_FORMULAS = st.sampled_from(
+    [BOT, TOP, Var(1), Var(2), Var(3), Conj(Var(1), Var(2)), Conj(Var(2), Var(1)), Conj(TOP, TOP)]
+    + [Impl(Var(1), Var(2)), Impl(Conj(Var(1), TOP), Var(3)), Impl(TOP, Conj(Var(2), BOT))]
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.lists(_SIDE_FORMULAS, max_size=4),
+    st.sampled_from([LL, preceq(), preceq(1), preceq(-2), prec(), prec(1), prec(-1)]),
+    st.lists(_SIDE_FORMULAS, max_size=4),
+)
+def test_constructor_fields_match_a_plain_recomputation(left, kind, right):
+    # The constructor computes the pivot and the weight in one pass.
+    if kind.is_ll and (len(left) > 1 or len(right) > 1):
+        with pytest.raises(ValueError):
+            seq(left, kind, right)
+        return
+    s = seq(left, kind, right)
+    expected = reference_sequent_fields(tuple(left), kind, tuple(right))
+    assert {name: getattr(s, name) for name in expected} == expected
 
 
 def test_unit_shape_flag():

@@ -129,7 +129,7 @@ def test_soundness_checks_survive_optimised_mode():
 
         if __debug__:
             sys.exit("assertions are still enabled")
-        prover.check_axiom = lambda leaf: AxiomVerdict(False, lambda: None)
+        prover.check_axiom = lambda leaf, cache=None: AxiomVerdict(False, lambda: None)
         formula = parse("p1 -> p2")
         for decide in (
             lambda: prover.check_tautology(formula),
@@ -311,8 +311,8 @@ def test_the_search_builds_one_countermodel_per_refuted_formula(monkeypatch, tex
         axiom_check, "build_countermodel", lambda *state: built.append(1) or build(*state)
     )
 
-    def counting(leaf):
-        verdict = check_axiom(leaf)
+    def counting(leaf, cache=None):
+        verdict = check_axiom(leaf, cache)
         refuted.append(not verdict.is_axiom)
         return verdict
 
@@ -353,10 +353,10 @@ def test_the_search_keeps_only_its_branch(monkeypatch):
     calls = itertools.count(1)
     samples = []
 
-    def sampling(leaf):
+    def sampling(leaf, cache=None):
         if next(calls) % 10 == 0:
             samples.append(live_labels() - before)
-        return check_axiom(leaf)
+        return check_axiom(leaf, cache)
 
     monkeypatch.setattr(prover, "check_axiom", sampling)
     assert check_tautology(formula).provable
@@ -377,10 +377,10 @@ def test_the_memo_holds_no_sequent_sets(monkeypatch):
     calls = itertools.count(1)
     samples = []
 
-    def sampling(leaf):
+    def sampling(leaf, cache=None):
         if next(calls) % 10 == 0:
             samples.append(live_sets() - before)
-        return check_axiom(leaf)
+        return check_axiom(leaf, cache)
 
     monkeypatch.setattr(prover, "check_axiom", sampling)
     assert check_tautology(formula).provable
@@ -406,9 +406,9 @@ def test_the_memo_keeps_every_hit(monkeypatch, text, provable, calls):
     # that ends the search; a memo that lost hits would classify more.
     count = itertools.count()
 
-    def counting(leaf):
+    def counting(leaf, cache=None):
         next(count)
-        return check_axiom(leaf)
+        return check_axiom(leaf, cache)
 
     monkeypatch.setattr(prover, "check_axiom", counting)
     assert check_tautology(parse(text)).provable == provable
