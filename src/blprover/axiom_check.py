@@ -22,11 +22,11 @@ check is one pass that ORs them.  The decision has three stages:
    negated by the distinct floors and contribute nothing.
 3. Feasibility.  Rows of distinct clusters share no variable, so each
    cluster is decided alone.  A row with no solution in the unit box even
-   by itself is void (each sequent works that out once): a cluster owning
-   one cannot keep a finite floor, and a void sequent with no atoms always
-   holds.  Every other cluster that owns rows and does not escape yet is
-   solved in cluster order, once per search, by the exact Fourier-Motzkin
-   solver, until the leaf is settled.  The feasible clusters' witnesses give
+   by itself is void (its record says so): a cluster owning one cannot
+   keep a finite floor, and a void sequent with no atoms always holds.
+   Every other cluster that owns rows and does not escape yet is solved in
+   cluster order, once per search, by the exact Fourier-Motzkin solver,
+   until the leaf is settled.  The feasible clusters' witnesses give
    the countermodel (floor = position among the clusters that do not escape,
    fraction = witness), built on first read and always re-checked.
 
@@ -127,10 +127,12 @@ class LeafCache:
     Atoms are numbered in ``_atom_key`` order: falsum 0, the given formulas'
     variables by index, top last.  A sequent's record is its atom bits, with
     a ``<<``'s edge bit above them (``edges`` holds each edge's tail and head
-    bits), and its row when its negation is kept: (atom bits, sequent, unit
-    flag, void flag, number).  ``groupings`` memoizes contract_and_sort by the
-    OR-ed bits, ``solves`` a cluster's witness (None if infeasible) by its
-    rows' numbers and its group.
+    bits), its row when its negation is kept: (atom bits, sequent, unit
+    flag, void flag, number), and its number, dense per search, which also
+    keys check_tautology's settled parts.  ``groupings`` memoizes
+    contract_and_sort by the OR-ed bits, and maps each result to itself so
+    that equal results share one copy; ``solves`` holds a cluster's witness
+    (None if infeasible) by its rows' numbers and its group.
     """
 
     __slots__ = ("atoms", "number", "records", "edges", "groupings", "solves")
@@ -147,10 +149,10 @@ class LeafCache:
         self.number = {atom: j for j, atom in enumerate(self.atoms)}
         self.records, self.edges, self.groupings, self.solves = {}, [], {}, {}
 
-    def compile(self, s: RelationalSequent, h: RelationalHypersequent) -> tuple:
+    def compile(self, s: RelationalSequent, h: Iterable[RelationalSequent]) -> tuple:
         """Record s, a sequent of the leaf h; raises as negate_leaf(h) does."""
         edges, fracs = negate_leaf((s,), h)
-        bits, row = 0, None
+        bits, row, number = 0, None, len(self.records)
         for atom in s.left + s.right:
             if atom not in self.number:
                 raise AssertionError(f"leaf atom {atom!r} is outside the search's numbering")
@@ -162,9 +164,9 @@ class LeafCache:
         if fracs:
             # Only rows without top are ever owned by a cluster and read as void.
             void = not bits >> len(self.atoms) - 1 and _is_void(s)
-            row = bits, s, s.is_unit_shape, void, len(self.records)
-        self.records[s] = mask, row
-        return mask, row
+            row = bits, s, s.is_unit_shape, void, number
+        self.records[s] = record = mask, row, number
+        return record
 
 
 def contract_and_sort(
@@ -263,13 +265,11 @@ def build_lp(fracs: Iterable[RelationalSequent]) -> list[LinConstraint]:
 
 
 def _is_void(s: RelationalSequent) -> bool:
-    """Whether the sequent's row has no solution in the unit box by itself, set on s once."""
-    if s.void is None:
-        coeffs, bound, strict = _row(s)
-        # In the box the row takes every value above least, and least only if 0.
-        least = sum(c for c in coeffs.values() if c < 0)
-        object.__setattr__(s, "void", bound < least or bound == least and (least < 0 or strict))
-    return s.void
+    """Whether the sequent's row has no solution in the unit box by itself."""
+    coeffs, bound, strict = _row(s)
+    # In the box the row takes every value above least, and least only if 0.
+    least = sum(c for c in coeffs.values() if c < 0)
+    return bound < least or bound == least and (least < 0 or strict)
 
 
 def _least_escape(
@@ -382,7 +382,8 @@ def check_axiom(h: RelationalHypersequent, cache: LeafCache | None = None) -> Ax
             fracs.append(record[1])
     if mask not in cache.groupings:
         edges = [cache.edges[bit.bit_length() - 1] for bit in _bits(mask >> n)]
-        cache.groupings[mask] = contract_and_sort(mask & (1 << n) - 1, edges)
+        grouped = contract_and_sort(mask & (1 << n) - 1, edges)
+        cache.groupings[mask] = cache.groupings.setdefault(grouped, grouped)
     grouped = cache.groupings[mask]
     least = None if grouped is None else _least_escape(fracs, *grouped, cache)
     if least is None:

@@ -102,9 +102,7 @@ class RelationalSequent(Interned):
     side of an index-zero fractional relation; ``is_unit_shape``, one formula
     on each side of ``<=`` with index zero; ``weight``, one for the relation, one per
     bare top and 2c + 1 per other formula of c connectives, so a compound
-    formula counts its connectives and its literal leaves.  ``void``, None
-    until the leaf check sets it, says whether the negated row of an
-    all-atomic fractional sequent without top has no solution in the unit box.
+    formula counts its connectives and its literal leaves.
     """
 
     __slots__ = (
@@ -116,7 +114,6 @@ class RelationalSequent(Interned):
         "one_sided_pair",
         "is_unit_shape",
         "weight",
-        "void",
         "_sort_key",
     )
     _fields = ("left", "kind", "right")
@@ -129,7 +126,6 @@ class RelationalSequent(Interned):
     one_sided_pair: bool
     is_unit_shape: bool
     weight: int
-    void: bool | None
 
     def __new__(
         cls, left: tuple[Formula, ...], kind: RelKind, right: tuple[Formula, ...]
@@ -170,7 +166,6 @@ class RelationalSequent(Interned):
             index_zero_ord and kind.tag == "preceq" and len(left) == len(right) == 1,
         )
         _set(node, "weight", weight)
-        _set(node, "void", None)
         _set(node, "_sort_key", None)
         return _INTERNED.add(key, node)
 

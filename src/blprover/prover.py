@@ -12,7 +12,7 @@ from typing import Any, Callable
 from .axiom_check import AxiomVerdict, LeafCache, check_axiom, verify_branch_countermodel
 from .calculus import Premise, rwbl_premises
 from .formula import Formula, ParseError, check_limits, complexity, parse, render
-from .hypersequent import RelationalHypersequent, RelationalSequent
+from .hypersequent import RelationalHypersequent
 from .hypersequent import is_irreducible  # noqa: F401  a perfbench trace target
 from .reduction import (
     Certificate,
@@ -63,11 +63,11 @@ def check_tautology(formula: Formula) -> ProveResult:
     part, so the first invalid leaf and its path do not change.  Each
     settled part is classified once and keeps only that flag; the leaf that
     ends the search is classified again if its part was met before.  The
-    flags are keyed not by sets of sequents but by sorted numbers, which the
-    call gives each all-atomic sequent when it first meets it, and each
-    label's settled part is read once.  One memo of rewrites, as in
-    build_rwbl_tree, and one LeafCache of the leaf checks' work serve the
-    whole search.  A prune check reads only the verdict, so no countermodel
+    flags are keyed not by sets of sequents but by the sorted numbers of
+    their records in the search's LeafCache, compiled when a sequent is first
+    met, and each label's settled part is read once.  One memo of rewrites,
+    as in build_rwbl_tree, and one LeafCache of the leaf checks' work serve
+    the whole search.  A prune check reads only the verdict, so no countermodel
     is built unless a leaf ends the search.
     The countermodel is the refuted leaf's, unchanged, as in
     check_no_tautology; by acceptance criterion 8 (variable preservation)
@@ -78,10 +78,10 @@ def check_tautology(formula: Formula) -> ProveResult:
     n = complexity(formula)
     # Settled part, as the sorted numbers of its sequents -> whether it is an
     # axiom.  A leaf is its own settled part.
-    number: dict[RelationalSequent, int] = {}
     valid: dict[tuple[int, ...], bool] = {}
     memo: dict = {}
     cache = LeafCache((formula,))
+    records = cache.records
     # The last label read, its settled part's key and sequents: fold_tree reads a label twice.
     last: tuple = (None, (), [])
 
@@ -89,7 +89,8 @@ def check_tautology(formula: Formula) -> ProveResult:
         nonlocal last
         if last[0] is not label:
             part = [s for s in label if s.all_atomic]
-            last = label, tuple(sorted([number.setdefault(s, len(number)) for s in part])), part
+            numbers = [(records.get(s) or cache.compile(s, part))[2] for s in part]
+            last = label, tuple(sorted(numbers)), part
         return last[1]
 
     def refutation(label: RelationalHypersequent) -> AxiomVerdict | None:

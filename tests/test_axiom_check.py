@@ -650,7 +650,8 @@ def test_check_matches_the_reference_on_random_leaves():
 
 def test_void_rows_are_exactly_the_infeasible_single_rows():
     """Every fractional sequent over falsum and p1..p3, sides of up to three
-    atoms, index -3..3: void exactly when its row alone has no solution."""
+    atoms, index -3..3: its record's void flag is set exactly when its row
+    alone has no solution."""
     atoms = (BOT, P1, P2, P3)
     sides = [c for k in range(4) for c in itertools.combinations_with_replacement(atoms, k)]
     void = 0
@@ -658,9 +659,9 @@ def test_void_rows_are_exactly_the_infeasible_single_rows():
         s = seq(left, kind(z), right)
         variables = sorted({a.index for a in s.formulas() if isinstance(a, Var)})
         feasible = solve(build_lp([s]), variables).feasible
-        assert axiom_check._is_void(s) == (not feasible), s.render()
-        assert s.void is not None
-        void += s.void
+        flag = LeafCache(s.formulas()).compile(s, (s,))[1][3]
+        assert flag == (not feasible), s.render()
+        void += flag
     assert void == 6551
 
 

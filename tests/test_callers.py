@@ -65,7 +65,7 @@ def test_every_package_field_is_read_outside_the_tests():
         for node in ast.walk(module)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-    assert {("AxiomVerdict", "countermodel"), ("RelationalSequent", "void")} <= fields
+    assert {("AxiomVerdict", "countermodel"), ("RelationalSequent", "weight")} <= fields
     unread = [
         f"{cls}.{name}"
         for cls, name in fields

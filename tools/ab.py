@@ -7,14 +7,14 @@ commit::
 
 Each source root (the directory that holds ``blprover/``) is loaded as its
 own package, so both sides run in one process on one machine state.  The
-panel is one round of a ``perfbench`` workload, drawn through
-``perfbench/run.py``'s generator and run through its operations, which this
-script only reads.  For every item of every repetition the side that runs
-first is drawn at random, and each timing follows a ``gc.collect()``.  Both
-sides must give equal verdicts, certificate moves and countermodel JSON (and
-equal replay outcomes); the exit code is 1 when any item differs.  The
-report gives each item's ratio of per-item medians (head over base) and the
-summed ratio with a bootstrap 95% interval over items.
+panel is round 0 of a ``perfbench`` workload at its default seed, drawn
+through ``perfbench/run.py``'s generator and run through its operations,
+which this script only reads.  For every item of every repetition the side
+that runs first is drawn at random, and each timing follows a
+``gc.collect()``.  Both sides must give equal verdicts, certificate moves and
+countermodel JSON (and equal replay outcomes); the exit code is 1 when any
+item differs.  The report gives each item's ratio of per-item medians (head
+over base) and the summed ratio with a bootstrap 95% interval over items.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import inputs  # noqa: E402
 import run  # noqa: E402
+
+# Bootstrap resamples of the summed ratio.
+SAMPLES = 2000
 
 
 def load(root: str, name: str):
@@ -57,11 +60,11 @@ def observed(outcome: dict) -> tuple:
     return run.digest(outcome), verdict and (verdict.accepted, verdict.reason)
 
 
-def bootstrap(base: list[float], head: list[float], samples: int, rng: random.Random):
+def bootstrap(base: list[float], head: list[float], rng: random.Random):
     """The 2.5th and 97.5th percentiles of the summed ratio over resampled items."""
     n = len(base)
     ratios = []
-    for _ in range(samples):
+    for _ in range(SAMPLES):
         picks = [rng.randrange(n) for _ in range(n)]
         ratios.append(sum(head[i] for i in picks) / sum(base[i] for i in picks))
     cuts = statistics.quantiles(ratios, n=40, method="inclusive")
@@ -73,15 +76,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--base", required=True, help="source root of the reference side")
     parser.add_argument("--head", required=True, help="source root of the measured side")
     parser.add_argument("--workload", choices=run.WORKLOADS, default="theorems")
-    parser.add_argument("--seed", type=int, default=run.DEFAULT_SEED, help="panel seed")
-    parser.add_argument("--round", type=int, default=0, help="which round of the panel")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--order-seed", type=int, default=0, help="seed of the side order")
-    parser.add_argument("--samples", type=int, default=2000, help="bootstrap resamples")
     args = parser.parse_args(argv)
     sides = {"base": load(args.base, "blprover_base"), "head": load(args.head, "blprover_head")}
     operate = run.build_tree if args.workload == "corpus_trees" else run.decide
-    items = run.make_rounds(args.workload, args.seed)[args.round]
+    items = run.make_rounds(args.workload, run.DEFAULT_SEED)[0]
     parsed = {
         side: [api.parse(inputs.render(f)) for _, f in items] for side, api in sides.items()
     }
@@ -103,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
     head = [statistics.median(t) for t in times["head"]]
     for (name, _), b, h in zip(items, base, head):
         print(f"{name:<32} base {1000 * b:9.2f} ms  head {1000 * h:9.2f} ms  ratio {h / b:.3f}")
-    low, high = bootstrap(base, head, args.samples, random.Random(args.order_seed))
+    low, high = bootstrap(base, head, random.Random(args.order_seed))
     print(
         f"{args.workload}: {len(items)} items, {args.repeats} repeats, summed base "
         f"{sum(base):.3f} s, head {sum(head):.3f} s, ratio {sum(head) / sum(base):.3f} "
