@@ -1,11 +1,12 @@
 """Deciding irreducible hypersequents: axiom or explicit countermodel.
 
 An irreducible label is valid exactly when the conjunction of the negations
-of its sequents admits no valuation.  negate_leaf says what each negation
-asserts: a ``<<`` sequent becomes one floor edge, and a fractional sequent
-whose negation can constrain is kept.  A LeafCache, one per search, numbers
-the atoms and compiles each sequent on its first read into bit sets, so a
-check is one pass that ORs them.  The decision has three stages:
+of its sequents admits no valuation.  A LeafCache, one per search, is the
+one reader of the sequents: it numbers the atoms and compiles each sequent
+on its first read into bit sets by what its negation asserts (a ``<<``
+sequent gives one floor edge, a fractional sequent whose negation can
+constrain gives a row), so a check is one pass that ORs them.  The decision
+has three stages:
 
 1. Integer parts.  The edges form a graph over the leaf's atoms and top, and
    one reachability closure of it, in bit sets, settles every floor
@@ -71,47 +72,6 @@ class AxiomVerdict:
         return self.countermodel
 
 
-def negate_leaf(
-    h: Iterable[RelationalSequent], leaf: Iterable[RelationalSequent] = ()
-) -> tuple[set[tuple[Formula, Formula]], list[RelationalSequent]]:
-    """Split an irreducible hypersequent into floor edges and fractional sequents.
-
-    Negating ``left << right`` asserts floor(right) <= floor(left), the edge
-    (right, left).  A negated fractional sequent constrains when its atoms
-    share one finite floor, so the sequent itself is kept.  One with bare top
-    is dead unless it has the unit shape: never satisfied, its negation holds
-    vacuously, so it is dropped.  Raises ValueError on non-atomic formulas,
-    naming the first one in the compound sequent of ``leaf`` (h by default)
-    with the least sort key, or else on a ``<<`` sequent missing a side.
-    """
-    edges: set[tuple[Formula, Formula]] = set()
-    fracs: list[RelationalSequent] = []
-    for s in h:
-        left, right, ll = s.left, s.right, s.kind.tag == "ll"
-        if not s.all_atomic or (ll and (len(left) != 1 or len(right) != 1)):
-            compound = [s for s in leaf or h if not s.all_atomic]
-            if compound:
-                s = min(compound, key=RelationalSequent.sort_key)
-                f = next(f for f in s.formulas() if not is_atomic(f))
-                raise ValueError(f"leaf expected, found compound formula {f!r}")
-            raise ValueError("a << sequent in a leaf must have one formula per side")
-        if ll:
-            edges.add((right[0], left[0]))
-        elif s.is_unit_shape or (TOP not in left and TOP not in right):
-            fracs.append(s)
-    return edges, fracs
-
-
-def _atom_key(atom: Formula) -> tuple:
-    if isinstance(atom, Bottom):
-        return (0, -1)
-    if isinstance(atom, Var):
-        return (0, atom.index)
-    if atom != TOP:
-        raise AssertionError(f"floor graph vertex {atom!r} is not an atom")
-    return (1, 0)
-
-
 def _bits(mask: int) -> list[int]:
     """The one-bit parts of mask, lowest first."""
     bits = []
@@ -124,15 +84,16 @@ def _bits(mask: int) -> list[int]:
 class LeafCache:
     """What one search's leaf checks share: atom numbers, sequent records and memos.
 
-    Atoms are numbered in ``_atom_key`` order: falsum 0, the given formulas'
-    variables by index, top last.  A sequent's record is its atom bits, with
-    a ``<<``'s edge bit above them (``edges`` holds each edge's tail and head
-    bits), its row when its negation is kept: (atom bits, sequent, unit
-    flag, void flag, number), and its number, dense per search, which also
-    keys check_tautology's settled parts.  ``groupings`` memoizes
-    contract_and_sort by the OR-ed bits, and maps each result to itself so
-    that equal results share one copy; ``solves`` holds a cluster's witness
-    (None if infeasible) by its rows' numbers and its group.
+    The one reader of a leaf's sequents.  Atoms are numbered falsum 0, the
+    given formulas' variables by index, top last.  A sequent's record,
+    compiled on its first read, is its atom bits, with a ``<<``'s edge bit
+    above them (``edges`` holds each edge's tail and head bits), its row
+    when its negation is kept: (atom bits, sequent, unit flag, void flag,
+    number), and its number, dense per search; a settled part's ``key`` is
+    its records' sorted numbers.  ``groupings`` memoizes contract_and_sort
+    by the OR-ed bits, and maps each result to itself so that equal results
+    share one copy; ``solves`` holds a cluster's witness (None if
+    infeasible) by its rows' sorted numbers.
     """
 
     __slots__ = ("atoms", "number", "records", "edges", "groupings", "solves")
@@ -145,28 +106,49 @@ class LeafCache:
             if f not in seen:
                 seen.add(f)
                 stack += (f.left, f.right) if f.complexity else ()
-        self.atoms = sorted((f for f in seen if is_atomic(f)), key=_atom_key)
+        variables = sorted((f for f in seen if isinstance(f, Var)), key=lambda v: v.index)
+        self.atoms = [BOT, *variables, TOP]
         self.number = {atom: j for j, atom in enumerate(self.atoms)}
         self.records, self.edges, self.groupings, self.solves = {}, [], {}, {}
 
     def compile(self, s: RelationalSequent, h: Iterable[RelationalSequent]) -> tuple:
-        """Record s, a sequent of the leaf h; raises as negate_leaf(h) does."""
-        edges, fracs = negate_leaf((s,), h)
-        bits, row, number = 0, None, len(self.records)
-        for atom in s.left + s.right:
+        """Record s, a sequent of the leaf h, by what its negation asserts.
+
+        Negating ``left << right`` asserts floor(right) <= floor(left), the
+        edge (right, left).  A negated fractional sequent constrains when its
+        atoms share one finite floor, so its row is kept.  One with bare top
+        is dead unless it has the unit shape: never satisfied, its negation
+        holds vacuously, so it gets no row.  Raises ValueError on non-atomic
+        formulas, naming the first one in the compound sequent of h with the
+        least sort key, or else on a ``<<`` sequent missing a side.
+        """
+        left, right, ll = s.left, s.right, s.kind.tag == "ll"
+        if not s.all_atomic or ll and (len(left) != 1 or len(right) != 1):
+            compound = [s for s in h if not s.all_atomic]
+            if compound:
+                s = min(compound, key=RelationalSequent.sort_key)
+                f = next(f for f in s.formulas() if not is_atomic(f))
+                raise ValueError(f"leaf expected, found compound formula {f!r}")
+            raise ValueError("a << sequent in a leaf must have one formula per side")
+        bits, row, number, n = 0, None, len(self.records), len(self.atoms)
+        for atom in left + right:
             if atom not in self.number:
                 raise AssertionError(f"leaf atom {atom!r} is outside the search's numbering")
             bits |= 1 << self.number[atom]
-        mask = bits
-        for tail, head in edges:
-            mask |= 1 << len(self.atoms) + len(self.edges)
-            self.edges.append((1 << self.number[tail], 1 << self.number[head]))
-        if fracs:
+        mask, top = bits, bits >> n - 1
+        if ll:
+            mask |= 1 << n + len(self.edges)
+            self.edges.append((1 << self.number[right[0]], 1 << self.number[left[0]]))
+        elif s.is_unit_shape or not top:
             # Only rows without top are ever owned by a cluster and read as void.
-            void = not bits >> len(self.atoms) - 1 and _is_void(s)
-            row = bits, s, s.is_unit_shape, void, number
+            row = bits, s, s.is_unit_shape, not top and _is_void(s), number
         self.records[s] = record = mask, row, number
         return record
+
+    def key(self, part: Sequence[RelationalSequent]) -> tuple[int, ...]:
+        """The sorted record numbers of a settled part, compiled with it as the leaf."""
+        records = self.records
+        return tuple(sorted([(records.get(s) or self.compile(s, part))[2] for s in part]))
 
 
 def contract_and_sort(
@@ -318,11 +300,12 @@ def _least_escape(
     for spot, own in sorted(owned.items()):
         if spot & escape:
             continue
-        group = groups[spot.bit_length() - 1]
-        key = tuple(sorted([frac[4] for frac in own])), group
+        key = tuple(sorted([frac[4] for frac in own]))
         if key not in cache.solves:
-            # solve orders its variables itself.
-            atoms = [cache.atoms[bit.bit_length() - 1] for bit in _bits(group)]
+            # solve orders the variables; it would give one no row mentions
+            # 1/2, as build_countermodel does.
+            mentioned = reduce(or_, [frac[0] for frac in own])
+            atoms = [cache.atoms[bit.bit_length() - 1] for bit in _bits(mentioned)]
             ids = [atom.index for atom in atoms if isinstance(atom, Var)]
             cache.solves[key] = solve(build_lp([frac[1] for frac in own]), ids).witness
         if cache.solves[key] is not None:

@@ -63,12 +63,12 @@ def check_tautology(formula: Formula) -> ProveResult:
     part, so the first invalid leaf and its path do not change.  Each
     settled part is classified once and keeps only that flag; the leaf that
     ends the search is classified again if its part was met before.  The
-    flags are keyed not by sets of sequents but by the sorted numbers of
-    their records in the search's LeafCache, compiled when a sequent is first
-    met, and each label's settled part is read once.  One memo of rewrites,
-    as in build_rwbl_tree, and one LeafCache of the leaf checks' work serve
-    the whole search.  A prune check reads only the verdict, so no countermodel
-    is built unless a leaf ends the search.
+    flags are keyed not by sets of sequents but by the search's LeafCache
+    key of the part, the sorted numbers of its sequents, and each label's
+    settled part is read once.  One memo of rewrites, as in build_rwbl_tree,
+    and one LeafCache of the leaf checks' work serve the whole search.  A
+    prune check reads only the verdict, so no countermodel is built unless
+    a leaf ends the search.
     The countermodel is the refuted leaf's, unchanged, as in
     check_no_tautology; by acceptance criterion 8 (variable preservation)
     every leaf keeps the formula's variables, so it binds them all.  Raises
@@ -81,7 +81,6 @@ def check_tautology(formula: Formula) -> ProveResult:
     valid: dict[tuple[int, ...], bool] = {}
     memo: dict = {}
     cache = LeafCache((formula,))
-    records = cache.records
     # The last label read, its settled part's key and sequents: fold_tree reads a label twice.
     last: tuple = (None, (), [])
 
@@ -89,8 +88,7 @@ def check_tautology(formula: Formula) -> ProveResult:
         nonlocal last
         if last[0] is not label:
             part = [s for s in label if s.all_atomic]
-            numbers = [(records.get(s) or cache.compile(s, part))[2] for s in part]
-            last = label, tuple(sorted(numbers)), part
+            last = label, cache.key(part), part
         return last[1]
 
     def refutation(label: RelationalHypersequent) -> AxiomVerdict | None:

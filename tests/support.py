@@ -41,7 +41,7 @@ from math import gcd
 from operator import or_
 from typing import AbstractSet, Hashable, Iterable, Iterator, Sequence
 
-from blprover.axiom_check import _atom_key, build_lp
+from blprover.axiom_check import build_lp
 from blprover.calculus import (
     Premise,
     _conj_antecedents,
@@ -910,6 +910,17 @@ def reference_decompose(
     )
 
 
+def reference_atom_key(atom: Formula) -> tuple[int, int]:
+    """Reference atom order: falsum, the variables by index, top last."""
+    if isinstance(atom, Bottom):
+        return (0, -1)
+    if isinstance(atom, Var):
+        return (0, atom.index)
+    if atom != TOP:
+        raise ValueError(f"{atom!r} is not an atom")
+    return (1, 0)
+
+
 def _reference_negate_leaf(
     h: RelationalHypersequent,
 ) -> tuple[set[tuple[Formula, Formula]], list[RelationalSequent]]:
@@ -939,7 +950,7 @@ def reference_contract_and_sort(
     Returns the ordered groups, their reach sets as positions in that order
     (each its own included) and the clash flag.
     """
-    verts = sorted(vertices, key=_atom_key)
+    verts = sorted(vertices, key=reference_atom_key)
     position = {v: i for i, v in enumerate(verts)}
     n = len(verts)
     reach = [1 << i for i in range(n)]

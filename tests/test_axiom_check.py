@@ -35,13 +35,15 @@ from blprover import (
     verify_branch_countermodel,
 )
 from blprover import axiom_check
-from blprover.axiom_check import LeafCache, build_lp, contract_and_sort, negate_leaf
+from blprover.axiom_check import LeafCache, build_lp, contract_and_sort
 from blprover.linfeas import solve
 from blprover.semantics import Finite, Valuation
 from support import (
+    _reference_negate_leaf,
     branch_estimate,
     oracle_leaf_satisfiable,
     random_formula,
+    reference_atom_key,
     reference_check_axiom,
     rwbl_leaves,
 )
@@ -79,6 +81,15 @@ def _grouped(vertices, edges):
     )
 
 
+def _negated(leaf):
+    """The leaf's floor edges, as atom pairs, and the sequents its records keep rows for."""
+    cache = LeafCache(f for s in leaf for f in s.formulas())
+    records = [cache.compile(s, leaf) for s in leaf]
+    atom = {1 << j: a for j, a in enumerate(cache.atoms)}
+    edges = {(atom[tail], atom[head]) for tail, head in cache.edges}
+    return edges, [row[1] for _, row, _ in records if row is not None]
+
+
 class TestNegation:
     def test_shapes(self):
         leaf = hseq(
@@ -88,7 +99,7 @@ class TestNegation:
             seq((P1, P2), preceq(1), ()),
             seq((), prec(-1), (P1, P2)),
         )
-        edges, fracs = negate_leaf(leaf)
+        edges, fracs = _negated(leaf)
         # not (p1 << p2) asserts floor(p2) <= floor(p1): the edge runs p2 -> p1
         assert edges == {(P2, P1)}
         assert len(fracs) == 4
@@ -107,14 +118,14 @@ class TestNegation:
             seq((P1,), preceq(), (TOP,)),
             seq((P1,), preceq(), (P2,)),
         )
-        edges, fracs = negate_leaf(leaf)
+        edges, fracs = _negated(leaf)
         assert edges == set()
         assert len(fracs) == 2
         assert set(fracs) == {seq((P1,), preceq(), (TOP,)), seq((P1,), preceq(), (P2,))}
 
     def test_rejects_compound_formulas(self):
         with pytest.raises(ValueError):
-            negate_leaf(hseq(seq((TOP,), preceq(), (Conj(P1, P2),))))
+            check_axiom(hseq(seq((TOP,), preceq(), (Conj(P1, P2),))))
 
     def test_compound_error_names_the_least_offending_sequent(self):
         # Two compound sequents: the << one has the least sort key.
@@ -124,7 +135,7 @@ class TestNegation:
             seq((P1,), preceq(), (P2,)),
         )
         with pytest.raises(ValueError) as raised:
-            negate_leaf(leaf)
+            check_axiom(leaf)
         assert str(raised.value) == (
             "leaf expected, found compound formula "
             "Conj(left=Var(index=2), right=Var(index=3))"
@@ -132,7 +143,7 @@ class TestNegation:
 
     def test_rejects_one_sided_ll(self):
         with pytest.raises(ValueError):
-            negate_leaf(hseq(seq((), LL, (P1,))))
+            check_axiom(hseq(seq((), LL, (P1,))))
 
 
 class TestFloorGraph:
@@ -195,7 +206,7 @@ def _reachable(graph_edges, start):
 
 def _least_key_order(clusters, reaches):
     """Kahn's algorithm over the cluster graph, always taking the least atom key."""
-    key = {c: min(map(axiom_check._atom_key, c)) for c in clusters}
+    key = {c: min(map(reference_atom_key, c)) for c in clusters}
     predecessors = {c: {d for d in clusters if d != c and c in reaches[d]} for c in clusters}
     order = []
     while len(order) < len(clusters):
@@ -280,7 +291,7 @@ class TestVerdicts:
         )
         verdict = check_axiom(leaf)
         assert verdict.is_axiom
-        clusters, _ = _grouped(frozenset({P1, P2, TOP}), negate_leaf(leaf)[0])
+        clusters, _ = _grouped(frozenset({P1, P2, TOP}), _reference_negate_leaf(leaf)[0])
         assert clusters == (frozenset({P1, P2}), frozenset({TOP}))
         _agree(leaf, verdict)
 
@@ -325,7 +336,7 @@ class TestVerdicts:
         is forced to escape, which falsum's cluster may not, whatever it reaches."""
         leaf = hseq(seq((BOT,), LL, (P1,)), seq((P2,), LL, (P1,)), seq((P1, P1), preceq(1), ()))
         assert leaf.render() == "0 << p1 | p2 << p1 | p1,p1 <=_1"
-        clusters, reaches = _grouped(frozenset({BOT, P1, P2, TOP}), negate_leaf(leaf)[0])
+        clusters, reaches = _grouped(frozenset({BOT, P1, P2, TOP}), _reference_negate_leaf(leaf)[0])
         assert clusters == (frozenset({BOT, P1}), frozenset({P2}), frozenset({TOP}))
         assert reaches[0] == frozenset({0, 1})
         verdict = check_axiom(leaf)
@@ -389,7 +400,8 @@ class TestEscapeClosure:
         )
         verdict = check_axiom(leaf)
         assert verdict.is_axiom
-        clusters, _ = _grouped(frozenset({TOP, *map(Var, range(1, 42))}), negate_leaf(leaf)[0])
+        edges = _reference_negate_leaf(leaf)[0]
+        clusters, _ = _grouped(frozenset({TOP, *map(Var, range(1, 42))}), edges)
         assert len(clusters) == 41
         assert 1 <= len(calls) <= len(clusters)
 
@@ -432,7 +444,7 @@ class TestEscapeClosure:
         own = seq((P2,), prec(), (P2,))
         edges = [seq((P1,), LL, (P3,)), seq((P3,), LL, (P1,)), seq((P2,), LL, (P1,))]
         leaf = hseq(*edges, *together, own)
-        cache, mask, edges = _graph({P1, P2, P3, TOP}, negate_leaf(leaf)[0])
+        cache, mask, edges = _graph({P1, P2, P3, TOP}, _reference_negate_leaf(leaf)[0])
         groups, reaches = contract_and_sort(mask, edges)
         # Bits over falsum, p1, p2, p3 and top: {p1, p3}, {p2}, {top}.
         assert cache.atoms == [BOT, P1, P2, P3, TOP] and groups == (0b01010, 0b00100, 0b10000)
@@ -461,7 +473,7 @@ class TestEscapeClosure:
         assert calls[-1] == [1, 3] and len(calls) <= 3
         _agree(leaf, verdict)
         # Falsum's cluster first: no other cluster is solved.
-        cache, mask, edges = _graph({BOT, P1, P2, P3, Var(4), TOP}, negate_leaf(leaf)[0])
+        cache, mask, edges = _graph({BOT, P1, P2, P3, Var(4), TOP}, _reference_negate_leaf(leaf)[0])
         groups, reaches = contract_and_sort(mask, edges)
         fracs = [cache.compile(s, leaf)[1] for s in together + own]
         calls.clear()
@@ -582,7 +594,8 @@ def test_countermodel_fractions_are_one_joint_solve():
             refuted += 1
             clusters = reference_check_axiom(leaf)[1]
             cluster_of = {atom: i for i, cluster in enumerate(clusters) for atom in cluster}
-            spots = {s: {cluster_of[a] for a in s.formulas()} for s in negate_leaf(leaf)[1]}
+            fracs = _reference_negate_leaf(leaf)[1]
+            spots = {s: {cluster_of[a] for a in s.formulas()} for s in fracs}
             rows = build_lp(
                 s for s, at in spots.items() if len(at) == 1 and TOP not in clusters[min(at)]
             )

@@ -6,7 +6,8 @@ the harness's trace targets name functions by string).  A field, a
 ``__slots__`` entry or an annotated class attribute, counts as read only
 when an attribute load names it: an assignment to it is not a read.  Both
 checks are by name alone, so they cannot tell two definitions of one name
-apart.
+apart.  A parameter default counts as used when some call leaves that
+argument out.
 """
 
 import ast
@@ -72,3 +73,62 @@ def test_every_package_field_is_read_outside_the_tests():
         if name not in read and not (name.startswith("__") and name.endswith("__"))
     ]
     assert sorted(unread) == []
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _leaves_out(call: ast.Call, name: str, position: int) -> bool:
+    """Whether call passes no argument for the parameter, by keyword or by position."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return False
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return False
+    return position < 0 or len(call.args) <= position
+
+
+def test_every_parameter_default_is_left_out_by_some_call():
+    """A default that every call overrides is a code path no caller takes.
+
+    Calls are matched by the function's name; a method's position counts
+    its bound first parameter out, and a constructor is called by its
+    class's name.  A call with ``*`` or ``**`` arguments leaves nothing out.
+    """
+    package = _modules("src/blprover")
+    defaults = []
+    for module in package:
+        owner = {
+            id(node): cls.name
+            for cls in ast.walk(module)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+        }
+        for node in ast.walk(module):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args, name = node.args, node.name
+            if name in ("__init__", "__new__"):
+                name = owner[id(node)]
+            bound = id(node) in owner
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for k in range(first, len(positional)):
+                defaults.append((name, positional[k].arg, k - bound))
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    defaults.append((name, arg.arg, -1))
+    calls = [
+        node
+        for module in package + _modules("perfbench")
+        for node in ast.walk(module)
+        if isinstance(node, ast.Call)
+    ]
+    assert ("check_axiom", "cache", 1) in defaults
+    overridden = [
+        f"{func}({name})"
+        for func, name, position in defaults
+        if not any(_callee(c) == func and _leaves_out(c, name, position) for c in calls)
+    ]
+    assert sorted(overridden) == []

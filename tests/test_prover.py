@@ -140,11 +140,12 @@ def test_soundness_checks_survive_optimised_mode():
             except AssertionError:
                 continue
             sys.exit("a refutation without a countermodel was accepted")
-        from blprover import TOP, Conj
-        from blprover.axiom_check import _add_frac, _atom_key
+        from blprover import TOP, Var, preceq, seq
+        from blprover.axiom_check import LeafCache, _add_frac
         for broken in (
             lambda: _add_frac({}, TOP, 1),
-            lambda: _atom_key(Conj(TOP, TOP)),
+            # p1 is outside the search's numbering, which p2's search made.
+            lambda: LeafCache((Var(2),)).compile(seq((Var(1),), preceq(), ()), ()),
         ):
             try:
                 broken()
