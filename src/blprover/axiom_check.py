@@ -87,13 +87,12 @@ class LeafCache:
     The one reader of a leaf's sequents.  Atoms are numbered falsum 0, the
     given formulas' variables by index, top last.  A sequent's record,
     compiled on its first read, is its atom bits, with a ``<<``'s edge bit
-    above them (``edges`` holds each edge's tail and head bits), its row
-    when its negation is kept: (atom bits, sequent, unit flag, void flag,
-    number), and its number, dense per search; a settled part's ``key`` is
-    its records' sorted numbers.  ``groupings`` memoizes contract_and_sort
-    by the OR-ed bits, and maps each result to itself so that equal results
-    share one copy; ``solves`` holds a cluster's witness (None if
-    infeasible) by its rows' sorted numbers.
+    above them (``edges`` holds each edge's tail and head bits), and its row
+    when its negation is kept, else None: (atom bits, sequent, unit flag,
+    void flag, number).  Nothing is kept per checked hypersequent.
+    ``groupings`` memoizes contract_and_sort by the OR-ed bits, and maps
+    each result to itself so that equal results share one copy; ``solves``
+    holds a cluster's witness (None if infeasible) by its rows' sorted numbers.
     """
 
     __slots__ = ("atoms", "number", "records", "edges", "groupings", "solves")
@@ -142,13 +141,8 @@ class LeafCache:
         elif s.is_unit_shape or not top:
             # Only rows without top are ever owned by a cluster and read as void.
             row = bits, s, s.is_unit_shape, not top and _is_void(s), number
-        self.records[s] = record = mask, row, number
+        self.records[s] = record = mask, row
         return record
-
-    def key(self, part: Sequence[RelationalSequent]) -> tuple[int, ...]:
-        """The sorted record numbers of a settled part, compiled with it as the leaf."""
-        records = self.records
-        return tuple(sorted([(records.get(s) or self.compile(s, part))[2] for s in part]))
 
 
 def contract_and_sort(

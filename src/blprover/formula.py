@@ -369,7 +369,11 @@ class _Parser:
         if kind == "var":
             if text.startswith("p0") and text != "p0":
                 raise ParseError(f"variable {text} has a leading zero", pos)
-            return Var(int(text[1:]))
+            try:
+                index = int(text[1:])
+            except ValueError:  # more digits than int converts
+                raise ParseError("variable index has too many digits", pos) from None
+            return Var(index)
         if kind == "lparen":
             inner = self.parse_equiv(depth + 1)
             self.expect("rparen")

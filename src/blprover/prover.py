@@ -60,15 +60,14 @@ def check_tautology(formula: Formula) -> ProveResult:
 
     A label whose settled part (its all-atomic sequents, which every premise
     keeps) is an axiom is not expanded: every leaf below contains that valid
-    part, so the first invalid leaf and its path do not change.  Each
-    settled part is classified once and keeps only that flag; the leaf that
-    ends the search is classified again if its part was met before.  The
-    flags are keyed not by sets of sequents but by the search's LeafCache
-    key of the part, the sorted numbers of its sequents, and each label's
-    settled part is read once.  One memo of rewrites, as in build_rwbl_tree,
-    and one LeafCache of the leaf checks' work serve the whole search.  A
-    prune check reads only the verdict, so no countermodel is built unless
-    a leaf ends the search.
+    part, so the first invalid leaf and its path do not change.  Each label
+    the walk visits is checked once: a leaf itself, a reducible label its
+    settled part unless that is empty (never an axiom).  No verdict outlives
+    its label, so a repeated part costs a pass over its sequents' records
+    and lookups in the LeafCache's memos.  One memo of rewrites, as in
+    build_rwbl_tree, and that LeafCache serve the whole search.  A prune
+    check reads only the verdict, so no countermodel is built unless a leaf
+    ends the search.
     The countermodel is the refuted leaf's, unchanged, as in
     check_no_tautology; by acceptance criterion 8 (variable preservation)
     every leaf keeps the formula's variables, so it binds them all.  Raises
@@ -76,33 +75,22 @@ def check_tautology(formula: Formula) -> ProveResult:
     """
     check_limits(formula)
     n = complexity(formula)
-    # Settled part, as the sorted numbers of its sequents -> whether it is an
-    # axiom.  A leaf is its own settled part.
-    valid: dict[tuple[int, ...], bool] = {}
     memo: dict = {}
     cache = LeafCache((formula,))
-    # The last label read, its settled part's key and sequents: fold_tree reads a label twice.
-    last: tuple = (None, (), [])
-
-    def settled_key(label: RelationalHypersequent) -> tuple[int, ...]:
-        nonlocal last
-        if last[0] is not label:
-            part = [s for s in label if s.all_atomic]
-            last = label, cache.key(part), part
-        return last[1]
+    # The last label pruned: fold_tree values it as a leaf right after.
+    pruned: RelationalHypersequent | None = None
 
     def refutation(label: RelationalHypersequent) -> AxiomVerdict | None:
-        key = settled_key(label)
-        if valid.get(key):
+        if label is pruned:
             return None
-        verdict = check_axiom(RelationalHypersequent(last[2]), cache)
-        valid[key] = verdict.is_axiom
+        verdict = check_axiom(label, cache)
         return None if verdict.is_axiom else verdict
 
     def premises(label: RelationalHypersequent) -> tuple[Premise, ...]:
-        key = settled_key(label)
-        # A part known to fail is not checked again; it cannot prune.
-        if key and valid.get(key) is not False and refutation(label) is None:
+        nonlocal pruned
+        part = [s for s in label if s.all_atomic]
+        if part and check_axiom(RelationalHypersequent(part), cache).is_axiom:
+            pruned = label
             return ()
         return rwbl_premises(label, memo)
 

@@ -87,7 +87,7 @@ def _negated(leaf):
     records = [cache.compile(s, leaf) for s in leaf]
     atom = {1 << j: a for j, a in enumerate(cache.atoms)}
     edges = {(atom[tail], atom[head]) for tail, head in cache.edges}
-    return edges, [row[1] for _, row, _ in records if row is not None]
+    return edges, [row[1] for _, row in records if row is not None]
 
 
 class TestNegation:

@@ -365,9 +365,10 @@ def test_the_search_keeps_only_its_branch(monkeypatch):
 
 
 def test_the_memo_holds_no_sequent_sets(monkeypatch):
-    # The memo of settled parts keys each by the sorted numbers of its
-    # sequents; keys that held the parts as sets would grow with the tree
-    # instead (1,051 live sets on this chain).  Labels are not counted.
+    # The search keeps no memo of settled parts, and the LeafCache's memos
+    # key records by sequent, groupings by bits and solves by row numbers;
+    # a memo keyed by sets of sequents would grow with the tree instead
+    # (1,051 live sets on this chain).  Labels are not counted.
     formula = parse("(p1 -> p2) * (p2 -> p3) * (p3 -> p4) -> (p1 -> p4)")
     n = complexity(formula)
 
@@ -389,31 +390,43 @@ def test_the_memo_holds_no_sequent_sets(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "text, provable, calls",
+    "text, provable, checks, groupings, solves",
     [
-        ("(p1 -> p2) * (p2 -> p3) * (p3 -> p4) -> (p1 -> p4)", True, 1054),
-        ("p1 -> (p2 -> (p3 -> (p4 -> (p5 -> (p6 -> p1)))))", True, 157),
+        ("(p1 -> p2) * (p2 -> p3) * (p3 -> p4) -> (p1 -> p4)", True, 1774, 533, 216),
+        ("p1 -> (p2 -> (p3 -> (p4 -> (p5 -> (p6 -> p1)))))", True, 179, 147, 0),
         (
             "((p1 -> (p2 -> p3)) -> (p1 * p2 -> p3)) * ((p1 * p2 -> p3) -> (p1 -> (p2 -> p3)))",
             True,
-            602,
+            1054,
+            142,
+            73,
         ),
-        ("(p1 -> p2) * (p2 -> p3) * (p3 -> p4) * (p4 -> p5) -> (p5 -> p1)", False, 253),
+        ("(p1 -> p2) * (p2 -> p3) * (p3 -> p4) * (p4 -> p5) -> (p5 -> p1)", False, 258, 253, 96),
     ],
     ids=["chain3", "nested_weakening6", "residuation", "reversed_chain4"],
 )
-def test_the_memo_keeps_every_hit(monkeypatch, text, provable, calls):
-    # Each distinct settled part is classified once, plus the refuted leaf
-    # that ends the search; a memo that lost hits would classify more.
-    count = itertools.count()
+def test_the_memo_keeps_every_hit(monkeypatch, text, provable, checks, groupings, solves):
+    # Each label the search visits is checked once: a leaf, and a reducible
+    # label's settled part unless it is empty.  A part met before costs only
+    # hits in the LeafCache's memos, so each distinct floor graph is grouped
+    # and each distinct cluster solved once per search; a memo that lost
+    # hits would group or solve more.
+    counts = {"check_axiom": 0, "contract_and_sort": 0, "solve": 0}
 
-    def counting(leaf, cache=None):
-        next(count)
-        return check_axiom(leaf, cache)
+    def counting(module, name):
+        run = getattr(module, name)
 
-    monkeypatch.setattr(prover, "check_axiom", counting)
+        def counted(*args):
+            counts[name] += 1
+            return run(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(prover, "check_axiom")
+    counting(axiom_check, "contract_and_sort")
+    counting(axiom_check, "solve")
     assert check_tautology(parse(text)).provable == provable
-    assert next(count) == calls
+    assert counts == {"check_axiom": checks, "contract_and_sort": groupings, "solve": solves}
 
 
 def test_a_reimport_frees_the_earlier_copy():
@@ -547,6 +560,24 @@ class TestCliProve:
     def test_deep_nesting_is_a_parse_error(self, capsys, text):
         assert cli_main(["prove", text]) == 2
         assert capsys.readouterr().err.startswith("parse error:")
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["prove"],
+            ["tree"],
+            ["eval", "--valuation", "absent.json"],
+            ["verify", "--cert", "absent.json"],
+        ],
+        ids=["prove", "tree", "eval", "verify"],
+    )
+    def test_a_numeral_past_the_digit_limit_is_a_parse_error(self, capsys, command):
+        # int refuses more than 4,300 digits by default; every command parses
+        # the formula before it reads a file.
+        text = "p" + "9" * 4301 + " -> p1"
+        assert cli_main([command[0], text, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err == "parse error: variable index has too many digits (at position 0)\n"
 
     def test_equivalence_chain_blow_up_is_a_parse_error(self, capsys):
         # Each <-> copies both operands: 30 operands would make 3 * (2**29 - 1)
