@@ -15,11 +15,11 @@ finite integer parts with b < a; 3, a <= b.
 A step reads two parts of a label (``decompose``): the rest, which every
 premise keeps, and the sequents that hold the pivot.  Such a sequent has it
 as its own greatest compound formula, so the sequent alone fixes how each
-premise rewrites it.  ``rwbl_premises``
-takes a memo that its caller keeps for one search or tree build: it holds
-each pivot's antecedents and each pivot sequent's parts, so a sequent that
-sibling subtrees share is rewritten once per call, and the rewrites die
-with the call.
+premise rewrites it.  ``rwbl_premises`` takes a memo that its caller keeps
+for one search or tree build: it holds each pivot's antecedents and each
+pivot sequent's parts, so a sequent that sibling subtrees share is rewritten
+once per call, and the rewrites die with the call.  A step checks the shape
+of each sequent it makes (``check_generated_shape``) as it makes it.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .formula import Conj, Formula, TOP, complexity_key
 from .hypersequent import (
     RelationalHypersequent,
     RelationalSequent,
+    check_generated_shape,
     decompose,
     expand_abbreviation,
     subst_all,
@@ -112,18 +113,23 @@ def rwbl_premises(g: RelationalHypersequent, memo: dict | None = None) -> tuple[
     zero become unsatisfiable and are omitted.  Each label is one set union
     of its antecedent, the sequents without the pivot, which every premise
     shares as the same objects, and each pivot sequent's part.  Antecedents
-    and parts are looked up in memo, and made and entered there on a miss;
-    with no memo, they are made for this call.
+    and parts are looked up in memo, and made, shape-checked together and
+    entered there on a miss; with no memo, they are made for this call.
     """
     if memo is None:
         memo = {}
     pivot, free, held = decompose(g)
+    made: list = []
     antecedents = memo.get(pivot)
     if antecedents is None:
         expand = _conj_antecedents if isinstance(pivot, Conj) else _impl_antecedents
         antecedents = memo[pivot] = expand(pivot.left, pivot.right)
+        made += antecedents
     for s in held:
         if s not in memo:
             memo[s] = _parts(s, pivot)
+            made += memo[s]
+    if made:
+        check_generated_shape(union(*made))
     labels = [union(free, *column) for column in zip(antecedents, *(memo[s] for s in held))]
     return _premises("conj" if isinstance(pivot, Conj) else "impl", labels)

@@ -371,8 +371,8 @@ def check_generated_shape(g: RelationalHypersequent) -> None:
     """Assert the shape invariant for calculus-generated labels.
 
     Every two-formula fractional sequent with index zero must have exactly one
-    formula on each side.  The reduction engine calls this on every label it
-    creates; a violation signals an implementation bug.  The message names
+    formula on each side.  The calculus calls this on the sequents each step
+    makes; a violation signals an implementation bug.  The message names
     the offending sequent with the least sort key.
     """
     offenders = [s for s in g if s.one_sided_pair]

@@ -59,17 +59,16 @@ def check_tautology(formula: Formula) -> ProveResult:
     count.
 
     A label whose settled part (its all-atomic sequents, which every premise
-    keeps) is an axiom is not expanded: every leaf below contains that valid
-    part, so the first invalid leaf and its path do not change.  Each label
-    the walk visits is checked once: a leaf itself, a reducible label its
-    settled part unless that is empty (never an axiom).  No verdict outlives
-    its label, so a repeated part costs a pass over its sequents' records
-    and lookups in the LeafCache's memos.  One memo of rewrites, as in
+    keeps) is an axiom is cut: every leaf below contains that valid part, so
+    the first invalid leaf and its path do not change.  Each label the walk
+    visits is checked once: a leaf itself, a reducible label its settled
+    part unless that is empty (never an axiom).  No verdict outlives its
+    label, so a repeated part costs a pass over its sequents' records and
+    lookups in the LeafCache's memos.  One memo of rewrites, as in
     build_rwbl_tree, and that LeafCache serve the whole search.  A prune
     check reads only the verdict, so no countermodel is built unless a leaf
-    ends the search.
-    The countermodel is the refuted leaf's, unchanged, as in
-    check_no_tautology; by acceptance criterion 8 (variable preservation)
+    ends the search.  The countermodel is the refuted leaf's, unchanged, as
+    in check_no_tautology; by acceptance criterion 8 (variable preservation)
     every leaf keeps the formula's variables, so it binds them all.  Raises
     ValueError on formulas beyond the parser's size limits.
     """
@@ -77,20 +76,14 @@ def check_tautology(formula: Formula) -> ProveResult:
     n = complexity(formula)
     memo: dict = {}
     cache = LeafCache((formula,))
-    # The last label pruned: fold_tree values it as a leaf right after.
-    pruned: RelationalHypersequent | None = None
 
     def refutation(label: RelationalHypersequent) -> AxiomVerdict | None:
-        if label is pruned:
-            return None
         verdict = check_axiom(label, cache)
         return None if verdict.is_axiom else verdict
 
     def premises(label: RelationalHypersequent) -> tuple[Premise, ...]:
-        nonlocal pruned
         part = [s for s in label if s.all_atomic]
         if part and check_axiom(RelationalHypersequent(part), cache).is_axiom:
-            pruned = label
             return ()
         return rwbl_premises(label, memo)
 

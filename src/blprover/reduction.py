@@ -9,10 +9,10 @@ search folds its verdicts.  One depth guard, in that walker, bounds the
 height: it never exceeds the connective count of A, because each step
 removes the pivot from the set of compound formulas of the label and
 introduces only proper subformulas, so the guard at that limit doubles as a
-bug detector.  An expansion may also return no premises, which makes the
-label a leaf: that is how a client cuts a subtree it already knows.  The
-provability search does so for labels whose settled part is valid, and
-``build_rwbl_tree`` for labels it has already folded.
+bug detector.  A leaf is an irreducible label; a client cuts a subtree it
+already knows by returning no premises, which makes the label an inner node
+with no premises.  The provability search cuts labels whose settled part is
+valid, and ``build_rwbl_tree`` labels it has already folded.
 
 Sibling subtrees share most of their sequents, and the calculus rewrites a
 sequent the same way wherever it meets it.  So ``build_rwbl_tree``, like
@@ -34,7 +34,6 @@ from .calculus import Premise, rwbl_premises
 from .formula import TOP, Formula, check_limits, complexity, parse, render
 from .hypersequent import (
     RelationalHypersequent,
-    check_generated_shape,
     hseq,
     is_irreducible,
     preceq,
@@ -103,21 +102,25 @@ def fold_tree(
 ) -> tuple[V, LeafPath | None]:
     """Fold the tree below root bottom-up, depth first in premise order.
 
-    leaf(label) values a leaf, an irreducible label or one whose expansion
-    gave no premises; inner(label, premises, values) values an inner node
-    from its premises' values.  The walk keeps only the current branch, so
-    every occurrence of a label is expanded and valued; a client cuts a
-    subtree it already knows by returning no premises.  A reducible label at
-    depth limit raises ReductionDepthError.  Returns (root value, None), or,
-    as soon as stop holds for a leaf's value, that value and its path.
+    leaf(label) values a leaf, which is irreducible; inner(label, premises,
+    values) values a reducible label from its premises' values, and a label
+    whose expansion gave no premises, a subtree the client cut, by
+    inner(label, (), []).  The walk keeps only the current branch, so every
+    occurrence of a label is expanded and valued.  A reducible label at depth
+    limit raises ReductionDepthError.  Returns (root value, None), or, as
+    soon as stop holds for a leaf's value, that value and its path.
     """
     # One frame per inner node on the current branch: its label, premises,
     # and the values of the premises folded so far.
     frames: list[tuple[RelationalHypersequent, tuple[Premise, ...], list[V]]] = []
     label = root
     while True:
-        check_generated_shape(label)
-        if not is_irreducible(label):
+        if is_irreducible(label):
+            value = leaf(label)
+            if stop is not None and stop(value):
+                moves = tuple(ps[len(vs)].index for _, ps, vs in frames)
+                return value, (moves, tuple(f[0] for f in frames) + (label,))
+        else:
             if len(frames) >= limit:
                 raise ReductionDepthError("reducible node at the depth limit")
             premises = expand(label)
@@ -125,10 +128,7 @@ def fold_tree(
                 frames.append((label, premises, []))
                 label = premises[0].label
                 continue
-        value = leaf(label)
-        if stop is not None and stop(value):
-            moves = tuple(ps[len(vs)].index for _, ps, vs in frames)
-            return value, (moves, tuple(f[0] for f in frames) + (label,))
+            value = inner(label, (), [])
         while frames:
             parent, premises, values = frames[-1]
             values.append(value)
@@ -161,12 +161,11 @@ def build_rwbl_tree(formula: Formula) -> ReductionTree:
 
     The depth limit is the connective count of the formula, which is a
     proven bound on the height; exceeding it raises ReductionDepthError.
-    Formulas beyond the parser's size limits raise ValueError.  One memo
-    of rewrites serves every expansion of the call, so each distinct
-    sequent that holds a pivot is rewritten once.  The pass that builds the
-    nodes also computes the tree's statistics.  A label already
-    folded is cut from the walk and reuses its fold, so equal labels share
-    one children tuple.
+    Formulas beyond the parser's size limits raise ValueError.  One memo of
+    rewrites serves every expansion of the call, so each distinct sequent
+    that holds a pivot is rewritten once.  The pass that builds the nodes
+    also computes the tree's statistics.  A label already folded is cut and
+    reuses its fold, so equal labels share one children tuple.
     """
     check_limits(formula)
     root = root_label(formula)
@@ -180,6 +179,8 @@ def build_rwbl_tree(formula: Formula) -> ReductionTree:
     def inner(
         label: RelationalHypersequent, premises: tuple[Premise, ...], subtrees: Sequence[Folded]
     ) -> Folded:
+        if not premises:
+            return folded[label]
         children = tuple(
             ReductionNode(p.label, p.index, p.tag, sub) for p, (sub, _) in zip(premises, subtrees)
         )
@@ -196,7 +197,7 @@ def build_rwbl_tree(formula: Formula) -> ReductionTree:
         root,
         expand,
         limit,
-        lambda label: folded.get(label) or ((), TreeStats(0, 1, 1, label_weight(label))),
+        lambda label: ((), TreeStats(0, 1, 1, label_weight(label))),
         inner,
     )
     # The walk does not enter a reused fold, so its depth guard misses one

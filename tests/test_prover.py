@@ -32,7 +32,7 @@ from blprover import (
 from blprover import axiom_check
 from blprover.axiom_check import check_axiom
 from blprover.calculus import rwbl_premises
-from blprover.formula import BOT, Conj, Impl, Var
+from blprover.formula import BOT, MAX_CONNECTIVES, MAX_NESTING, Conj, Impl, Var
 from blprover.hypersequent import RelationalHypersequent, is_irreducible
 from blprover.reduction import build_rwbl_tree, fold_tree, follow_certificate, root_label
 from blprover.semantics import INF, Finite, Valuation, eval_formula
@@ -751,3 +751,136 @@ class TestCliEval:
         path.write_bytes(content)
         assert cli_main(["eval", "p1", "--valuation", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"{error} valuation file:")
+
+
+# The input contract over the whole CLI, with the parser's limits hit exactly.
+# One <-> chain of k operands has 3 * (2**(k-1) - 1) connectives and 2(k-1)
+# levels: 6,141 + 3,069 + 765, two joining * and 23 ~ make 10,000 in 47 levels.
+def _iff_chain(operands):
+    return "(" + " <-> ".join(["p1"] * operands) + ")"
+
+
+_AT_CONNECTIVE_LIMIT = "~" * 23 + f"({_iff_chain(12)} * {_iff_chain(11)} * {_iff_chain(9)})"
+_HUGE_NUMERAL = "9" * 4300  # the most digits int converts by default
+_SMALL = ["p1 -> p2", "p1 * p2 -> p1", "~p1 -> (p1 -> 0)", "(p1 <-> p2) -> p1", "top -> p3"]
+_STRAY = "()*~<->0pt$#;,.!?'\"\\ \t\u00e9\u2192\u0661\U0001f600\x00"
+
+
+def _with_stray_characters(seed, count):
+    """Small formulas, each with one character of _STRAY inserted at random."""
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        text = rng.choice(_SMALL)
+        at = rng.randint(0, len(text))
+        texts.append(text[:at] + rng.choice(_STRAY) + text[at:])
+    return texts
+
+
+CONTRACT_FORMULAS = [
+    f"p{_HUGE_NUMERAL} -> p1",
+    f"p{_HUGE_NUMERAL}9 -> p1",
+    "~" * MAX_NESTING + "p1",
+    "~" * (MAX_NESTING + 1) + "p1",
+    "(" * MAX_NESTING + "p1" + ")" * MAX_NESTING,
+    "(" * (MAX_NESTING + 1) + "p1" + ")" * (MAX_NESTING + 1),
+    _AT_CONNECTIVE_LIMIT,
+    "~" + _AT_CONNECTIVE_LIMIT,
+    "",
+    " ",
+    "()",
+    "-> p1",
+    "p1 -> ",
+    "p1 $ p2",
+    "p1 -> p2 ;",
+    "p1 \u2192 p2",
+    "p\u0661 -> p1",
+    "p1 * p\uff12",
+    "p01 -> p1",
+    *_SMALL,
+    *_with_stray_characters(44, 24),
+]
+
+_WELL_FORMED_CERTIFICATE = {"formula": "p1 -> p2", "moves": [1]}
+CONTRACT_CERTIFICATES = [
+    b"",
+    b"null",
+    b"[]",
+    b"{}",
+    b'{"certificate": 5}',
+    b'{"formula": "p1 -> p2"}',
+    b'{"formula": "p1 -> p2", "moves": "1"}',
+    b'{"formula": "p1 -> p2", "moves": [true]}',
+    b'{"formula": "p1 -> p2", "moves": [1.0]}',
+    b'{"formula": "p1 -> p2", "moves": [1e999]}',
+    b'{"formula": "p1 -> p2", "moves": [' + b"9" * 5000 + b"]}",
+    b'{"formula": "p1 -> p2", "moves": [' + b"9" * 4000 + b"]}",
+    b'{"formula": "p1 -> p2", "moves": [-1]}',
+    b'{"formula": "p1 -> p2", "moves": [0]}',
+    b'{"formula": "p1 -> p2", "moves": [1, 0]}',
+    b'{"formula": "p2 -> p1", "moves": [1]}',
+    b'{"formula": "p1 ->", "moves": [1]}',
+    b'{"formula": 7, "moves": [1]}',
+    b'{"formula": "p' + _HUGE_NUMERAL.encode() + b'9", "moves": []}',
+    json.dumps({"certificate": _WELL_FORMED_CERTIFICATE}).encode(),
+    json.dumps(_WELL_FORMED_CERTIFICATE).encode(),
+    *(content for content, _ in BAD_BYTES),
+]
+_VALUATION = b'{"assignment": {"p1": "0+1/2", "p2": "1+0/1", "p3": "inf"}}'
+CONTRACT_VALUATIONS = [
+    b"",
+    b"null",
+    b"[]",
+    b"{}",
+    b'{"assignment": []}',
+    b'{"assignment": {"p1": 5}}',
+    b'{"assignment": {"p1": "inf", "q1": "0"}}',
+    b'{"assignment": {"p1": "-1+1/2"}}',
+    b'{"assignment": {"p1": "0+3/2"}}',
+    b'{"assignment": {"p1": "0+1/' + b"9" * 5000 + b'"}}',
+    b'{"assignment": {"p' + b"9" * 5000 + b'": "inf"}}',
+    b'{"assignment": {"p1": "inf"}}',
+    _VALUATION,
+    *(content for content, _ in BAD_BYTES),
+]
+
+
+def _assert_contract(capsys, argv):
+    """Exit 0, 1 or 2 and no traceback; exit 1 only with a verdict line."""
+    try:
+        code = cli_main(argv)
+    except BaseException as exc:  # the command line would print a traceback
+        pytest.fail(f"{argv[0]} raised {exc!r}")
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), (argv[0], code)
+    if code == 1:
+        assert out.startswith(("not provable\n", "rejected: ")), out
+    else:
+        assert bool(out) == (code == 0) and bool(err) == (code == 2), (argv[0], code, out, err)
+
+
+def test_every_input_ends_in_a_verdict_or_exit_two(tmp_path, capsys):
+    # Only formulas that the parser rejects or that are known to be small reach
+    # prove and tree: with no search budget, a large one would run for long.
+    at_limit = parse(_AT_CONNECTIVE_LIMIT)
+    assert (at_limit.complexity, at_limit.height) == (MAX_CONNECTIVES, 47)
+    valuation = tmp_path / "valuation.json"
+    valuation.write_bytes(_VALUATION)
+    certificate = tmp_path / "certificate.json"
+    for text in CONTRACT_FORMULAS:
+        try:
+            small = complexity(parse(text)) <= 6
+        except ValueError:
+            small = True
+        certificate.write_text(json.dumps({"formula": text, "moves": []}), encoding="utf-8")
+        commands = [["eval", "--valuation", str(valuation)], ["verify", "--cert", str(certificate)]]
+        if small:
+            commands += [["prove"], ["tree"]]
+        for command, *options in commands:
+            _assert_contract(capsys, [command, text, *options])
+    for content in CONTRACT_CERTIFICATES:
+        certificate.write_bytes(content)
+        _assert_contract(capsys, ["verify", "p1 -> p2", "--cert", str(certificate)])
+    for content in CONTRACT_VALUATIONS:
+        valuation.write_bytes(content)
+        _assert_contract(capsys, ["eval", "p1 -> p2", "--valuation", str(valuation)])

@@ -271,6 +271,58 @@ def test_reused_label_still_trips_the_depth_guard():
         count_leaves(2)
 
 
+def test_a_cut_label_is_valued_by_inner_and_never_by_leaf():
+    # The client cuts the first reducible label below the root, as the search
+    # cuts a label whose settled part is valid; leaf sees irreducible labels
+    # only, and the cut's value reaches the root through inner.
+    formula = parse("p1 * p2 -> p1")
+    root = root_label(formula)
+    cut = []
+
+    def expand(label):
+        if label is not root and not cut:
+            cut.append(label)
+            return ()
+        return rwbl_premises(label)
+
+    def leaf(label):
+        if not is_irreducible(label):
+            raise AssertionError(f"leaf valued a reducible label: {label.render()}")
+        return []
+
+    def inner(label, premises, values):
+        return [x for value in values for x in value] if premises else [label]
+
+    value, path = fold_tree(root, expand, complexity(formula), leaf, inner)
+    assert cut and not is_irreducible(cut[0])
+    assert (value, path) == (cut, None)
+
+
+def test_the_calculus_checks_the_shape_of_each_sequent_it_makes(monkeypatch):
+    # A step that makes a two-formula index-0 sequent with both formulas on
+    # one side fails in rwbl_premises, so every caller sees the one message:
+    # the search, the tree builder and certificate replay.
+    bad = seq((P1, Var(2)), preceq(), ())
+    real_parts = calculus._parts
+    monkeypatch.setattr(
+        calculus, "_parts", lambda s, pivot: ((bad,),) + real_parts(s, pivot)[1:]
+    )
+    formula = parse("p1 -> p2")
+    message = (
+        "generated label has a two-formula index-0 sequent "
+        "with both formulas on one side: p1,p2 <="
+    )
+    for run in (
+        lambda: rwbl_premises(root_label(formula)),
+        lambda: build_rwbl_tree(formula),
+        lambda: check_tautology(formula),
+        lambda: follow_certificate(formula, Certificate((1,))),
+    ):
+        with pytest.raises(AssertionError) as raised:
+            run()
+        assert str(raised.value) == message
+
+
 def test_the_walker_keeps_no_memo():
     # Every inner-node occurrence is expanded, a repeated label as often as it
     # occurs: the walker holds its branch and nothing else.
