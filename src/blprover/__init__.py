@@ -10,7 +10,7 @@ time.
 from __future__ import annotations
 
 from .axiom_check import AxiomVerdict, check_axiom, verify_branch_countermodel
-from .calculus import Premise, rwbl_premises
+from .calculus import rwbl_premises
 from .formula import (
     BOT,
     TOP,
@@ -77,7 +77,6 @@ __all__ = [
     "LL",
     "OmegaValue",
     "ParseError",
-    "Premise",
     "ProveResult",
     "ReductionTree",
     "RelKind",

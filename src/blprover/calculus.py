@@ -3,10 +3,10 @@
 A step reduces a hypersequent by case analysis on the value of its pivot,
 the most complex compound formula.  A strong conjunction pivot a * b splits
 into five premises and an implication pivot a -> b into three, one per
-semantic case; each premise carries an antecedent (the negation of the other
-cases, as primitive sequents) plus the goal with every occurrence of the
-pivot rewritten.  The premise order is fixed, so a premise holds under
-exactly those valuations whose case matches its index.  For a * b the cases
+semantic case; a premise is its label alone, an antecedent (the negation of
+the other cases, as primitive sequents) plus the goal with every occurrence
+of the pivot rewritten.  A step returns the labels in case order, so label i
+holds under exactly those valuations in case i + 1.  For a * b the cases
 are: 1, a has the smaller integer part; 2, b has; 3, equal finite integer
 parts with fractional sum at least 1; 4, the same with sum below 1; 5, both
 infinite.  For a -> b they are: 1, b has the smaller integer part; 2, equal
@@ -24,8 +24,6 @@ of each sequent it makes (``check_generated_shape``) as it makes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .formula import Conj, Formula, TOP, complexity_key
 from .hypersequent import (
     RelationalHypersequent,
@@ -39,15 +37,6 @@ from .hypersequent import (
     subst_pair,
     union,
 )
-
-
-@dataclass(frozen=True)
-class Premise:
-    """One premise of a reduction step: 1-based index, tag and label."""
-
-    tag: str
-    index: int
-    label: RelationalHypersequent
 
 
 def smaller_child(a: Formula, b: Formula) -> Formula:
@@ -74,12 +63,6 @@ def _impl_antecedents(a: Formula, b: Formula) -> tuple[RelationalHypersequent, .
     )
 
 
-def _premises(kind: str, labels: list[RelationalHypersequent]) -> tuple[Premise, ...]:
-    return tuple(
-        Premise(f"{kind}{i}", i, label) for i, label in enumerate(labels, start=1)
-    )
-
-
 def _parts(s: RelationalSequent, pivot: Formula) -> tuple[tuple[RelationalSequent, ...], ...]:
     """A sequent holding the pivot, as each premise rewrites it, in premise order.
 
@@ -101,20 +84,23 @@ def _parts(s: RelationalSequent, pivot: Formula) -> tuple[tuple[RelationalSequen
     return tuple((part,) for part in first + middle) + (top,)
 
 
-def rwbl_premises(g: RelationalHypersequent, memo: dict | None = None) -> tuple[Premise, ...]:
+def rwbl_premises(
+    g: RelationalHypersequent, memo: dict | None = None
+) -> tuple[RelationalHypersequent, ...]:
     """Whole-hypersequent rewriting step on the pivot of g.
 
-    Returns five premises for a conjunction pivot and three for an
-    implication pivot.  The pivot does not occur in any premise: premises 1
-    and 2 (and 1 for implication) substitute a single child formula
-    everywhere, the middle premises substitute child pairs into the
-    fractional sequents, and the final premise substitutes bare top, under
-    which fractional sequents that are not one-formula-each-side at index
-    zero become unsatisfiable and are omitted.  Each label is one set union
-    of its antecedent, the sequents without the pivot, which every premise
-    shares as the same objects, and each pivot sequent's part.  Antecedents
-    and parts are looked up in memo, and made, shape-checked together and
-    entered there on a miss; with no memo, they are made for this call.
+    Returns the premise labels in case order, label i for case i + 1: five
+    for a conjunction pivot and three for an implication pivot.  The pivot
+    does not occur in any premise: those of cases 1 and 2 (1 for
+    implication) substitute a single child formula everywhere, the middle
+    premises substitute child pairs into the fractional sequents, and the
+    final premise substitutes bare top, under which fractional sequents that
+    are not one-formula-each-side at index zero become unsatisfiable and are
+    omitted.  Each label is one set union of its antecedent, the sequents
+    without the pivot, which every premise shares as the same objects, and
+    each pivot sequent's part.  Antecedents and parts are looked up in memo,
+    and made, shape-checked together and entered there on a miss; with no
+    memo, they are made for this call.
     """
     if memo is None:
         memo = {}
@@ -131,5 +117,4 @@ def rwbl_premises(g: RelationalHypersequent, memo: dict | None = None) -> tuple[
             made += memo[s]
     if made:
         check_generated_shape(union(*made))
-    labels = [union(free, *column) for column in zip(antecedents, *(memo[s] for s in held))]
-    return _premises("conj" if isinstance(pivot, Conj) else "impl", labels)
+    return tuple(union(free, *column) for column in zip(antecedents, *(memo[s] for s in held)))

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .axiom_check import AxiomVerdict, LeafCache, check_axiom, verify_branch_countermodel
-from .calculus import Premise, rwbl_premises
+from .calculus import rwbl_premises
 from .formula import Formula, ParseError, check_limits, complexity, parse, render
 from .hypersequent import RelationalHypersequent
 from .hypersequent import is_irreducible  # noqa: F401  a perfbench trace target
@@ -81,7 +81,7 @@ def check_tautology(formula: Formula) -> ProveResult:
         verdict = check_axiom(label, cache)
         return None if verdict.is_axiom else verdict
 
-    def premises(label: RelationalHypersequent) -> tuple[Premise, ...]:
+    def premises(label: RelationalHypersequent) -> tuple[RelationalHypersequent, ...]:
         part = [s for s in label if s.all_atomic]
         if part and check_axiom(RelationalHypersequent(part), cache).is_axiom:
             return ()

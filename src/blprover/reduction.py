@@ -19,9 +19,11 @@ sequent the same way wherever it meets it.  So ``build_rwbl_tree``, like
 the provability search, hands ``rwbl_premises`` one memo per call, and each
 distinct sequent that holds a pivot is rewritten once per call.
 
-A certificate compresses one branch into the sequence of premise indices
-taken at each level, padded with zeros once a leaf is reached; its length is
-exactly the connective count of the root formula.
+A certificate compresses one branch into the 1-based position of the
+premise taken at each level, padded with zeros once a leaf is reached; its
+length is exactly the connective count of the root formula.  A tree keeps
+only labels; the renderers tag each edge with its parent's pivot connective
+and its position.
 """
 
 from __future__ import annotations
@@ -30,18 +32,21 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
-from .calculus import Premise, rwbl_premises
-from .formula import TOP, Formula, check_limits, complexity, parse, render
+from .calculus import rwbl_premises
+from .formula import TOP, Conj, Formula, check_limits, complexity, parse, render
 from .hypersequent import (
     RelationalHypersequent,
     hseq,
     is_irreducible,
+    most_complex,
     preceq,
     seq,
 )
 
 V = TypeVar("V")
-# Premise indices from the root, and the labels from the root to the leaf.
+# A step's premise labels, in case order.
+Labels = tuple[RelationalHypersequent, ...]
+# Premise positions (1-based) from the root, and the labels from the root to the leaf.
 LeafPath = tuple[tuple[int, ...], tuple[RelationalHypersequent, ...]]
 
 
@@ -51,16 +56,13 @@ class ReductionDepthError(RuntimeError):
 
 @dataclass(frozen=True)
 class ReductionNode:
-    """A tree node: its label, how it was reached and its expansions.
+    """A tree node: its label and its expansions, in premise order.
 
-    premise_index and premise_tag describe the edge from the parent (None at
-    the root).  Leaves have no children.  In a tree from build_rwbl_tree,
-    nodes with equal labels share one children tuple.
+    Leaves have no children.  In a tree from build_rwbl_tree, nodes with
+    equal labels share one children tuple.
     """
 
     label: RelationalHypersequent
-    premise_index: int | None
-    premise_tag: str | None
     children: tuple[ReductionNode, ...]
 
 
@@ -94,31 +96,33 @@ def root_label(formula: Formula) -> RelationalHypersequent:
 
 def fold_tree(
     root: RelationalHypersequent,
-    expand: Callable[[RelationalHypersequent], tuple[Premise, ...]],
+    expand: Callable[[RelationalHypersequent], Labels],
     limit: int,
     leaf: Callable[[RelationalHypersequent], V],
-    inner: Callable[[RelationalHypersequent, tuple[Premise, ...], Sequence[V]], V],
+    inner: Callable[[RelationalHypersequent, Labels, Sequence[V]], V],
     stop: Callable[[V], bool] | None = None,
 ) -> tuple[V, LeafPath | None]:
     """Fold the tree below root bottom-up, depth first in premise order.
 
-    leaf(label) values a leaf, which is irreducible; inner(label, premises,
-    values) values a reducible label from its premises' values, and a label
-    whose expansion gave no premises, a subtree the client cut, by
-    inner(label, (), []).  The walk keeps only the current branch, so every
-    occurrence of a label is expanded and valued.  A reducible label at depth
-    limit raises ReductionDepthError.  Returns (root value, None), or, as
-    soon as stop holds for a leaf's value, that value and its path.
+    expand(label) gives the premise labels of a reducible label in case
+    order.  leaf(label) values a leaf, which is irreducible; inner(label,
+    premises, values) values a reducible label from its premises' values,
+    and a label whose expansion gave no premises, a subtree the client cut,
+    by inner(label, (), []).  The walk keeps only the current branch, so
+    every occurrence of a label is expanded and valued.  A reducible label
+    at depth limit raises ReductionDepthError.  Returns (root value, None),
+    or, as soon as stop holds for a leaf's value, that value and its path,
+    whose moves are the 1-based positions of the premises taken.
     """
-    # One frame per inner node on the current branch: its label, premises,
-    # and the values of the premises folded so far.
-    frames: list[tuple[RelationalHypersequent, tuple[Premise, ...], list[V]]] = []
+    # One frame per inner node on the current branch: its label, premise
+    # labels, and the values of the premises folded so far.
+    frames: list[tuple[RelationalHypersequent, Labels, list[V]]] = []
     label = root
     while True:
         if is_irreducible(label):
             value = leaf(label)
             if stop is not None and stop(value):
-                moves = tuple(ps[len(vs)].index for _, ps, vs in frames)
+                moves = tuple(len(vs) + 1 for _, _, vs in frames)
                 return value, (moves, tuple(f[0] for f in frames) + (label,))
         else:
             if len(frames) >= limit:
@@ -126,14 +130,14 @@ def fold_tree(
             premises = expand(label)
             if premises:
                 frames.append((label, premises, []))
-                label = premises[0].label
+                label = premises[0]
                 continue
             value = inner(label, (), [])
         while frames:
             parent, premises, values = frames[-1]
             values.append(value)
             if len(values) < len(premises):
-                label = premises[len(values)].label
+                label = premises[len(values)]
                 break
             frames.pop()
             value = inner(parent, premises, values)
@@ -173,17 +177,15 @@ def build_rwbl_tree(formula: Formula) -> ReductionTree:
     memo: dict = {}
     folded: dict[RelationalHypersequent, Folded] = {}
 
-    def expand(label: RelationalHypersequent) -> tuple[Premise, ...]:
+    def expand(label: RelationalHypersequent) -> Labels:
         return () if label in folded else rwbl_premises(label, memo)
 
     def inner(
-        label: RelationalHypersequent, premises: tuple[Premise, ...], subtrees: Sequence[Folded]
+        label: RelationalHypersequent, premises: Labels, subtrees: Sequence[Folded]
     ) -> Folded:
         if not premises:
             return folded[label]
-        children = tuple(
-            ReductionNode(p.label, p.index, p.tag, sub) for p, (sub, _) in zip(premises, subtrees)
-        )
+        children = tuple(ReductionNode(p, sub) for p, (sub, _) in zip(premises, subtrees))
         subs = [stats for _, stats in subtrees]
         folded[label] = children, TreeStats(
             1 + max(s.height for s in subs),
@@ -205,7 +207,7 @@ def build_rwbl_tree(formula: Formula) -> ReductionTree:
     # the greatest depth plus subtree height over all occurrences, does not.
     if stats.height > limit:
         raise ReductionDepthError("reducible node at the depth limit")
-    return ReductionTree(formula, ReductionNode(root, None, None, children), stats)
+    return ReductionTree(formula, ReductionNode(root, children), stats)
 
 
 def tree_stats(tree: ReductionTree) -> TreeStats:
@@ -275,28 +277,38 @@ def follow_certificate(formula: Formula, certificate: Certificate) -> FollowResu
                 False,
                 error=f"move {move} at position {position} outside 1..{len(premises)}",
             )
-        label = premises[move - 1].label
+        label = premises[move - 1]
         branch.append(label)
     if not is_irreducible(label):
         return FollowResult(False, error="certificate ends before a leaf")
     return FollowResult(True, branch=tuple(branch))
 
 
+def _edge_tags(node: ReductionNode) -> list[str]:
+    """Each child edge's tag: node's pivot connective and the child's 1-based position."""
+    if not node.children:
+        return []
+    kind = "conj" if isinstance(most_complex(node.label), Conj) else "impl"
+    return [f"{kind}{i}" for i in range(1, len(node.children) + 1)]
+
+
 def render_tree_lines(tree: ReductionTree) -> str:
     """Text dump, one node per line: id, depth, premise tag, label, child ids."""
     lines: list[str] = []
 
-    def walk(node: ReductionNode, depth: int) -> int:
+    def walk(node: ReductionNode, depth: int, tag: str) -> int:
         # One line per node in pre-order, so a node's id is its line's index.
         node_id = len(lines)
         lines.append("")
-        child_ids = [walk(child, depth + 1) for child in node.children]
-        tag = node.premise_tag if node.premise_tag is not None else "root"
+        child_ids = [
+            walk(child, depth + 1, child_tag)
+            for child, child_tag in zip(node.children, _edge_tags(node))
+        ]
         children = ",".join(str(c) for c in child_ids) if child_ids else "-"
         lines[node_id] = f"{node_id}\t{depth}\t{tag}\t{node.label.render()}\tchildren={children}"
         return node_id
 
-    walk(tree.root, 0)
+    walk(tree.root, 0, "root")
     return "\n".join(lines)
 
 
@@ -312,9 +324,9 @@ def render_tree_dot(tree: ReductionTree) -> str:
         node_id = counter[0]
         counter[0] += 1
         lines.append(f'  n{node_id} [label="{escape(node.label.render())}"];')
-        for child in node.children:
+        for child, tag in zip(node.children, _edge_tags(node)):
             child_id = walk(child)
-            lines.append(f'  n{node_id} -> n{child_id} [label="{child.premise_tag}"];')
+            lines.append(f'  n{node_id} -> n{child_id} [label="{tag}"];')
         return node_id
 
     walk(tree.root)
@@ -325,13 +337,16 @@ def render_tree_dot(tree: ReductionTree) -> str:
 def tree_to_json(tree: ReductionTree) -> str:
     """Structured JSON with nested children and premise provenance per node."""
 
-    def node_obj(node: ReductionNode) -> dict:
+    def node_obj(node: ReductionNode, premise: dict | None) -> dict:
         obj: dict = {"label": node.label.render()}
-        if node.premise_tag is not None:
-            obj["premise"] = {"tag": node.premise_tag, "index": node.premise_index}
-        obj["children"] = [node_obj(child) for child in node.children]
+        if premise is not None:
+            obj["premise"] = premise
+        obj["children"] = [
+            node_obj(child, {"tag": tag, "index": i})
+            for i, (child, tag) in enumerate(zip(node.children, _edge_tags(node)), start=1)
+        ]
         return obj
 
     return json.dumps(
-        {"formula": render(tree.formula), "mode": "rwbl", "root": node_obj(tree.root)}
+        {"formula": render(tree.formula), "mode": "rwbl", "root": node_obj(tree.root, None)}
     )

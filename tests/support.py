@@ -42,14 +42,7 @@ from operator import or_
 from typing import AbstractSet, Hashable, Iterable, Iterator, Sequence
 
 from blprover.axiom_check import build_lp
-from blprover.calculus import (
-    Premise,
-    _conj_antecedents,
-    _impl_antecedents,
-    _premises,
-    rwbl_premises,
-    smaller_child,
-)
+from blprover.calculus import _conj_antecedents, _impl_antecedents, rwbl_premises, smaller_child
 from blprover.formula import (
     BOT,
     Bottom,
@@ -292,7 +285,9 @@ def implication_chain(height: int) -> Formula:
     return formula
 
 
-def deep_reuse_table(formula: Formula) -> dict[RelationalHypersequent, tuple[Premise, ...]]:
+def deep_reuse_table(
+    formula: Formula,
+) -> dict[RelationalHypersequent, tuple[RelationalHypersequent, ...]]:
     """A premise table whose label "again" recurs one level deeper than first.
 
     From the root of formula, "again" is reached at depth 1 and at depth 2
@@ -304,10 +299,10 @@ def deep_reuse_table(formula: Formula) -> dict[RelationalHypersequent, tuple[Pre
         root_label(parse(text)) for text in ("p1 -> p1", "p2 -> p2", "p3 -> p3", "p1")
     )
     return {
-        root_label(formula): (Premise("x", 1, again), Premise("y", 2, above)),
-        above: (Premise("x", 1, again),),
-        again: (Premise("x", 1, mid),),
-        mid: (Premise("x", 1, leaf),),
+        root_label(formula): (again, above),
+        above: (again,),
+        again: (mid,),
+        mid: (leaf,),
     }
 
 
@@ -383,7 +378,7 @@ def _minus_one(side: tuple[Formula, ...], pivot: Formula) -> tuple[Formula, ...]
 
 def rhbl_premises(
     g: RelationalHypersequent, occurrence: Occurrence | None = None
-) -> tuple[Premise, ...]:
+) -> tuple[RelationalHypersequent, ...]:
     """Logical-rule step rewriting one pivot occurrence of g.
 
     The rewritten occurrence is the pivot formula inside the designated
@@ -463,11 +458,10 @@ def rhbl_premises(
                 residual,
             ]
 
-    labels = [
+    return tuple(
         union(antecedent, rest, replacement)
         for antecedent, replacement in zip(antecedents, replacements)
-    ]
-    return _premises("conj" if is_conj else "impl", labels)
+    )
 
 
 def _balanced_no_shift(
@@ -485,7 +479,7 @@ def _balanced_no_shift(
     return RelationalHypersequent(tuple(out))
 
 
-def _corrupted_rwbl_premises(g: RelationalHypersequent) -> tuple[Premise, ...]:
+def _corrupted_rwbl_premises(g: RelationalHypersequent) -> tuple[RelationalHypersequent, ...]:
     """rwbl_premises with a deliberately wrong fourth conjunction premise."""
     premises = list(rwbl_premises(g))
     pivot, free, held = decompose(g)
@@ -494,13 +488,12 @@ def _corrupted_rwbl_premises(g: RelationalHypersequent) -> tuple[Premise, ...]:
     a, b = pivot.left, pivot.right
     ll_part = hseq(*(s for s in held if s.kind.is_ll))
     ord_part = hseq(*(s for s in held if not s.kind.is_ll))
-    label = (
+    premises[3] = (
         expand_abbreviation("neg_pair_prec_minus1", a, b)
         | reference_subst_all(ll_part, pivot, smaller_child(a, b))
         | _balanced_no_shift(ord_part, pivot, a, b)
         | free
     )
-    premises[3] = Premise("conj4", 4, label)
     return tuple(premises)
 
 
@@ -530,7 +523,7 @@ def _random_reducible(rng: random.Random, max_connectives: int, var_count: int):
     for _ in range(rng.randrange(complexity(formula))):
         if is_irreducible(label):
             break
-        candidate = rng.choice(rwbl_premises(label)).label
+        candidate = rng.choice(rwbl_premises(label))
         if is_irreducible(candidate):
             break
         label = candidate
@@ -565,7 +558,7 @@ def fuzz_rules(
         v = random_valuation(rng, variables(conclusion), max_int, denominator)
         for family, expand in (("rwbl", rwbl_family), ("rhbl", rhbl_premises)):
             premises = expand(conclusion)
-            premise_status = tuple(satisfies(v, p.label) for p in premises)
+            premise_status = tuple(satisfies(v, p) for p in premises)
             conclusion_satisfied = satisfies(v, conclusion)
             report.checks += 1
             if conclusion_satisfied != all(premise_status):
@@ -626,7 +619,7 @@ def rwbl_leaves(formula: Formula) -> Iterator[RelationalHypersequent]:
         if is_irreducible(label):
             yield label
         else:
-            stack.extend(p.label for p in reversed(rwbl_premises(label)))
+            stack.extend(reversed(rwbl_premises(label)))
 
 
 def _node_count(formula: Formula) -> int:

@@ -41,30 +41,31 @@ def test_smaller_child_is_the_canonical_minimum():
 
 
 def test_premise_counts_and_tags():
+    # A step returns its premise labels alone; the tree renderers tag them.
     conj_premises = rwbl_premises(root_label(Conj(A, B)))
-    assert [p.tag for p in conj_premises] == ["conj1", "conj2", "conj3", "conj4", "conj5"]
-    assert [p.index for p in conj_premises] == [1, 2, 3, 4, 5]
+    assert len(conj_premises) == 5
+    assert all(isinstance(p, RelationalHypersequent) for p in conj_premises)
     impl_premises = rwbl_premises(root_label(Impl(A, B)))
-    assert [p.tag for p in impl_premises] == ["impl1", "impl2", "impl3"]
-    assert [p.index for p in impl_premises] == [1, 2, 3]
+    assert len(impl_premises) == 3
+    assert all(isinstance(p, RelationalHypersequent) for p in impl_premises)
 
 
 def test_implication_premises_from_goal():
     """The three rewriting premises of the root goal for p1 -> p2, in full."""
     p1, p2, p3 = rwbl_premises(root_label(Impl(A, B)))
-    assert p1.label == hseq(
+    assert p1 == hseq(
         seq((B,), preceq(), (A,)),
         seq((A,), preceq(), (B,)),
         seq((A,), LL, (B,)),
         seq((TOP,), preceq(), (B,)),
     )
-    assert p2.label == hseq(
+    assert p2 == hseq(
         seq((B,), LL, (A,)),
         seq((A,), preceq(), (B,)),
         seq((A,), LL, (B,)),
         seq((TOP, A), preceq(), (B,)),
     )
-    assert p3.label == hseq(
+    assert p3 == hseq(
         seq((B,), prec(), (A,)),
         seq((B,), LL, (A,)),
         seq((TOP,), preceq(), (TOP,)),
@@ -75,15 +76,15 @@ def test_conjunction_premises_from_goal():
     """First two conjunction premises literally; the rest via the abbreviations."""
     goal = root_label(Conj(A, B))
     p1, p2, p3, p4, p5 = rwbl_premises(goal)
-    assert p1.label == expand_abbreviation("neg_ll", A, B) | hseq(seq((TOP,), preceq(), (A,)))
-    assert p2.label == expand_abbreviation("neg_ll", B, A) | hseq(seq((TOP,), preceq(), (B,)))
-    assert p3.label == expand_abbreviation("neg_preceq1_pair", A, B) | hseq(
+    assert p1 == expand_abbreviation("neg_ll", A, B) | hseq(seq((TOP,), preceq(), (A,)))
+    assert p2 == expand_abbreviation("neg_ll", B, A) | hseq(seq((TOP,), preceq(), (B,)))
+    assert p3 == expand_abbreviation("neg_preceq1_pair", A, B) | hseq(
         seq((TOP,), preceq(), (A, B))
     )
-    assert p4.label == expand_abbreviation("neg_pair_prec_minus1", A, B) | hseq(
+    assert p4 == expand_abbreviation("neg_pair_prec_minus1", A, B) | hseq(
         seq((TOP, A, B), preceq(-1), (A, B))
     )
-    assert p5.label == (
+    assert p5 == (
         expand_abbreviation("neg_preceq", TOP, A)
         | expand_abbreviation("neg_preceq", TOP, B)
         | hseq(seq((TOP,), preceq(), (TOP,)))
@@ -93,7 +94,7 @@ def test_conjunction_premises_from_goal():
 def test_pivot_vanishes_from_every_premise():
     for pivot in (Conj(A, Impl(B, C)), Impl(Conj(A, B), C)):
         for premise in rwbl_premises(root_label(pivot)):
-            assert all(pivot not in s.formulas() for s in premise.label)
+            assert all(pivot not in s.formulas() for s in premise)
 
 
 def test_ll_context_uses_smaller_child():
@@ -103,7 +104,7 @@ def test_ll_context_uses_smaller_child():
     g = hseq(seq((C,), LL, (pivot,)), seq((TOP,), preceq(), (pivot,)))
     premises = rwbl_premises(g)
     for index in (2, 3):  # pair and balanced premises
-        label = premises[index].label
+        label = premises[index]
         assert seq((C,), LL, (C,)) in label
         assert all(pivot not in s.formulas() for s in label)
 
@@ -124,7 +125,7 @@ def test_rhbl_rewrites_single_occurrence():
     premises = rhbl_premises(g)
     # the untouched occurrence survives in every premise
     for premise in premises:
-        assert seq((C,), preceq(), (pivot,)) in premise.label
+        assert seq((C,), preceq(), (pivot,)) in premise
 
 
 def test_rhbl_ll_occurrence_keeps_residual_top():
@@ -132,7 +133,7 @@ def test_rhbl_ll_occurrence_keeps_residual_top():
     g = hseq(seq((C,), LL, (pivot,)))
     premises = rhbl_premises(g)
     assert len(premises) == 5
-    assert premises[4].label == (
+    assert premises[4] == (
         expand_abbreviation("neg_preceq", TOP, A)
         | expand_abbreviation("neg_preceq", TOP, B)
         | hseq(seq((C,), LL, (TOP,)))
@@ -162,7 +163,7 @@ def test_rules_preserve_satisfaction_pointwise():
         for _ in range(rng.randrange(3)):
             if is_irreducible(label):
                 break
-            step = rng.choice(rwbl_premises(label)).label
+            step = rng.choice(rwbl_premises(label))
             if is_irreducible(step):
                 break
             label = step
@@ -171,7 +172,7 @@ def test_rules_preserve_satisfaction_pointwise():
         v = random_valuation(rng, variables(label), 3, 8)
         for expand in (rwbl_premises, rhbl_premises):
             premises = expand(label)
-            assert satisfies(v, label) == all(satisfies(v, p.label) for p in premises)
+            assert satisfies(v, label) == all(satisfies(v, p) for p in premises)
         checked += 1
 
 
@@ -244,7 +245,7 @@ def _reducible_labels(seed, count):
             if is_irreducible(label):
                 break
             labels.add(label)
-            label = rng.choice(rhbl_premises(label)).label
+            label = rng.choice(rhbl_premises(label))
     return sorted(labels, key=lambda g: g.render())
 
 
@@ -302,19 +303,11 @@ def test_premises_match_the_chained_composition():
     # One memo across the loop, as one search or tree build keeps it.
     memo = {}
     for g in labels:
-        kind = "conj" if isinstance(most_complex(g), Conj) else "impl"
         expected = _chained_rwbl_labels(g)
-        tags = [f"{kind}{i}" for i in range(1, len(expected) + 1)]
-        indices = list(range(1, len(expected) + 1))
         for premises in (rwbl_premises(g), rwbl_premises(g, memo)):
-            assert [p.label for p in premises] == expected
-            assert [p.tag for p in premises] == tags
-            assert [p.index for p in premises] == indices
+            assert list(premises) == expected
         for occurrence in _occurrences(g):
-            premises = rhbl_premises(g, occurrence)
-            assert [p.label for p in premises] == _chained_rhbl_labels(g, occurrence)
-            assert [p.tag for p in premises] == tags
-            assert [p.index for p in premises] == indices
+            assert list(rhbl_premises(g, occurrence)) == _chained_rhbl_labels(g, occurrence)
 
 
 def test_substitutions_share_untouched_sequents():
@@ -322,5 +315,5 @@ def test_substitutions_share_untouched_sequents():
     for g in _reducible_labels(31, 20):
         free = decompose(g)[1]
         for premise in rwbl_premises(g):
-            kept = {id(s) for s in premise.label}
+            kept = {id(s) for s in premise}
             assert all(id(s) in kept for s in free)

@@ -210,7 +210,7 @@ def test_every_label_operation_returns_a_label():
     g = hseq(s1, s2, seq((PIV,), preceq(), (C,)), seq((A,), prec(), (C,)))
     labels = [hseq(), hseq(s1) | hseq(s2), union(hseq(s1), hseq(s2), g), g]
     labels += decompose(g)[1:]
-    labels += [p.label for root in (g, hseq(s2)) for p in rwbl_premises(root)]
+    labels += [p for root in (g, hseq(s2)) for p in rwbl_premises(root)]
     for label in labels:
         assert type(label) is RelationalHypersequent
         plain = frozenset(label)

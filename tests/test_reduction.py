@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -24,7 +25,7 @@ from blprover import (
 import blprover.calculus as calculus
 import blprover.prover as prover
 import blprover.reduction as reduction
-from blprover.calculus import Premise, rwbl_premises
+from blprover.calculus import rwbl_premises
 from blprover.formula import complexity
 from blprover.hypersequent import decompose, is_irreducible, most_complex
 from blprover.reduction import (
@@ -60,7 +61,6 @@ def test_root_label():
 def test_atomic_formula_tree_is_a_single_leaf():
     tree = build_rwbl_tree(P1)
     assert not tree.root.children
-    assert tree.root.premise_index is None
     assert tree_stats(tree).node_count == 1
     assert tree_stats(tree).max_branch_weight == 3
 
@@ -68,9 +68,7 @@ def test_atomic_formula_tree_is_a_single_leaf():
 def test_identity_implication_tree_shape():
     tree = build_rwbl_tree(parse("p1 -> p1"))
     root = tree.root
-    assert root.children
-    assert [child.premise_tag for child in root.children] == ["impl1", "impl2", "impl3"]
-    assert [child.premise_index for child in root.children] == [1, 2, 3]
+    assert len(root.children) == 3
     assert not any(child.children for child in root.children)
     stats = tree_stats(tree)
     assert stats.height == 1
@@ -126,11 +124,11 @@ def _reference_tree(formula):
     """The tree folded with the plain calculus, its statistics counted node by node."""
 
     def inner(label, premises, subtrees):
-        return tuple(ReductionNode(p.label, p.index, p.tag, t) for p, t in zip(premises, subtrees))
+        return tuple(ReductionNode(p, t) for p, t in zip(premises, subtrees))
 
     label = root_label(formula)
     children, _ = fold_tree(label, rwbl_premises, complexity(formula), lambda label: (), inner)
-    root = ReductionNode(label, None, None, children)
+    root = ReductionNode(label, children)
     return ReductionTree(formula, root, walk_stats(root))
 
 
@@ -141,8 +139,8 @@ def test_trees_built_with_the_memo_match_the_plain_calculus():
     for formula in formulas:
         reference = _reference_tree(formula)
         tree = build_rwbl_tree(formula)
-        # Dataclass equality compares the statistics and every node's label,
-        # index, tag and children.
+        # Dataclass equality compares the statistics and every node's label
+        # and children.
         assert tree == reference
 
 
@@ -258,9 +256,9 @@ def test_reused_label_still_trips_the_depth_guard():
         root_label(parse(text)) for text in ("p1 -> p2", "p1 -> p1", "p2 -> p2", "p1")
     )
     premises = {
-        root: (Premise("x", 1, again), Premise("y", 2, above)),
-        above: (Premise("x", 1, again),),
-        again: (Premise("x", 1, leaf),),
+        root: (again, above),
+        above: (again,),
+        again: (leaf,),
     }
 
     def count_leaves(limit):
@@ -296,6 +294,20 @@ def test_a_cut_label_is_valued_by_inner_and_never_by_leaf():
     value, path = fold_tree(root, expand, complexity(formula), leaf, inner)
     assert cut and not is_irreducible(cut[0])
     assert (value, path) == (cut, None)
+
+
+def test_the_path_moves_are_premise_positions():
+    # stop fires at the first premise of the root's second premise, so the
+    # path takes position 2 and then position 1.
+    root, first, second, target, other = (
+        root_label(parse(text)) for text in ("p1 -> p2", "p1", "p2 -> p2", "p2", "p3")
+    )
+    premises = {root: (first, second), second: (target, other)}
+    value, path = fold_tree(
+        root, premises.__getitem__, 2, lambda label: label, lambda *_: None, target.__eq__
+    )
+    assert value == target
+    assert path == ((2, 1), (root, second, target))
 
 
 def test_the_calculus_checks_the_shape_of_each_sequent_it_makes(monkeypatch):
@@ -437,6 +449,47 @@ def test_renderers():
     payload = json.loads(tree_to_json(tree))
     assert payload["mode"] == "rwbl"
     assert len(payload["root"]["children"]) == 3
+
+
+def _preorder_edges(node):
+    """(parent, 1-based position, child) for every edge, the children in pre-order."""
+    for position, child in enumerate(node.children, start=1):
+        yield node, position, child
+        yield from _preorder_edges(child)
+
+
+def _json_premises(node):
+    """The premise objects of a nested tree_to_json node's descendants, in pre-order."""
+    for child in node["children"]:
+        yield child["premise"]
+        yield from _json_premises(child)
+
+
+def test_renderers_tag_each_edge_by_its_parents_pivot_and_its_position():
+    rng = random.Random(27)
+    formulas = [parse(text) for text in REPEATED_LABELS]
+    formulas += [random_formula(rng, rng.randint(1, 4), 3) for _ in range(100)]
+    seen = set()
+    for formula in formulas:
+        tree = build_rwbl_tree(formula)
+        edges = list(_preorder_edges(tree.root))
+        positions = [position for _, position, _ in edges]
+        tags = [
+            ("conj" if isinstance(most_complex(parent.label), Conj) else "impl") + str(position)
+            for parent, position, _ in edges
+        ]
+        root = json.loads(tree_to_json(tree))["root"]
+        assert "premise" not in root
+        premises = list(_json_premises(root))
+        assert [premise["index"] for premise in premises] == positions
+        assert [premise["tag"] for premise in premises] == tags
+        lines = render_tree_lines(tree).splitlines()
+        assert [line.split("\t")[2] for line in lines] == ["root", *tags]
+        # Node ids are pre-order in both renderings, so the child id orders the edges.
+        dot = re.findall(r'^  n\d+ -> n(\d+) \[label="(\w+)"\];$', render_tree_dot(tree), re.M)
+        assert [tag for _, tag in sorted(dot, key=lambda edge: int(edge[0]))] == tags
+        seen.update(tags)
+    assert {"conj5", "impl3"} <= seen
 
 
 def _json_counts(node):
