@@ -104,31 +104,39 @@ class LeafCache:
             f = stack.pop()
             if f not in seen:
                 seen.add(f)
-                stack += (f.left, f.right) if f.complexity else ()
+                stack += () if is_atomic(f) else (f.left, f.right)
         variables = sorted((f for f in seen if isinstance(f, Var)), key=lambda v: v.index)
         self.atoms = [BOT, *variables, TOP]
         self.number = {atom: j for j, atom in enumerate(self.atoms)}
         self.records, self.edges, self.groupings, self.solves = {}, [], {}, {}
 
     def compile(self, s: RelationalSequent, h: Iterable[RelationalSequent]) -> tuple:
-        """Record s, a sequent of the leaf h, by what its negation asserts.
+        """Record s, a sequent of the leaf or settled part h, by what its negation asserts.
 
+        A settled sequent with compound formulas holds exactly when the
+        sequent of their fixed atoms does, and shares that sequent's record.
         Negating ``left << right`` asserts floor(right) <= floor(left), the
         edge (right, left).  A negated fractional sequent constrains when its
         atoms share one finite floor, so its row is kept.  One with bare top
         is dead unless it has the unit shape: never satisfied, its negation
-        holds vacuously, so it gets no row.  Raises ValueError on non-atomic
-        formulas, naming the first one in the compound sequent of h with the
-        least sort key, or else on a ``<<`` sequent missing a side.
+        holds vacuously, so it gets no row.  ``x <= x`` for an atom x holds
+        under every valuation: its mask is -1, which settles a check at once.
+        Raises ValueError on a formula with no fixed atom, naming the first
+        one in the unsettled sequent of h with the least sort key, or else on
+        a ``<<`` sequent missing a side.
         """
         left, right, ll = s.left, s.right, s.kind.tag == "ll"
-        if not s.all_atomic or ll and (len(left) != 1 or len(right) != 1):
-            compound = [s for s in h if not s.all_atomic]
+        if not s.settled or ll and (len(left) != 1 or len(right) != 1):
+            compound = [s for s in h if not s.settled]
             if compound:
                 s = min(compound, key=RelationalSequent.sort_key)
-                f = next(f for f in s.formulas() if not is_atomic(f))
+                f = next(f for f in s.formulas() if f.fixed is None)
                 raise ValueError(f"leaf expected, found compound formula {f!r}")
             raise ValueError("a << sequent in a leaf must have one formula per side")
+        if not s.all_atomic:
+            atoms = _atoms(s)
+            self.records[s] = record = self.records.get(atoms) or self.compile(atoms, h)
+            return record
         bits, row, number, n = 0, None, len(self.records), len(self.atoms)
         for atom in left + right:
             if atom not in self.number:
@@ -141,8 +149,17 @@ class LeafCache:
         elif s.is_unit_shape or not top:
             # Only rows without top are ever owned by a cluster and read as void.
             row = bits, s, s.is_unit_shape, not top and _is_void(s), number
-        self.records[s] = record = mask, row
+        self.records[s] = record = (-1 if s.is_unit_shape and left == right else mask), row
         return record
+
+
+def _atoms(s: RelationalSequent) -> RelationalSequent:
+    """The settled sequent s with each formula replaced by its fixed atom."""
+    if s.all_atomic:
+        return s
+    return RelationalSequent(
+        tuple(f.fixed for f in s.left), s.kind, tuple(f.fixed for f in s.right)
+    )
 
 
 def contract_and_sort(
@@ -337,16 +354,17 @@ def build_countermodel(
 
 
 def check_axiom(h: RelationalHypersequent, cache: LeafCache | None = None) -> AxiomVerdict:
-    """Classify an irreducible hypersequent.
+    """Classify an irreducible hypersequent, or a settled one as the hypersequent of its atoms.
 
     ``cache`` is shared by one search's checks (check_tautology passes one
     per call); without one, a cache is made from the leaf's atoms.  One pass
-    ORs the records of the leaf's sequents; the floor graph they give is
-    grouped once per search (contract_and_sort).  A clash of the falsum and
+    ORs the records of the leaf's sequents; an ``x <= x`` record settles an
+    axiom there, and otherwise the floor graph they give is grouped once per
+    search (contract_and_sort).  A clash of the falsum and
     top pins is an axiom, and so is a leaf with no feasible escape set
     (_least_escape).  Only the verdict is decided here; the countermodel,
     built on first read from the least escape set and the witness, is always
-    re-checked against the leaf before it is returned.
+    re-checked against the leaf's atoms before it is returned.
     """
     if cache is None:
         cache = LeafCache(f for s in h for f in s.left + s.right)
@@ -357,6 +375,8 @@ def check_axiom(h: RelationalHypersequent, cache: LeafCache | None = None) -> Ax
         mask |= record[0]
         if record[1] is not None:
             fracs.append(record[1])
+    if mask < 0:
+        return AxiomVerdict(True, lambda: None)
     if mask not in cache.groupings:
         edges = [cache.edges[bit.bit_length() - 1] for bit in _bits(mask >> n)]
         grouped = contract_and_sort(mask & (1 << n) - 1, edges)
@@ -370,7 +390,7 @@ def check_axiom(h: RelationalHypersequent, cache: LeafCache | None = None) -> Ax
 
 
 def _checked(h: RelationalHypersequent, model: Valuation) -> Valuation:
-    if satisfies(model, h):
+    if satisfies(model, RelationalHypersequent(map(_atoms, h))):
         raise AssertionError(
             "countermodel construction failed its runtime check; "
             "the leaf violates the supported structural invariants"

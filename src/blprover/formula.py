@@ -8,9 +8,12 @@ stores only the four primitive constructors.
 
 Formulas are hash-consed: the constructors return the one live node for each
 structurally distinct formula, so equality is identity and the hash is the
-identity hash.  A node's connective count and height are fields set from its
-children at construction; its serialization key is computed on first use
-and kept on the node.
+identity hash.  A node's connective count, height and fixed atom are fields
+set from its children at construction; its serialization key is computed on
+first use and kept on the node.  The fixed atom (falsum, a variable or bare
+top) is one whose value the formula takes under every valuation, by the
+identities 0 * y = 0, top * y = y, x -> y = top when x <= y and
+top -> y = y; the search reads a sequent of such formulas as one of atoms.
 """
 
 from __future__ import annotations
@@ -103,19 +106,24 @@ class Formula(Interned):
     """Base class for formula nodes.
 
     ``complexity`` is the connective count of the formula tree, counting a
-    shared subformula once per occurrence, and ``height`` the longest chain
-    of connectives from the root.
+    shared subformula once per occurrence, ``height`` the longest chain of
+    connectives from the root, and ``fixed`` the atom whose value the
+    formula takes under every valuation (an atom's own; a connective's
+    follows from its children's by ``_fixed``), or None if the rules find
+    none.
     """
 
-    __slots__ = ("complexity", "height", "_key")
+    __slots__ = ("complexity", "height", "fixed", "_key")
 
     complexity: int
     height: int
+    fixed: Formula | None
 
 
 def _enter(key: tuple, node: N, complexity: int, height: int) -> N:
     _set(node, "complexity", complexity)
     _set(node, "height", height)
+    _set(node, "fixed", _fixed(node) if complexity else node)
     _set(node, "_key", None)
     return _INTERNED.add(key, node)
 
@@ -188,6 +196,25 @@ class Impl(_Connective):
     """Implication."""
 
     __slots__ = ()
+
+
+def _fixed(node: _Connective) -> Formula | None:
+    """A connective's fixed atom, from its children's, by the identities of
+    ``semantics.omega_mul`` and ``omega_imp``: 0 * y = 0, top * y = y,
+    x -> y = top when x <= y (x is falsum, y is top, or the sides are one
+    formula or share an atom) and top -> y = y.  Bare top is its own.
+    """
+    left, right = node.left, node.right
+    a, b = left.fixed, right.fixed
+    if isinstance(node, Conj):
+        if a is BOT or b is BOT:
+            return BOT
+        return b if a is TOP else a if b is TOP else None
+    if left is right is BOT:
+        return node
+    if a is BOT or b is TOP or left is right or a is not None and a is b:
+        return TOP
+    return b if a is TOP else None
 
 
 BOT = Bottom()

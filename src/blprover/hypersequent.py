@@ -11,17 +11,17 @@ keeps the type; any other set operation gives a plain frozenset.
 Sequents are hash-consed like formulas: the constructor returns the one live
 sequent for each pair of sorted sides and relation, so equality is identity
 and the hash is the identity hash.  Each sequent holds its pivot (its
-greatest compound formula), weight, atomicity and shape flags as fields set
-at construction and computes its sort key on first use.  A label's pivot is
-the greatest of its sequents' pivots, so it is the pivot of every sequent
-that holds it, and ``decompose`` splits a label by that field alone into
-its pivot, the sequents without it and those that hold it.  The four
-substitutions are one sequent rewrite: they take a sequent that holds the
-target, and it loses every occurrence and, by the target's left and right
-counts, gains formulas on each side and a shift of its index.  They never
-see a label: the calculus rewrites only the sequents that hold the pivot,
-and ``union`` joins a new label's parts, the parent's untouched sequents
-among them, with one set union, so labels share sequents.
+greatest compound formula), weight, atomicity, settled and shape flags as
+fields set at construction and computes its sort key on first use.  A
+label's pivot is the greatest of its sequents' pivots, so it is the pivot of
+every sequent that holds it, and ``decompose`` splits a label by that field
+alone into its pivot, the sequents without it and those that hold it.  The
+four substitutions are one sequent rewrite: they take a sequent that holds
+the target, and it loses every occurrence and, by the target's left and
+right counts, gains formulas on each side and a shift of its index.  They
+never see a label: the calculus rewrites only the sequents that hold the
+pivot, and ``union`` joins a new label's parts, the parent's untouched
+sequents among them, with one set union, so labels share sequents.
 """
 
 from __future__ import annotations
@@ -98,11 +98,13 @@ class RelationalSequent(Interned):
 
     The fields set at construction: ``pivot``, the complexity-order maximum
     of the compound formulas, or None; ``all_atomic``, every formula is
-    falsum, a variable or bare top; ``one_sided_pair``, two formulas on one
-    side of an index-zero fractional relation; ``is_unit_shape``, one formula
-    on each side of ``<=`` with index zero; ``weight``, one for the relation, one per
-    bare top and 2c + 1 per other formula of c connectives, so a compound
-    formula counts its connectives and its literal leaves.
+    falsum, a variable or bare top; ``settled``, every formula has a fixed
+    atom (``Formula.fixed``), so the sequent holds exactly when the sequent
+    of those atoms does; ``one_sided_pair``, two formulas on one side of an
+    index-zero fractional relation; ``is_unit_shape``, one formula on each
+    side of ``<=`` with index zero; ``weight``, one for the relation, one
+    per bare top and 2c + 1 per other formula of c connectives, so a
+    compound formula counts its connectives and its literal leaves.
     """
 
     __slots__ = (
@@ -111,6 +113,7 @@ class RelationalSequent(Interned):
         "right",
         "pivot",
         "all_atomic",
+        "settled",
         "one_sided_pair",
         "is_unit_shape",
         "weight",
@@ -123,6 +126,7 @@ class RelationalSequent(Interned):
     right: tuple[Formula, ...]
     pivot: Formula | None
     all_atomic: bool
+    settled: bool
     one_sided_pair: bool
     is_unit_shape: bool
     weight: int
@@ -146,12 +150,13 @@ class RelationalSequent(Interned):
         node = object.__new__(cls)
         index_zero_ord = not ll and kind.z == 0
         one_side = (len(left), len(right)) in ((2, 0), (0, 2))
-        # One pass for the weight and the pivot, which need not be a side's
-        # last element: p1 * p2 sorts before bare top, an atom.
-        pivot, weight = None, 1
+        # One pass for the weight, the settled flag and the pivot, which need
+        # not be a side's last element: p1 * p2 sorts before bare top, an atom.
+        pivot, weight, settled = None, 1, True
         for f in left + right:
             compound = f.complexity and f is not TOP
             weight += 2 * f.complexity + 1 if compound else 1
+            settled &= f.fixed is not None
             if compound and (pivot is None or complexity_key(f) > complexity_key(pivot)):
                 pivot = f
         _set(node, "left", left)
@@ -159,6 +164,7 @@ class RelationalSequent(Interned):
         _set(node, "right", right)
         _set(node, "pivot", pivot)
         _set(node, "all_atomic", pivot is None)
+        _set(node, "settled", settled)
         _set(node, "one_sided_pair", index_zero_ord and one_side)
         _set(
             node,

@@ -58,9 +58,10 @@ def check_tautology(formula: Formula) -> ProveResult:
     indices along the refuted branch, padded with zeros to the connective
     count.
 
-    A label whose settled part (its all-atomic sequents, which every premise
-    keeps) is an axiom is cut: every leaf below contains that valid part, so
-    the first invalid leaf and its path do not change.  Each label the walk
+    A label whose settled part (its sequents whose formulas all have fixed
+    atoms, read as the sequents of those atoms) is an axiom is cut: the label
+    is then valid, the rules are invertible, so every leaf below is valid,
+    and the first invalid leaf and its path do not change.  Each label the walk
     visits is checked once: a leaf itself, a reducible label its settled
     part unless that is empty (never an axiom).  No verdict outlives its
     label, so a repeated part costs a pass over its sequents' records and
@@ -82,7 +83,7 @@ def check_tautology(formula: Formula) -> ProveResult:
         return None if verdict.is_axiom else verdict
 
     def premises(label: RelationalHypersequent) -> tuple[RelationalHypersequent, ...]:
-        part = [s for s in label if s.all_atomic]
+        part = [s for s in label if s.settled]
         if part and check_axiom(RelationalHypersequent(part), cache).is_axiom:
             return ()
         return rwbl_premises(label, memo)

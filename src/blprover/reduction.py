@@ -156,8 +156,10 @@ def label_weight(g: RelationalHypersequent) -> int:
     return sum(s.weight for s in g)
 
 
-# A subtree as build_rwbl_tree folds it: its root's children and its statistics.
-Folded = tuple[tuple[ReductionNode, ...], TreeStats]
+# A subtree as build_rwbl_tree folds it: its root's children and its height,
+# node count, leaf count and heaviest branch weight, the fields of TreeStats
+# (a plain tuple: only the root's statistics become a TreeStats).
+Folded = tuple[tuple[ReductionNode, ...], tuple[int, int, int, int]]
 
 
 def build_rwbl_tree(formula: Formula) -> ReductionTree:
@@ -186,28 +188,24 @@ def build_rwbl_tree(formula: Formula) -> ReductionTree:
         if not premises:
             return folded[label]
         children = tuple(ReductionNode(p, sub) for p, (sub, _) in zip(premises, subtrees))
-        subs = [stats for _, stats in subtrees]
-        folded[label] = children, TreeStats(
-            1 + max(s.height for s in subs),
-            1 + sum(s.node_count for s in subs),
-            sum(s.leaf_count for s in subs),
-            label_weight(label) + max(s.max_branch_weight for s in subs),
+        heights, nodes, leaves, weights = zip(*[stats for _, stats in subtrees])
+        folded[label] = children, (
+            1 + max(heights),
+            1 + sum(nodes),
+            sum(leaves),
+            label_weight(label) + max(weights),
         )
         return folded[label]
 
     (children, stats), _ = fold_tree(
-        root,
-        expand,
-        limit,
-        lambda label: ((), TreeStats(0, 1, 1, label_weight(label))),
-        inner,
+        root, expand, limit, lambda label: ((), (0, 1, 1, label_weight(label))), inner
     )
     # The walk does not enter a reused fold, so its depth guard misses one
     # that sits deeper than its first occurrence allows; the root's height,
     # the greatest depth plus subtree height over all occurrences, does not.
-    if stats.height > limit:
+    if stats[0] > limit:
         raise ReductionDepthError("reducible node at the depth limit")
-    return ReductionTree(formula, ReductionNode(root, children), stats)
+    return ReductionTree(formula, ReductionNode(root, children), TreeStats(*stats))
 
 
 def tree_stats(tree: ReductionTree) -> TreeStats:

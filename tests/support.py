@@ -21,8 +21,10 @@ they rewrote whole labels; the tests hold each sequent rewrite to the
 reference's label of that sequent alone.  ``reference_decompose`` is the
 four-way split by which sequents hold the pivot on either side that the split
 by each sequent's ``pivot`` field replaced, ``reference_sequent_fields``
-recomputes the fields a sequent's constructor sets in one pass, and
-``reference_check_axiom`` is
+recomputes the fields a sequent's constructor sets in one pass,
+``reference_fixed`` recomputes a formula's fixed atom by recursion over its
+subformulas and ``reference_atoms`` gives the hypersequent of a settled
+part's atoms, and ``reference_check_axiom`` is
 the leaf check over frozensets that solved every owning cluster and built
 each countermodel at once, before void rows, skipped solves and lazy
 verdicts.  ``variables_in`` and
@@ -846,6 +848,36 @@ def reference_subst_impl(
     return RelationalHypersequent(out)
 
 
+def reference_fixed(formula: Formula) -> Formula | None:
+    """Reference: the atom the formula equals under every valuation, by recursion.
+
+    Atoms are their own.  Below, x and y are the children's atoms: x * y is
+    falsum when either is falsum, and the other child's atom when one is top;
+    x -> y is top when x is falsum, y is top, or the children are one formula
+    or share an atom, and y's atom when x is top.  Anything else has none.
+    """
+    if is_atomic(formula):
+        return formula
+    x, y = reference_fixed(formula.left), reference_fixed(formula.right)
+    if isinstance(formula, Conj):
+        if BOT in (x, y):
+            return BOT
+        if TOP in (x, y):
+            return y if x == TOP else x
+        return None
+    if x == BOT or y == TOP or formula.left == formula.right or (x is not None and x == y):
+        return TOP
+    return y if x == TOP else None
+
+
+def reference_atoms(g: RelationalHypersequent) -> RelationalHypersequent:
+    """Reference: a settled hypersequent with each formula replaced by its fixed atom."""
+    return RelationalHypersequent(
+        seq([reference_fixed(f) for f in s.left], s.kind, [reference_fixed(f) for f in s.right])
+        for s in g
+    )
+
+
 def reference_sequent_fields(
     left: tuple[Formula, ...], kind, right: tuple[Formula, ...]
 ) -> dict[str, object]:
@@ -859,6 +891,7 @@ def reference_sequent_fields(
         "right": tuple(sorted(right, key=complexity_key)),
         "pivot": max(compounds, key=complexity_key) if compounds else None,
         "all_atomic": all(is_atomic(f) for f in formulas),
+        "settled": all(reference_fixed(f) is not None for f in formulas),
         "one_sided_pair": index_zero_ord and sorted([len(left), len(right)]) == [0, 2],
         "is_unit_shape": index_zero_ord and kind.tag == "preceq" and len(left) == len(right) == 1,
         "weight": 1 + sum(1 if is_atomic(f) else 2 * complexity(f) + 1 for f in formulas),

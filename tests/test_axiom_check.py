@@ -44,6 +44,7 @@ from support import (
     oracle_leaf_satisfiable,
     random_formula,
     reference_atom_key,
+    reference_atoms,
     reference_check_axiom,
     rwbl_leaves,
 )
@@ -621,12 +622,15 @@ def test_pipeline_agrees_with_enumeration_on_random_leaves():
 
 
 def _matches_the_reference(leaf, verdict):
-    is_axiom, _, countermodel = reference_check_axiom(leaf)
+    # A settled part holds compound formulas with fixed atoms; the reference
+    # reads the hypersequent of those atoms.
+    is_axiom, _, countermodel = reference_check_axiom(reference_atoms(leaf))
     assert (verdict.is_axiom, verdict.countermodel) == (is_axiom, countermodel), leaf.render()
 
 
 def test_check_matches_the_reference_on_the_search_classifications(monkeypatch):
-    """Every leaf and settled part the search classifies, read after the search."""
+    """Every leaf and settled part the search classifies, read after the search;
+    the reference reads each settled part as the hypersequent of its atoms."""
     seen = []
 
     def recording(leaf, cache=None):
@@ -635,9 +639,11 @@ def test_check_matches_the_reference_on_the_search_classifications(monkeypatch):
         return verdict
 
     monkeypatch.setattr(prover, "check_axiom", recording)
+    # The first 60 formulas are the corpus as it was; the cut by fixed atoms
+    # visits fewer labels, so ten more keep the thresholds.
     rng = random.Random(28)
     formulas = 0
-    while formulas < 60:
+    while formulas < 70:
         formula = random_formula(rng, rng.randint(1, 6), 3)
         if branch_estimate(formula) <= 2000:
             formulas += 1
@@ -646,6 +652,39 @@ def test_check_matches_the_reference_on_the_search_classifications(monkeypatch):
         _matches_the_reference(leaf, verdict)
     refuted = sum(not verdict.is_axiom for _, verdict in seen)
     assert refuted > 250 and len(seen) - refuted > 1000
+
+
+def test_only_an_x_leq_x_record_settles_a_check_at_once(monkeypatch):
+    """Every sequent the searches compile whose record settles a check before
+    the grouping (x <= x for an atom x, top included, or a settled sequent
+    whose atoms read so) is an axiom by itself, by the reference; a unit <=
+    between different atoms and a strict x < x are not flagged."""
+    caches = {}
+
+    def recording(leaf, cache=None):
+        caches[id(cache)] = cache
+        return check_axiom(leaf, cache)
+
+    monkeypatch.setattr(prover, "check_axiom", recording)
+    rng = random.Random(41)
+    formulas = 0
+    while formulas < 150:
+        formula = random_formula(rng, rng.randint(2, 8), 3)
+        if branch_estimate(formula) <= 2000:
+            formulas += 1
+            check_tautology(formula)
+    flagged = {s for cache in caches.values() for s, record in cache.records.items() if record[0] < 0}
+    for s in flagged:
+        assert reference_check_axiom(reference_atoms(hseq(s)))[0], s.render()
+    assert len(flagged) >= 50 and sum(not s.all_atomic for s in flagged) >= 40
+    cache = LeafCache((Conj(TOP, P1),))
+    for s in (seq((P1,), preceq(), (TOP,)), seq((BOT,), preceq(), (P1,)), seq((P1,), prec(), (P1,))):
+        assert cache.compile(s, (s,))[0] >= 0, s.render()
+    for s in (seq((P1,), preceq(), (P1,)), seq((TOP,), preceq(), (TOP,))):
+        assert cache.compile(s, (s,))[0] == -1, s.render()
+    s = seq((Conj(TOP, P1),), preceq(), (P1,))
+    assert cache.compile(s, (s,))[0] == -1
+    assert check_axiom(hseq(s, seq((P1,), LL, (BOT,)))).is_axiom
 
 
 def test_check_matches_the_reference_on_random_leaves():
@@ -750,7 +789,8 @@ def test_solve_counts_do_not_depend_on_the_process():
 def test_the_search_cache_agrees_with_a_fresh_check_and_the_reference(monkeypatch):
     """Every settled part the searches classify, checked again with the
     search's own cache (its records, groupings and solves), with a fresh
-    cache and by the reference, gives one verdict and one countermodel."""
+    cache and by the reference on the hypersequent of its atoms, gives one
+    verdict and one countermodel."""
     seen = []
 
     def recording(leaf, cache=None):
@@ -769,7 +809,7 @@ def test_the_search_cache_agrees_with_a_fresh_check_and_the_reference(monkeypatc
     refuted = 0
     for leaf, cache in seen:
         shared, fresh = check_axiom(leaf, cache), check_axiom(leaf)
-        is_axiom, _, countermodel = reference_check_axiom(leaf)
+        is_axiom, _, countermodel = reference_check_axiom(reference_atoms(leaf))
         assert shared.is_axiom == fresh.is_axiom == is_axiom, leaf.render()
         assert shared.countermodel == fresh.countermodel == countermodel, leaf.render()
         refuted += not is_axiom

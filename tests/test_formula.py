@@ -1,11 +1,15 @@
 """Parser, printer and structural helpers for the formula language."""
 
+import itertools
 import pickle
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from blprover import BOT, TOP, Bottom, Conj, Impl, ParseError, Var, complexity, parse, render
+from blprover.semantics import INF, Finite, Valuation, eval_formula
 from blprover.formula import (
     MAX_CONNECTIVES,
     MAX_NESTING,
@@ -15,7 +19,13 @@ from blprover.formula import (
     is_atomic,
     serialize_key,
 )
-from support import compound_subformulas, implication_chain, variables_in
+from support import (
+    compound_subformulas,
+    implication_chain,
+    random_formula,
+    reference_fixed,
+    variables_in,
+)
 
 P1, P2, P3 = Var(1), Var(2), Var(3)
 
@@ -86,6 +96,59 @@ def test_is_atomic():
     assert is_atomic(TOP)
     assert not is_atomic(Conj(P1, P2))
     assert not is_atomic(Impl(P1, BOT))
+
+
+def test_fixed_atoms_of_the_identities():
+    cases = {
+        "p1 * 0": BOT,
+        "0 * (p1 -> p2)": BOT,
+        "top * p1": P1,
+        "p1 * top": P1,
+        "(p1 -> p1) -> p2": P2,
+        "0 -> p1 * p2": TOP,
+        "p1 * p2 -> top": TOP,
+        "(p1 * 0) -> p2": TOP,
+        "(p2 * top) -> (top * p2)": TOP,
+        "top": TOP,
+        "p1 * p1": None,
+        "p1 -> p2": None,
+        "top * (p1 -> p2)": None,
+        "p1 -> 0": None,
+    }
+    for text, atom in cases.items():
+        assert parse(text).fixed is atom, text
+    for atom in (BOT, TOP, P1):
+        assert atom.fixed is atom
+
+
+_GRID = [INF] + [Finite(k, Fraction(n, 3)) for k in (0, 1) for n in range(3)]
+
+
+def test_fixed_atoms_match_the_reference_and_the_semantics():
+    """Over seeded random formulas of up to four variables, each subformula's
+    fixed atom is the reference's, and each compound one that has a fixed
+    atom takes that atom's value at every point of the ordinal-sum grid."""
+    rng = random.Random(47)
+    seen, fixed = set(), {BOT: 0, TOP: 0, "variable": 0}
+    for _ in range(400):
+        stack = [random_formula(rng, rng.randint(1, 9), rng.randint(1, 4))]
+        while stack:
+            f = stack.pop()
+            if f in seen:
+                continue
+            seen.add(f)
+            assert f.fixed is reference_fixed(f), render(f)
+            if is_atomic(f):
+                continue
+            stack += (f.left, f.right)
+            if f.fixed is None:
+                continue
+            indices = sorted(variables_in(f))
+            for values in itertools.product(_GRID, repeat=len(indices)):
+                v = Valuation(dict(zip(indices, values)))
+                assert eval_formula(v, f) == eval_formula(v, f.fixed), (render(f), v)
+            fixed[f.fixed if f.fixed in (BOT, TOP) else "variable"] += 1
+    assert min(fixed.values()) >= 50, fixed
 
 
 def test_complexity_order():
